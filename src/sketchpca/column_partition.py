@@ -100,12 +100,8 @@ class CssPcaResult:
     params: CssProtocolParams
 
 
-def _col_words(column: np.ndarray) -> int:
-    return 2 * int(np.count_nonzero(column)) + 1
-
-
 def _cols_words(block: np.ndarray) -> int:
-    return sum(_col_words(block[:, t]) for t in range(block.shape[1]))
+    return 2 * np.count_nonzero(block) + block.shape[1]
 
 
 def _local_select(Ai: np.ndarray, k: int, ell: int, flags: set[str]) -> np.ndarray:

@@ -4,7 +4,10 @@ Every sketch entry is a pure function of (seed, row, column), so two parties
 holding the same seed materialize bitwise-identical matrices without
 communicating anything else.  The generator is a two-round splitmix64
 finalizer applied to seed xor mixed cell index; it is not cryptographic, just
-well distributed and reproducible across platforms.
+well distributed and reproducible across platforms.  Dense sign grids are
+generated in fixed-size row blocks through ``prf_cells``, with the mixing done
+in place, so a grid of any size works in cache-sized buffers.  Blocking never
+changes an entry's bits; tests/test_sketches.py pins them with digests.
 
 Families:
 
@@ -31,14 +34,24 @@ from .errors import InputError
 
 _MASK64 = (1 << 64) - 1
 _GOLDEN = 0x9E3779B97F4A7C15
+_SIGN_BIT = np.uint64(1 << 63)
+_ONE_BITS = np.uint64(0x3FF0000000000000)   # IEEE-754 bits of 1.0
+# Cells per sign-grid block: two 256 KiB uint64 buffers, small enough for L2.
+_BLOCK_CELLS = 1 << 15
 
 
-def _mix64_np(z: np.ndarray) -> np.ndarray:
-    """One splitmix64 finalization round, vectorized over uint64."""
-    z = (z + np.uint64(_GOLDEN))
-    z = (z ^ (z >> np.uint64(30))) * np.uint64(0xBF58476D1CE4E5B9)
-    z = (z ^ (z >> np.uint64(27))) * np.uint64(0x94D049BB133111EB)
-    return z ^ (z >> np.uint64(31))
+def _mix64_np(z: np.ndarray, tmp: np.ndarray) -> np.ndarray:
+    """One splitmix64 finalization round over uint64, in place in z.
+
+    tmp is scratch of z's shape; it is overwritten.
+    """
+    np.add(z, np.uint64(_GOLDEN), out=z)
+    for shift, mult in ((30, 0xBF58476D1CE4E5B9), (27, 0x94D049BB133111EB)):
+        np.right_shift(z, np.uint64(shift), out=tmp)
+        np.bitwise_xor(z, tmp, out=z)
+        np.multiply(z, np.uint64(mult), out=z)
+    np.right_shift(z, np.uint64(31), out=tmp)
+    return np.bitwise_xor(z, tmp, out=z)
 
 
 def _mix64(x: int) -> int:
@@ -65,16 +78,41 @@ def derive_seed(seed: int, label) -> int:
 
 
 def prf_cells(seed: int, rows: np.ndarray, cols: np.ndarray) -> np.ndarray:
-    """uint64 PRF value per (row, col) cell; inputs broadcast."""
-    cell = (rows.astype(np.uint64) << np.uint64(32)) | cols.astype(np.uint64)
-    return _mix64_np(np.uint64(seed & _MASK64) ^ _mix64_np(cell))
+    """uint64 PRF value per (row, col) cell; inputs broadcast.
+
+    The cell grid is built once and both mixing rounds run on it in place.
+    Sign grids call this once per row block (see ``_sign_grid``); the value
+    of a cell depends only on (seed, row, col), so blocking never changes
+    an entry's bits.  tests/test_sketches.py pins them.
+    """
+    # a fresh grid; asarray because 0-d inputs give a scalar, not writable
+    cell = np.asarray((rows.astype(np.uint64) << np.uint64(32)) | cols.astype(np.uint64))
+    tmp = np.empty_like(cell)
+    _mix64_np(cell, tmp)
+    np.bitwise_xor(cell, np.uint64(seed & _MASK64), out=cell)
+    return _mix64_np(cell, tmp)
 
 
-def _sign_grid(seed: int, n_rows: int, n_cols: int) -> np.ndarray:
-    r = np.arange(n_rows, dtype=np.uint64)[:, None]
-    c = np.arange(n_cols, dtype=np.uint64)[None, :]
-    h = prf_cells(seed, r, c)
-    return np.where(h >> np.uint64(63), -1.0, 1.0)
+def _sign_grid(seed: int, n_rows: int, cols: np.ndarray, scale: float) -> np.ndarray:
+    """n_rows x len(cols) grid, entry (i, j) = +-scale by the top bit of the
+    PRF value of cell (i, cols[j]).
+
+    Filled in row blocks of about _BLOCK_CELLS cells, so the PRF's two
+    buffers stay in cache.  The top bit is OR-ed onto the bits of 1.0 to
+    give +-1.0, which is then multiplied by scale: the same product as
+    ``np.where(h >> 63, -1.0, 1.0) * scale``, so every scale (-0.0 too)
+    gives the same bits as the unblocked formula.
+    """
+    c = cols[None, :]
+    out = np.empty((n_rows, c.shape[1]))
+    step = max(1, _BLOCK_CELLS // max(1, c.shape[1]))
+    for lo in range(0, n_rows, step):
+        hi = min(lo + step, n_rows)
+        h = prf_cells(seed, np.arange(lo, hi, dtype=np.uint64)[:, None], c)
+        np.bitwise_and(h, _SIGN_BIT, out=h)
+        np.bitwise_or(h, _ONE_BITS, out=h)
+        np.multiply(h.view(np.float64), scale, out=out[lo:hi])
+    return out
 
 
 # -- sizing ------------------------------------------------------------
@@ -146,17 +184,13 @@ class SignSketch:
         return (self.n_rows, self.n_cols)
 
     def materialize(self) -> np.ndarray:
-        return _sign_grid(self.seed, self.n_rows, self.n_cols) * self.scale
+        return _sign_grid(self.seed, self.n_rows,
+                          np.arange(self.n_cols, dtype=np.uint64), self.scale)
 
     def materialize_cols(self, cols) -> np.ndarray:
         """Columns of the sketch by absolute index, without the rest."""
-        cols = np.asarray(cols, dtype=np.uint64)[None, :]
-        rows = np.arange(self.n_rows, dtype=np.uint64)[:, None]
-        h = prf_cells(self.seed, rows, cols)
-        return np.where(h >> np.uint64(63), -1.0, 1.0) * self.scale
-
-    def apply_left(self, A: np.ndarray) -> np.ndarray:
-        return self.materialize() @ A
+        return _sign_grid(self.seed, self.n_rows,
+                          np.asarray(cols, dtype=np.uint64), self.scale)
 
 
 def sign_sketch(xi: int, n: int, seed: int, scale: float | None = None) -> SignSketch:

@@ -8,6 +8,7 @@ against catastrophic generator bugs, not constants.
 
 from __future__ import annotations
 
+import hashlib
 import math
 
 import numpy as np
@@ -81,6 +82,46 @@ class TestSignSketch:
         G = (M @ M.T) / 2000
         off = G - np.diag(np.diag(G))
         assert np.abs(off).max() < 0.12
+
+
+def _digest(a: np.ndarray) -> str:
+    return hashlib.blake2b(a.tobytes(), digest_size=16).hexdigest()
+
+
+def _unblocked(S: sk.SignSketch, cols) -> np.ndarray:
+    rows = np.arange(S.n_rows, dtype=np.uint64)[:, None]
+    h = sk.prf_cells(S.seed, rows, np.asarray(cols, dtype=np.uint64)[None, :])
+    return np.where(h >> np.uint64(63), -1.0, 1.0) * S.scale
+
+
+class TestSignGridBits:
+    """Sign grids are generated in row blocks; these pin the exact bits."""
+
+    def test_golden_digests(self):
+        # 70 x 1000 spans three row blocks, the last one ragged
+        S = sk.sign_sketch(70, 1000, seed=12345)
+        assert _digest(S.materialize()) == "5b36de2de1e4b737b4dcf27905488f02"
+        assert _digest(S.materialize_cols([999, 3, 3, 500])) == "a8678142dae07b783373a9f1e8a41e30"
+        P = sk.sign_sketch(9, 33, seed=7, scale=1.0)
+        assert _digest(P.materialize()) == "336fae774561c734b3ded0373181cbfc"
+        h = sk.prf_cells(12345, np.arange(70, dtype=np.uint64)[:, None],
+                         np.arange(1000, dtype=np.uint64)[None, :])
+        assert _digest(h) == "1dfdbb63e773b2cb90f19aa45ef707f0"
+
+    @pytest.mark.parametrize("scale", [-0.0, 0.0, -2.5, 1.0 / 3.0])
+    @pytest.mark.parametrize("shape", [(70, 1000), (3, 40000), (40000, 1), (5, 7)])
+    def test_matches_unblocked_formula(self, shape, scale):
+        S = sk.SignSketch(*shape, seed=99, scale=scale)
+        assert S.materialize().tobytes() == _unblocked(S, np.arange(shape[1])).tobytes()
+        cols = [shape[1] - 1, 0, 0]
+        assert S.materialize_cols(cols).tobytes() == _unblocked(S, cols).tobytes()
+
+    def test_degenerate_shapes(self):
+        assert sk.sign_sketch(0, 5, seed=1).materialize().shape == (0, 5)
+        assert sk.sign_sketch(4, 0, seed=1).materialize().shape == (4, 0)
+        empty = sk.sign_sketch(70, 1000, seed=1).materialize_cols([])
+        assert empty.shape == (70, 0) and empty.dtype == np.float64
+        assert sk.sign_sketch(0, 5, seed=1).materialize_cols([2, 4]).shape == (0, 2)
 
 
 class TestSrht:
