@@ -48,6 +48,9 @@ from .sketches import affine_dim, derive_seed, sign_sketch
 TAG_ADAPTIVE_MACHINES = "css-adaptive-machines"
 TAG_ADAPTIVE_COLS = "css-adaptive-cols"
 TAG_CSS_SUBSPACE = "css-subspace"
+# Sketch rows per stage-4 block.  One block's sign-grid piece and products
+# take about 3 MB, and no machine's whole c x xi product is ever built.
+_FINALIZE_BLOCK = 512
 
 
 @dataclass(frozen=True)
@@ -191,17 +194,20 @@ def distributed_css_pca(cluster: Cluster, params: CssProtocolParams) -> CssPcaRe
     W = sign_sketch(xi, n, derive_seed(params.seed, TAG_CSS_SUBSPACE), scale=1.0)
     c_actual = C_full.shape[1]
 
-    def sketch_block(i, part):
-        lo, hi = cluster.col_offsets[i], cluster.col_offsets[i + 1]
-        Wi_t = W.materialize_cols(np.arange(lo, hi)).T
-        Ai = cluster.part_dense(i)
-        return C_full.T @ (Ai @ Wi_t)
+    CT = C_full.T
 
-    Xi_raw = cluster.gather_sum(
-        "subspace-up", cluster.map_machines(sketch_block), c_actual * xi)
+    def sketch_block(i, part, lo, hi):
+        # machine i's columns lo..hi-1 of C_full^T A_i W_i^T
+        a, b = cluster.col_offsets[i], cluster.col_offsets[i + 1]
+        Wb_t = W.materialize_cols(np.arange(a, b), lo, hi).T
+        return CT @ (cluster.part_dense(i) @ Wb_t)
+
+    Xi_raw = cluster.gather_sum_blocks(
+        "subspace-up", sketch_block, xi, _FINALIZE_BLOCK, c_actual * xi)
     Y = orthonormal_basis(C_full)
     Gmat = Y.T @ C_full
     Xi = pinv(Gmat.T) @ Xi_raw
+    del Xi_raw      # freed before the SVD, so the solve's heap does not grow
     kk = min(k, min(Xi.shape))
     Delta = truncated_svd(Xi, kk).U
     U = Y @ Delta

@@ -93,9 +93,9 @@ def prf_cells(seed: int, rows: np.ndarray, cols: np.ndarray) -> np.ndarray:
     return _mix64_np(cell, tmp)
 
 
-def _sign_grid(seed: int, n_rows: int, cols: np.ndarray, scale: float) -> np.ndarray:
-    """n_rows x len(cols) grid, entry (i, j) = +-scale by the top bit of the
-    PRF value of cell (i, cols[j]).
+def _sign_grid(seed: int, lo: int, hi: int, cols: np.ndarray, scale: float) -> np.ndarray:
+    """(hi - lo) x len(cols) grid, entry (r, j) = +-scale by the top bit of
+    the PRF value of cell (lo + r, cols[j]).
 
     Filled in row blocks of about _BLOCK_CELLS cells, so the PRF's two
     buffers stay in cache.  The top bit is OR-ed onto the bits of 1.0 to
@@ -104,14 +104,14 @@ def _sign_grid(seed: int, n_rows: int, cols: np.ndarray, scale: float) -> np.nda
     gives the same bits as the unblocked formula.
     """
     c = cols[None, :]
-    out = np.empty((n_rows, c.shape[1]))
+    out = np.empty((hi - lo, c.shape[1]))
     step = max(1, _BLOCK_CELLS // max(1, c.shape[1]))
-    for lo in range(0, n_rows, step):
-        hi = min(lo + step, n_rows)
-        h = prf_cells(seed, np.arange(lo, hi, dtype=np.uint64)[:, None], c)
+    for a in range(lo, hi, step):
+        b = min(a + step, hi)
+        h = prf_cells(seed, np.arange(a, b, dtype=np.uint64)[:, None], c)
         np.bitwise_and(h, _SIGN_BIT, out=h)
         np.bitwise_or(h, _ONE_BITS, out=h)
-        np.multiply(h.view(np.float64), scale, out=out[lo:hi])
+        np.multiply(h.view(np.float64), scale, out=out[a - lo:b - lo])
     return out
 
 
@@ -184,12 +184,16 @@ class SignSketch:
         return (self.n_rows, self.n_cols)
 
     def materialize(self) -> np.ndarray:
-        return _sign_grid(self.seed, self.n_rows,
+        return _sign_grid(self.seed, 0, self.n_rows,
                           np.arange(self.n_cols, dtype=np.uint64), self.scale)
 
-    def materialize_cols(self, cols) -> np.ndarray:
-        """Columns of the sketch by absolute index, without the rest."""
-        return _sign_grid(self.seed, self.n_rows,
+    def materialize_cols(self, cols, lo: int = 0, hi: int | None = None) -> np.ndarray:
+        """Columns of the sketch by absolute index, without the rest;
+        only rows lo..hi-1 of them when a row range is given."""
+        hi = self.n_rows if hi is None else hi
+        if not 0 <= lo <= hi <= self.n_rows:
+            raise InputError(f"row range {lo}:{hi} outside a sketch of {self.n_rows} rows")
+        return _sign_grid(self.seed, lo, hi,
                           np.asarray(cols, dtype=np.uint64), self.scale)
 
 

@@ -120,3 +120,54 @@ class TestParallelMode:
         cl = Cluster([np.full((2, 2), float(i)) for i in range(5)], parallel=True)
         got = cl.map_machines(lambda i, B: (i, float(B[0, 0])))
         assert got == [(i, float(i)) for i in range(5)]
+
+
+class TestGatherSumBlocks:
+    """Column-block gathers sum to the bits gather_sum gives on whole arrays."""
+
+    @staticmethod
+    def _setup(s, n_cols):
+        parts = split_rows(rand_matrix(11, 9, 6), s, seed=4)
+        W = rand_matrix(12, 6, n_cols)
+        return parts, W
+
+    @pytest.mark.parametrize("parallel", [False, True])
+    @pytest.mark.parametrize("s", [1, 2, 4])
+    @pytest.mark.parametrize("block", [1, 3, 7, 50])
+    def test_matches_gather_sum(self, s, block, parallel):
+        parts, W = self._setup(s, 7)
+        whole = Cluster(parts)
+        ref = whole.gather_sum("up", whole.map_machines(lambda i, B: B @ W))
+        cl = Cluster(parts, parallel=parallel)
+        got = cl.gather_sum_blocks("up", lambda i, B, lo, hi: (B @ W)[:, lo:hi], 7, block)
+        assert got.tobytes() == ref.tobytes()
+        assert cl.ledger.messages == whole.ledger.messages
+
+    def test_each_block_asked_once_in_machine_order(self):
+        parts, W = self._setup(3, 5)
+        calls = []
+
+        def fn(i, B, lo, hi):
+            calls.append((lo, hi, i))
+            return (B @ W)[:, lo:hi]
+
+        Cluster(parts).gather_sum_blocks("up", fn, 5, 2, words_each=1)
+        assert calls == [(lo, min(lo + 2, 5), i) for lo in (0, 2, 4) for i in range(3)]
+
+    def test_zero_columns(self):
+        parts, W = self._setup(2, 0)
+        cl = Cluster(parts)
+        out = cl.gather_sum_blocks("up", lambda i, B, lo, hi: (B @ W)[:, lo:hi], 0, 4)
+        assert out.shape == (9, 0) and cl.ledger.total() == 0
+
+    def test_wrong_block_shape_rejected_before_recording(self):
+        parts, W = self._setup(2, 6)
+        cl = Cluster(parts)
+        with pytest.raises(ProtocolError):
+            cl.gather_sum_blocks("up", lambda i, B, lo, hi: (B @ W)[:, lo:hi + i], 6, 4)
+        assert cl.ledger.messages == []
+
+    def test_block_width_must_be_positive(self):
+        parts, _ = self._setup(2, 3)
+        with pytest.raises(InputError):
+            Cluster(parts).gather_sum_blocks("up", lambda i, B, lo, hi: B, 3, 0)

@@ -123,6 +123,21 @@ class TestSignGridBits:
         assert empty.shape == (70, 0) and empty.dtype == np.float64
         assert sk.sign_sketch(0, 5, seed=1).materialize_cols([2, 4]).shape == (0, 2)
 
+    @pytest.mark.parametrize("lo,hi", [(0, 70), (0, 0), (69, 70), (13, 57), (30, 30)])
+    def test_row_range_is_a_slice(self, lo, hi):
+        # 70 x 1000 grids span several row blocks; a range may start mid-block
+        S = sk.sign_sketch(70, 1000, seed=12345)
+        cols = [999, 3, 3, 500]
+        assert S.materialize_cols(cols, lo, hi).tobytes() == \
+            S.materialize_cols(cols)[lo:hi].tobytes()
+        wide = np.arange(1000)
+        assert S.materialize_cols(wide, lo, hi).tobytes() == S.materialize()[lo:hi].tobytes()
+
+    @pytest.mark.parametrize("lo,hi", [(-1, 3), (5, 4), (0, 71)])
+    def test_row_range_outside_rejected(self, lo, hi):
+        with pytest.raises(InputError):
+            sk.sign_sketch(70, 1000, seed=1).materialize_cols([0], lo, hi)
+
 
 class TestSrht:
     def test_fwht_matches_hadamard_oracle(self):
