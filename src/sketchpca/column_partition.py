@@ -6,17 +6,26 @@ sparsity: a column with z nonzeros costs 2z + 1 words.
 
 Four stages:
 
-1. local selection: each machine runs the barrier sampler on its own block
-   and uploads the chosen columns verbatim;
+1. local selection: each machine picks ell columns of its own block and
+   uploads them verbatim;
 2. global selection: the server distills those to a core set C of c1
-   columns with the deterministic CSS guarantee and broadcasts it;
+   columns and broadcasts it;
 3. adaptive residual sampling: machines report one-word rounded residual
    magnitudes, the server splits a budget of c2 draws across machines
    proportionally, and machines upload residual-sampled columns verbatim
    (phase "adaptive" counts only these column words; the two quantized
    scalars per machine ride in "adaptive-meta");
-4. finalize: a shared seeded sign sketch turns one pass over the blocks
-   into the best rank-k basis inside span of the collected columns.
+4. finalize: a shared seeded sketch turns one pass over the blocks into
+   the best rank-k basis inside span of the collected columns; machines
+   send their sketched products in blocks of sketch rows, so no machine's
+   whole product is ever built.
+
+run_css_protocol is the one driver of these stages.  What differs between
+variants is a CssKernels bundle: this module's exact kernels (dense SVD,
+the barrier sampler, deterministic CSS, exact residuals, a sign sketch)
+back distributed_css_pca, and column_select_sparse supplies entry-touch
+kernels for distributed_css_pca_fast.  Flags, draws, ledger records and
+the finalize are shared.
 
 The server does the finalize once and downlinks U; a per-machine variant
 (broadcast the small sketched matrix, everyone finalizes identically)
@@ -29,13 +38,13 @@ compared with the ledger, so the accounting is double-entry checked.
 from __future__ import annotations
 
 import math
+from collections.abc import Callable
 from dataclasses import dataclass
 
 import numpy as np
 
 from .cluster import Cluster
 from .column_select import (
-    SamplingMatrix,
     bss_sampling,
     deterministic_css,
     residual_beta,
@@ -44,6 +53,7 @@ from .column_select import (
 from .errors import InputError, InternalError
 from .linalg import orthonormal_basis, pinv, truncated_svd
 from .sketches import affine_dim, derive_seed, sign_sketch
+from .sparse import SparseColMatrix
 
 TAG_ADAPTIVE_MACHINES = "css-adaptive-machines"
 TAG_ADAPTIVE_COLS = "css-adaptive-cols"
@@ -107,31 +117,54 @@ def _cols_words(block: np.ndarray) -> int:
     return 2 * np.count_nonzero(block) + block.shape[1]
 
 
-def _local_select(Ai: np.ndarray, k: int, ell: int, flags: set[str]) -> np.ndarray:
-    n_i = Ai.shape[1]
-    if n_i <= ell:
-        if n_i <= k:
-            flags.add("local-tiny")
-        return np.arange(n_i, dtype=np.int64)
-    ki = min(k, Ai.shape[0], n_i)
-    F = truncated_svd(Ai, ki)
-    E = Ai - (Ai @ F.V) @ F.V.T
-    return bss_sampling(F.V, E, ell).indices
+def _columns(P, idx) -> np.ndarray:
+    """Columns idx of a machine's block, verbatim and dense."""
+    if isinstance(P, SparseColMatrix):
+        return P.take_columns(idx).to_dense()
+    return P[:, idx]
 
 
-def distributed_css_pca(cluster: Cluster, params: CssProtocolParams) -> CssPcaResult:
-    """Run the four-stage column-selection protocol on a column partition."""
+@dataclass(frozen=True)
+class CssKernels:
+    """The steps in which the column-partition protocols differ.
+
+    resolve(params, cluster) -> (ell, c1, c2, xi); part(cluster, i) -> block
+    i, dense or sparse; local_select(params, s, i, P, ell) -> ell column
+    indices of a block wider than ell; core_select(params, G, c1) -> c1
+    positions in G; residual_masses(params, cluster, parts, C) -> each
+    block's per-column residual mass off span(C); finalize(cluster, parts,
+    xi, seed) -> fn(i, lo, hi), sketch-row columns lo..hi-1 of A_i S_i^T.
+    """
+
+    resolve: Callable
+    part: Callable
+    local_select: Callable
+    core_select: Callable
+    residual_masses: Callable
+    finalize: Callable
+
+
+def run_css_protocol(cluster: Cluster, params, kernels: CssKernels) -> CssPcaResult:
+    """The four stages on a column partition, with the given kernels."""
     if cluster.kind != "column":
         raise InputError("this protocol needs a column partition")
     k = params.k
-    ell, c1, c2, xi = params.resolve()
-    s, m, n = cluster.s, cluster.m, cluster.n
+    ell, c1, c2, xi = kernels.resolve(params, cluster)
+    s, m = cluster.s, cluster.m
     flags: set[str] = set()
+    parts = [kernels.part(cluster, i) for i in range(s)]
 
     # stage 1: local selection, verbatim uploads
-    local_idx = cluster.map_machines(
-        lambda i, p: _local_select(cluster.part_dense(i), k, ell, flags))
-    local_blocks = [cluster.part_dense(i)[:, idx] for i, idx in enumerate(local_idx)]
+    def pick_local(i, _):
+        n_i = parts[i].shape[1]
+        if n_i <= ell:
+            if n_i <= k:
+                flags.add("local-tiny")
+            return np.arange(n_i, dtype=np.int64)
+        return kernels.local_select(params, s, i, parts[i], ell)
+
+    local_idx = cluster.map_machines(pick_local)
+    local_blocks = [_columns(P, idx) for P, idx in zip(parts, local_idx)]
     cluster.record_gather("local-up", [_cols_words(b) for b in local_blocks])
     G = np.hstack(local_blocks)
     gids = np.concatenate([cluster.col_offsets[i] + idx
@@ -141,25 +174,15 @@ def distributed_css_pca(cluster: Cluster, params: CssProtocolParams) -> CssPcaRe
     if G.shape[1] <= c1:
         flags.add("core-all")
         core_pos = np.arange(G.shape[1], dtype=np.int64)
-        C = G
     else:
-        core = deterministic_css(G, k, c1)
-        core_pos = core.indices
-        C = core.columns
+        core_pos = kernels.core_select(params, G, c1)
+    C = G[:, core_pos]
     core_gids = [int(g) for g in gids[core_pos]]
     cluster.record_broadcast("global-down", _cols_words(C))
 
     # stage 3: adaptive residual sampling
-    Yc = orthonormal_basis(C)
-    col_masses = []
-    r2s = []
-    for i in range(s):
-        Ai = cluster.part_dense(i)
-        Psi = Ai - Yc @ (Yc.T @ Ai)
-        mass = np.sum(Psi * Psi, axis=0)
-        col_masses.append(mass)
-        r2s.append(float(mass.sum()))
-    betas = [residual_beta(r2) for r2 in r2s]
+    col_masses = kernels.residual_masses(params, cluster, parts, C)
+    betas = [residual_beta(float(mass.sum())) for mass in col_masses]
     cluster.record_gather("adaptive-meta", 1)
 
     adaptive_gids: list[int] = []
@@ -181,7 +204,7 @@ def distributed_css_pca(cluster: Cluster, params: CssProtocolParams) -> CssPcaRe
                 continue
             sub_seed = derive_seed(derive_seed(params.seed, TAG_ADAPTIVE_COLS), i)
             idx = sample_proportional(col_masses[i], draws[i], sub_seed)
-            block = cluster.part_dense(i)[:, idx]
+            block = _columns(parts[i], idx)
             adaptive_blocks.append(block)
             adaptive_gids.extend(int(cluster.col_offsets[i] + j) for j in idx)
             up_words.append(_cols_words(block))
@@ -191,19 +214,12 @@ def distributed_css_pca(cluster: Cluster, params: CssProtocolParams) -> CssPcaRe
     C_full = np.hstack([C, new_cols])
 
     # stage 4: one-pass subspace finalize with a shared seeded sketch
-    W = sign_sketch(xi, n, derive_seed(params.seed, TAG_CSS_SUBSPACE), scale=1.0)
+    sketch = kernels.finalize(cluster, parts, xi, derive_seed(params.seed, TAG_CSS_SUBSPACE))
     c_actual = C_full.shape[1]
-
     CT = C_full.T
-
-    def sketch_block(i, part, lo, hi):
-        # machine i's columns lo..hi-1 of C_full^T A_i W_i^T
-        a, b = cluster.col_offsets[i], cluster.col_offsets[i + 1]
-        Wb_t = W.materialize_cols(np.arange(a, b), lo, hi).T
-        return CT @ (cluster.part_dense(i) @ Wb_t)
-
     Xi_raw = cluster.gather_sum_blocks(
-        "subspace-up", sketch_block, xi, _FINALIZE_BLOCK, c_actual * xi)
+        "subspace-up", lambda i, p, lo, hi: CT @ sketch(i, lo, hi),
+        xi, _FINALIZE_BLOCK, c_actual * xi)
     Y = orthonormal_basis(C_full)
     Gmat = Y.T @ C_full
     Xi = pinv(Gmat.T) @ Xi_raw
@@ -229,6 +245,49 @@ def distributed_css_pca(cluster: Cluster, params: CssProtocolParams) -> CssPcaRe
         cluster.ledger.phase_totals(), cluster.ledger.total(), params)
     _assert_ledger(cluster, result, local_blocks, C, new_cols, Xi.shape)
     return result
+
+
+# -- the exact kernels: dense SVDs, barrier walks and sign sketches -------
+
+
+def _exact_local_select(params, s, i, Ai, ell):
+    ki = min(params.k, Ai.shape[0], Ai.shape[1])
+    F = truncated_svd(Ai, ki)
+    E = Ai - (Ai @ F.V) @ F.V.T
+    return bss_sampling(F.V, E, ell).indices
+
+
+def _exact_residual_masses(params, cluster, parts, C):
+    Yc = orthonormal_basis(C)
+    masses = []
+    for Ai in parts:
+        Psi = Ai - Yc @ (Yc.T @ Ai)
+        masses.append(np.sum(Psi * Psi, axis=0))
+    return masses
+
+
+def _exact_finalize(cluster, parts, xi, seed):
+    W = sign_sketch(xi, cluster.n, seed, scale=1.0)
+
+    def block(i, lo, hi):
+        a, b = cluster.col_offsets[i], cluster.col_offsets[i + 1]
+        return parts[i] @ W.materialize_cols(np.arange(a, b), lo, hi).T
+    return block
+
+
+_EXACT_KERNELS = CssKernels(
+    resolve=lambda params, cluster: params.resolve(),
+    part=lambda cluster, i: cluster.part_dense(i),
+    local_select=_exact_local_select,
+    core_select=lambda params, G, c1: deterministic_css(G, params.k, c1).indices,
+    residual_masses=_exact_residual_masses,
+    finalize=_exact_finalize,
+)
+
+
+def distributed_css_pca(cluster: Cluster, params: CssProtocolParams) -> CssPcaResult:
+    """Run the four-stage column-selection protocol on a column partition."""
+    return run_css_protocol(cluster, params, _EXACT_KERNELS)
 
 
 def _assert_ledger(cluster: Cluster, result: CssPcaResult,

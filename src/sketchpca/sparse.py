@@ -22,13 +22,12 @@ class SparseColMatrix:
 
     __slots__ = ("n_rows", "n_cols", "indptr", "indices", "data")
 
-    def __init__(self, shape, indptr, indices, data, *, validate: bool = True):
+    def __init__(self, shape, indptr, indices, data):
         self.n_rows, self.n_cols = int(shape[0]), int(shape[1])
         self.indptr = np.asarray(indptr, dtype=np.int64)
         self.indices = np.asarray(indices, dtype=np.int64)
         self.data = np.asarray(data, dtype=np.float64)
-        if validate:
-            self._validate()
+        self._validate()
 
     def _validate(self) -> None:
         if self.n_rows < 0 or self.n_cols < 0:
@@ -46,10 +45,15 @@ class SparseColMatrix:
                 raise InputError("stored values must be finite")
             if np.any(self.data == 0.0):
                 raise InputError("stored values must be nonzero")
-        for j in range(self.n_cols):
-            seg = self.indices[self.indptr[j]:self.indptr[j + 1]]
-            if seg.size > 1 and np.any(np.diff(seg) <= 0):
-                raise InputError(f"row indices in column {j} not strictly increasing")
+        # consecutive stored entries p, p + 1 share a column unless p + 1
+        # starts one
+        same_col = np.ones(max(self.indices.size - 1, 0), dtype=bool)
+        starts = self.indptr[1:-1]
+        same_col[starts[(starts > 0) & (starts < self.indices.size)] - 1] = False
+        bad = same_col & (np.diff(self.indices) <= 0)
+        if np.any(bad):
+            j = int(np.searchsorted(self.indptr, np.argmax(bad), side="right")) - 1
+            raise InputError(f"row indices in column {j} not strictly increasing")
 
     # -- constructors ---------------------------------------------------
 
@@ -58,16 +62,10 @@ class SparseColMatrix:
         A = np.asarray(A, dtype=np.float64)
         if A.ndim != 2:
             raise InputError("from_dense needs a 2-D array")
-        indptr = [0]
-        indices: list[np.ndarray] = []
-        data: list[np.ndarray] = []
-        for j in range(A.shape[1]):
-            rows = np.nonzero(A[:, j])[0]
-            indices.append(rows)
-            data.append(A[rows, j])
-            indptr.append(indptr[-1] + rows.size)
-        cat = lambda parts: np.concatenate(parts) if parts else np.zeros(0)
-        return cls(A.shape, np.asarray(indptr), cat(indices).astype(np.int64) if indices else np.zeros(0, np.int64), cat(data))
+        cols, rows = np.nonzero(A.T)     # column-major: by column, then row
+        indptr = np.zeros(A.shape[1] + 1, dtype=np.int64)
+        np.cumsum(np.bincount(cols, minlength=A.shape[1]), out=indptr[1:])
+        return cls(A.shape, indptr, rows, A[rows, cols])
 
     @classmethod
     def from_columns(cls, shape, cols) -> "SparseColMatrix":
@@ -131,9 +129,7 @@ class SparseColMatrix:
 
     def to_dense(self) -> np.ndarray:
         A = np.zeros((self.n_rows, self.n_cols))
-        for j in range(self.n_cols):
-            rows, vals = self.col(j)
-            A[rows, j] = vals
+        A[self.indices, np.repeat(np.arange(self.n_cols), np.diff(self.indptr))] = self.data
         return A
 
     def take_columns(self, idx) -> "SparseColMatrix":
@@ -141,13 +137,22 @@ class SparseColMatrix:
         idx = np.asarray(idx, dtype=np.int64)
         if idx.size and (idx.min() < 0 or idx.max() >= self.n_cols):
             raise InputError("column index out of range")
-        cols = [self.col(int(j)) for j in idx]
-        return SparseColMatrix.from_columns((self.n_rows, idx.size), cols)
+        starts, counts = self.indptr[idx], np.diff(self.indptr)[idx]
+        indptr = np.zeros(idx.size + 1, dtype=np.int64)
+        np.cumsum(counts, out=indptr[1:])
+        pos = np.repeat(starts - indptr[:-1], counts) + np.arange(indptr[-1])
+        return SparseColMatrix((self.n_rows, idx.size), indptr,
+                               self.indices[pos], self.data[pos])
 
     def upload_words(self, idx=None) -> int:
         """Words to ship columns as (length, then index-value pairs): 2*nnz + 1 each."""
-        counts = np.diff(self.indptr) if idx is None else np.asarray(
-            [self.col_nnz(int(j)) for j in np.asarray(idx, dtype=np.int64)], dtype=np.int64)
+        counts = np.diff(self.indptr)
+        if idx is not None:
+            idx = np.asarray(idx, dtype=np.int64)
+            out = (idx < 0) | (idx >= self.n_cols)
+            if np.any(out):
+                raise InputError(f"column {idx[np.argmax(out)]} out of range")
+            counts = counts[idx]
         return int(np.sum(2 * counts + 1))
 
     def __repr__(self) -> str:

@@ -33,7 +33,7 @@ from sketchpca.column_select_sparse import (
     sparse_svd_boosting,
     subspace_embed_dim,
 )
-from sketchpca.column_partition import CssProtocolParams, distributed_css_pca
+from sketchpca.column_partition import _FINALIZE_BLOCK, CssProtocolParams, distributed_css_pca
 from sketchpca.errors import InputError, InternalError
 from sketchpca.linalg import orthonormal_basis, residual_ratio, span_residual_sq
 from sketchpca.sketches import derive_seed, embedding_dim, sparse_embedding
@@ -694,3 +694,123 @@ class TestFastProtocol:
         res = distributed_css_pca_fast(cl, _params(k=3, eps=0.5, seed=14))
         assert res.phase_words["local-up"] <= 4 * 12 * (2 * phi + 1)
         assert res.phase_words["adaptive"] <= 300 * (2 * phi + 1)
+
+
+class TestEmbedColsSpans:
+    def _instance(self):
+        A = sparse_random(21, 16, 40, density=0.4)
+        return A, sparse_embedding(23, 50, 31)
+
+    def test_spans_concatenate_to_the_whole_output_bitwise(self):
+        A, emb = self._instance()
+        whole = embed_cols(emb, A, col_base=7)
+        for width in (1, 5, 8, 23):
+            spans = [embed_cols(emb, A, 7, lo, min(lo + width, 23))
+                     for lo in range(0, 23, width)]
+            assert np.hstack(spans).tobytes() == whole.tobytes()
+        assert embed_cols(emb, A, 7, 0, 23).tobytes() == whole.tobytes()
+        assert embed_cols(emb, A, 7, 9, 9).shape == (16, 0)
+
+    def test_span_touches_sum_to_nnz(self):
+        A, emb = self._instance()
+        counts = []
+        for lo in range(0, 23, 5):
+            TOUCHES.reset()
+            out = embed_cols(emb, A, 3, lo, min(lo + 5, 23))
+            counts.append(TOUCHES.count)
+            # one touch per entry hashed into the span
+            kept = np.isin(emb.buckets[3:43], np.arange(lo, min(lo + 5, 23)))
+            assert TOUCHES.count == int(np.sum(A.col_nnz()[kept]))
+            assert out.shape == (16, min(lo + 5, 23) - lo)
+        assert sum(counts) == A.nnz
+        TOUCHES.reset()
+        embed_cols(emb, A, 3)
+        assert TOUCHES.count == A.nnz
+
+    def test_span_must_fit_inside_the_buckets(self):
+        A, emb = self._instance()
+        for lo, hi in ((-1, 4), (0, 24), (5, 4), (24, 24)):
+            with pytest.raises(InputError):
+                embed_cols(emb, A, 0, lo, hi)
+
+
+class TestBssCandidateFallback:
+    def test_falls_back_to_a_certified_candidate(self):
+        # Two candidates (delta = 0.5), so the first is always preferred.  E
+        # has one nonzero column, spread over two rows that the first
+        # candidate's embedding hashes into one bucket with cancelling signs:
+        # its sketch is zero, so it picks column 0, whose tiny leverage in V
+        # buys a weight the true residual cannot afford.  The second
+        # candidate's embedding keeps the rows apart and certifies.
+        k, w, ell, eps, delta = 1, 10, 4, 0.5, 0.5
+        params = FastParams(k, eps, delta)
+        assert params.repeats == 2
+
+        def emb(seed, i):
+            return sparse_embedding(params.embed_xi, 2,
+                                    derive_seed(derive_seed(seed, TAG_BSS_EMBED), i))
+
+        def collides(seed, i):
+            return emb(seed, i).buckets[0] == emb(seed, i).buckets[1]
+
+        seed = next(t for t in range(1000) if collides(t, 0) and not collides(t, 1))
+        v = np.full(w, 1.0)
+        v[0] = 0.01
+        V = (v / np.linalg.norm(v))[:, None]
+        E = np.zeros((2, w))
+        E[0, 0] = 1.0
+        E[1, 0] = -emb(seed, 0).signs[0] * emb(seed, 0).signs[1]
+        assert not np.any(emb(seed, 0).apply_left(E))
+
+        first = bss_sampling(V, emb(seed, 0).apply_left(E), ell)
+        es_first = frob_sq(E[:, first.indices] * first.weights[None, :])
+        assert es_first > 9.0 * frob_sq(E)      # the preferred candidate fails
+
+        S = bss_sampling_sparse(V, E, ell, eps, delta, seed)
+        second = bss_sampling(V, emb(seed, 1).apply_left(E), ell)
+        assert S.indices.tobytes() == second.indices.tobytes()
+        assert S.weights.tobytes() == second.weights.tobytes()
+        assert frob_sq(E[:, S.indices] * S.weights[None, :]) <= 9.0 * frob_sq(E)
+
+    def test_raises_the_preferred_candidates_failure_when_none_passes(self):
+        class Understated(ResidualOperator):
+            """True columns ten times what the sketches see."""
+
+            def columns(self, idx):
+                return 10.0 * super().columns(idx)
+
+        A = sparse_random(8, 16, 28, density=0.6)
+        Z = sparse_svd(A, 3, 0.5, 2)
+        res = Understated(A, Z)
+        ell, eps, delta, seed = 12, 0.5, 0.1, 4
+        params = FastParams(3, eps, delta)
+        cands, sig_sq, cost = [], [], []
+        for i in range(params.repeats):
+            B = res.sketch_rows(sparse_embedding(
+                params.embed_xi, 16, derive_seed(derive_seed(seed, TAG_BSS_EMBED), i)))
+            S = bss_sampling(Z, B, ell)
+            cands.append(S)
+            sig_sq.append(np.linalg.svd(S.apply_to(Z.T), compute_uv=False)[2] ** 2)
+            cost.append(float(np.sum(S.apply_to(B) ** 2)))
+        es = [float(np.sum((res.columns(S.indices) * S.weights[None, :]) ** 2))
+              for S in cands]
+        assert len(set(es)) == len(es)          # every failure reads differently
+        preferred = _select_top_two_thirds(np.array(sig_sq), np.array(cost))
+        assert preferred != len(cands) - 1
+        with pytest.raises(InternalError) as err:
+            bss_sampling_sparse(Z, res, ell, eps, delta, seed)
+        assert f"past the distortion slack: {es[preferred]:.6e} >" in str(err.value)
+
+
+class TestFastProtocolBlockedFinalize:
+    def test_serial_and_parallel_agree_over_three_finalize_blocks(self):
+        xi = 1100
+        assert 2 * _FINALIZE_BLOCK < xi <= 3 * _FINALIZE_BLOCK
+        params = _params(k=2, seed=500, xi_subspace=xi)
+        rs = distributed_css_pca_fast(_sparse_cluster(14), params)
+        rp = distributed_css_pca_fast(_sparse_cluster(14, parallel=True), params)
+        assert rs.xi == rp.xi == xi
+        assert rs.U.tobytes() == rp.U.tobytes()
+        assert rs.phase_words == rp.phase_words
+        assert rs.total_words == rp.total_words
+        assert rs.phase_words["subspace-up"] == 4 * rs.c_actual * xi

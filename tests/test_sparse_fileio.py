@@ -71,6 +71,58 @@ class TestSparseColMatrix:
             SparseColMatrix((3, 2), [0, 1], [0], [1.0])
 
 
+
+class TestSparseColMatrixBits:
+    """The array-at-a-time storage methods against per-column references."""
+
+    def _dense(self, seed):
+        rng = np.random.default_rng(seed)
+        A = rng.standard_normal((7, 9)) * (rng.random((7, 9)) < 0.4)
+        A[:, [0, 4, 8]] = 0.0                      # empty columns, both ends
+        A[3, 5] = -0.0                             # not a stored entry
+        return A
+
+    def test_from_dense_matches_a_column_loop(self):
+        for seed in range(5):
+            A = self._dense(seed)
+            S = SparseColMatrix.from_dense(A)
+            ref = SparseColMatrix.from_columns(A.shape, [
+                (np.nonzero(A[:, j])[0], A[np.nonzero(A[:, j])[0], j])
+                for j in range(A.shape[1])])
+            assert S.indptr.tobytes() == ref.indptr.tobytes()
+            assert S.indices.tobytes() == ref.indices.tobytes()
+            assert S.data.tobytes() == ref.data.tobytes()
+            assert S.to_dense().tobytes() == (A + 0.0).tobytes()
+
+    def test_take_columns_and_upload_words_match_column_loops(self):
+        S = SparseColMatrix.from_dense(self._dense(7))
+        idx = [8, 2, 2, 0, 5, 1]
+        T = S.take_columns(idx)
+        ref = SparseColMatrix.from_columns((S.n_rows, len(idx)), [S.col(j) for j in idx])
+        assert T.indptr.tobytes() == ref.indptr.tobytes()
+        assert T.indices.tobytes() == ref.indices.tobytes()
+        assert T.data.tobytes() == ref.data.tobytes()
+        assert S.take_columns([]).shape == (7, 0)
+        assert S.upload_words(idx) == sum(2 * S.col_nnz(j) + 1 for j in idx)
+        assert S.upload_words([]) == 0
+        for bad in (-1, 9):
+            with pytest.raises(InputError, match=f"column {bad} out of range"):
+                S.upload_words([1, bad, 20])
+
+    def test_validation_names_the_first_unsorted_column(self):
+        # rows may fall between columns; within column 3 (after an empty
+        # column 2) they must rise strictly
+        indptr = [0, 2, 3, 3, 5, 7]
+        indices = [1, 4, 0, 2, 2, 3, 1]
+        with pytest.raises(InputError, match="column 3 not strictly increasing"):
+            SparseColMatrix((5, 5), indptr, indices, np.ones(7))
+        indices[4] = 3
+        with pytest.raises(InputError, match="column 4 not strictly increasing"):
+            SparseColMatrix((5, 5), indptr, indices, np.ones(7))
+        indices[6] = 4
+        assert SparseColMatrix((5, 5), indptr, indices, np.ones(7)).nnz == 7
+
+
 class TestMatrixMarket:
     @pytest.mark.parametrize("shape", [(5, 7), (1, 1), (4, 0), (0, 3)])
     def test_dense_exact_round_trip(self, tmp_path, shape):
