@@ -21,6 +21,14 @@ trial seed) plus ratio_median / ratio_max aggregates.
 
 Exit codes: 0 success, 2 bad input, 3 protocol or internal failure,
 64 usage error.
+
+The seven solver subcommands are the rows of one table, ``_SOLVERS``. A
+row holds the subcommand's help text, a loader that reads --input once
+per invocation, a solve function that runs one trial and returns the
+report fields, and the flags the subcommand adds between the shared ones
+(--input, -k, --eps before; --seed, --trials, --timings, --json-out
+after). ``_run_solver`` runs any row; ``gen`` and ``check`` have their
+own runners. Every runner returns (report or None, exit code).
 """
 
 from __future__ import annotations
@@ -29,7 +37,9 @@ import argparse
 import json
 import sys
 import time
+from collections.abc import Callable
 from concurrent.futures import ThreadPoolExecutor
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -135,7 +145,7 @@ def _css_ratio(A, U: np.ndarray, k: int, seed: int) -> tuple[float | None, bool]
 def _split_columns(A, widths: list[int]):
     if min(widths) < 1:
         raise InputError("every machine needs at least one column")
-    n = A.shape[1] if not isinstance(A, SparseColMatrix) else A.n_cols
+    n = A.shape[1]
     if sum(widths) != n:
         raise InputError(f"widths sum to {sum(widths)}, matrix has {n} columns")
     parts = []
@@ -173,8 +183,32 @@ def _summand_parts(A: np.ndarray, s: int) -> list[np.ndarray]:
     return parts
 
 
-def _load_dense(path: str) -> np.ndarray:
-    A = read_matrix_market(path)
+def _read_widths(path: str, n: int, machines: int | None) -> list[int]:
+    if path is None:
+        return _even_widths(n, machines if machines is not None else 2)
+    with open(path) as fh:
+        try:
+            manifest = json.load(fh)
+        except ValueError as exc:  # bad JSON or undecodable bytes
+            raise InputError(f"{path}: not valid JSON: {exc}") from exc
+    widths = manifest.get("widths") if isinstance(manifest, dict) else manifest
+    # type() rather than isinstance(): JSON true and false are bools, and
+    # bool is a subclass of int
+    if not isinstance(widths, list) or not all(type(w) is int for w in widths):
+        raise InputError(f"{path}: expected a JSON widths list")
+    return widths
+
+
+def _dense_from_updates(m: int, n: int, updates) -> np.ndarray:
+    """The m x n matrix a turnstile stream sums to, added in arrival order."""
+    A = np.zeros((m, n))
+    for i, j, x in updates:
+        A[i, j] += x
+    return A
+
+
+def _load_dense(args) -> np.ndarray:
+    A = read_matrix_market(args.input)
     if isinstance(A, SparseColMatrix):
         if A.n_rows * A.n_cols > MATERIALIZE_LIMIT:
             raise InputError("matrix too large to materialize for this algorithm")
@@ -182,18 +216,23 @@ def _load_dense(path: str) -> np.ndarray:
     return A
 
 
-def _read_widths(path: str, n: int, machines: int | None) -> list[int]:
-    if path is None:
-        return _even_widths(n, machines if machines is not None else 2)
-    with open(path) as fh:
-        try:
-            manifest = json.load(fh)
-        except json.JSONDecodeError as exc:
-            raise InputError(f"{path}: not valid JSON: {exc}") from exc
-    widths = manifest.get("widths") if isinstance(manifest, dict) else manifest
-    if not isinstance(widths, list) or not all(isinstance(w, int) for w in widths):
-        raise InputError(f"{path}: expected a JSON widths list")
-    return widths
+def _load_row_summands(args) -> tuple[np.ndarray, list[np.ndarray]]:
+    A = _load_dense(args)
+    return A, _summand_parts(A, args.machines)
+
+
+def _load_column_split(args) -> tuple:
+    """(A, widths, column blocks); A stays sparse when the file is."""
+    A = read_matrix_market(args.input)
+    widths = _read_widths(args.widths, A.shape[1], args.machines)
+    return A, widths, _split_columns(A, widths)
+
+
+def _load_stream(args) -> tuple:
+    """((m, n), updates, A), where A is None past MATERIALIZE_LIMIT."""
+    (m, n), updates = read_stream_file(args.input)
+    A = _dense_from_updates(m, n, updates) if m * n <= MATERIALIZE_LIMIT else None
+    return (m, n), updates, A
 
 
 # -- report assembly ----------------------------------------------------
@@ -227,25 +266,24 @@ def _report(algorithm: str, parameters: dict, *, ratio=None, estimated=False,
 def _emit(rep: dict, args) -> None:
     text = json.dumps(rep, indent=2, sort_keys=True)
     print(text)
-    if getattr(args, "json_out", None):
+    if args.json_out:
         with open(args.json_out, "w") as fh:
             fh.write(text + "\n")
 
 
 def _with_trials(args, one_trial) -> dict:
     """Run one_trial(seed) once, or fan --trials runs across threads."""
-    trials = getattr(args, "trials", 1)
-    if trials < 1:
+    if args.trials < 1:
         raise InputError("--trials must be at least 1")
-    if trials == 1:
+    if args.trials == 1:
         start = time.perf_counter()
         rep = one_trial(args.seed)
         if args.timings:
             rep["wall_time_s"] = time.perf_counter() - start
         return rep
-    seeds = [derive_seed(args.seed, f"trial-{t}") for t in range(trials)]
+    seeds = [derive_seed(args.seed, f"trial-{t}") for t in range(args.trials)]
     start = time.perf_counter()
-    with ThreadPoolExecutor(max_workers=min(trials, 8)) as pool:
+    with ThreadPoolExecutor(max_workers=min(args.trials, 8)) as pool:
         reports = list(pool.map(one_trial, seeds))
     wall = time.perf_counter() - start
     reports.sort(key=lambda r: r["seed"])
@@ -261,167 +299,193 @@ def _with_trials(args, one_trial) -> dict:
     }
 
 
-# -- subcommand runners -------------------------------------------------
+# -- solves: one trial each, returning the _report fields ----------------
 
 
-def _run_batch(args) -> dict:
-    A = _load_dense(args.input)
+def _solve_batch(A, args, seed) -> dict:
+    res = batch_low_rank(A, args.k, args.eps, seed, xi_left=args.const_xi_left,
+                         xi_right=args.const_xi_right, rounding=args.rounding)
+    return {"parameters": {"shape": list(A.shape), "k": args.k, "eps": args.eps,
+                           "xi_left": res.xi_left, "xi_right": res.xi_right,
+                           "rounding": args.rounding},
+            "ratio": _exact_ratio(A, _basis_err_sq(A, res.U), args.k),
+            "flags": ["deficient"] if res.deficient else []}
+
+
+def _solve_dist_arb(loaded, args, seed) -> dict:
+    A, parts = loaded
+    res = distributed_pca_arbitrary(Cluster(parts, kind="arbitrary"), ArbProtocolParams(
+        k=args.k, eps=args.eps, seed=seed, noise_scale=args.noise_scale,
+        rounding=args.rounding, xi_sketch=args.const_xi_sketch,
+        xi_affine=args.const_xi_affine))
+    return {"parameters": {"shape": list(A.shape), "k": args.k, "eps": args.eps,
+                           "machines": args.machines},
+            "ratio": _exact_ratio(A, _basis_err_sq(A, res.U), args.k),
+            "ledger": res.phase_words, "total": res.total_words,
+            "branch": res.branch, "flags": res.flags,
+            "extra": {"retried": bool(res.retried)}}
+
+
+def _css_fields(loaded, args, seed, res) -> dict:
+    A, widths, _ = loaded
+    ratio, estimated = _css_ratio(A, res.U, args.k, seed)
+    return {"parameters": {"shape": list(A.shape), "k": args.k, "eps": args.eps,
+                           "machines": len(widths), "widths": widths,
+                           "c_actual": int(res.c_actual), "xi": int(res.xi)},
+            "ratio": ratio, "estimated": estimated, "ledger": res.phase_words,
+            "total": res.total_words, "flags": res.flags}
+
+
+def _solve_dist_css(loaded, args, seed) -> dict:
+    res = distributed_css_pca(Cluster(loaded[2], kind="column"), CssProtocolParams(
+        k=args.k, eps=args.eps, seed=seed, ell=args.const_ell, c1=args.const_c1,
+        c2=args.const_c2, xi_subspace=args.const_xi_subspace,
+        per_machine_finalize=args.per_machine_finalize))
+    return _css_fields(loaded, args, seed, res)
+
+
+def _solve_dist_css_fast(loaded, args, seed) -> dict:
+    res = distributed_css_pca_fast(Cluster(loaded[2], kind="column"), FastCssProtocolParams(
+        k=args.k, eps=args.eps, seed=seed, delta=args.delta, ell=args.const_ell,
+        c2=args.const_c2, xi_subspace=args.const_xi_subspace,
+        per_machine_finalize=args.per_machine_finalize))
+    return _css_fields(loaded, args, seed, res)
+
+
+def _stream_parameters(loaded, args) -> dict:
+    (m, n), updates, _ = loaded
+    return {"shape": [m, n], "k": args.k, "eps": args.eps, "updates": len(updates)}
+
+
+def _solve_stream_1p(loaded, args, seed) -> dict:
+    (m, n), updates, A = loaded
+    res = one_pass_pca(updates, m, n, args.k, args.eps, seed,
+                       xi_regression=args.const_xi_regression,
+                       xi_affine=args.const_xi_affine)
+    ratio = None if A is None else _exact_ratio(A, _basis_err_sq(A, res.U), args.k)
+    return {"parameters": _stream_parameters(loaded, args), "ratio": ratio,
+            "space": res.space_words}
+
+
+def _solve_stream_1p_fact(loaded, args, seed) -> dict:
+    (m, n), updates, A = loaded
+    res = one_pass_factorization(updates, m, n, args.k, args.eps, seed,
+                                 xi_regression=args.const_xi_regression,
+                                 xi_affine=args.const_xi_affine)
+    ratio = None
+    if A is not None:
+        ratio = _exact_ratio(A, float(np.linalg.norm(A - res.matrix()) ** 2), args.k)
+    return {"parameters": _stream_parameters(loaded, args), "ratio": ratio,
+            "space": res.space_words}
+
+
+def _solve_stream_2p(loaded, args, seed) -> dict:
+    (m, n), updates, A = loaded
+    res = two_pass_pca(updates, m, n, args.k, args.eps, seed,
+                       noise_scale=args.noise_scale, rounding=args.rounding)
+    ratio = None if A is None else _exact_ratio(A, _basis_err_sq(A, res.U), args.k)
+    return {"parameters": _stream_parameters(loaded, args), "ratio": ratio,
+            "ledger": res.phase_words, "total": res.total_words, "space": m * n,
+            "branch": res.branch, "flags": res.flags}
+
+
+# -- the solver table ---------------------------------------------------
+
+
+@dataclass(frozen=True)
+class _Solver:
+    help: str
+    load: Callable      # args -> loaded input
+    solve: Callable     # (loaded input, args, seed) -> _report fields
+    flags: tuple        # (flag, add_argument keywords) pairs, after --eps
+
+
+def _const(name: str) -> tuple:
+    """An integer override of a derived constant; None keeps the derivation."""
+    return (f"--const-{name}", {"type": int, "default": None})
+
+
+_ROUNDING = ("--rounding", {"type": float, "default": 0.0})
+_NOISE_SCALE = ("--noise-scale", {"type": float, "default": None})
+_ONE_PASS_FLAGS = (_const("xi-regression"), _const("xi-affine"))
+
+
+def _css_flags(variant: tuple) -> tuple:
+    """The column-partition flags; the two protocols differ in one."""
+    return (
+        ("--machines", {"type": int, "default": None}),
+        ("--widths", {"metavar": "PATH",
+                      "help": "JSON widths manifest overriding --machines"}),
+        ("--per-machine-finalize", {"action": "store_true"}),
+        _const("ell"), variant, _const("c2"), _const("xi-subspace"),
+    )
+
+
+_SOLVERS = {
+    "batch": _Solver("two-sided sketch PCA on a dense matrix", _load_dense, _solve_batch,
+                     (_ROUNDING, _const("xi-left"), _const("xi-right"))),
+    "dist-arb": _Solver("arbitrary-partition protocol", _load_row_summands, _solve_dist_arb,
+                        (("--machines", {"type": int, "default": 2}), _NOISE_SCALE,
+                         _ROUNDING, _const("xi-sketch"), _const("xi-affine"))),
+    "dist-css": _Solver("column-partition selection protocol", _load_column_split,
+                        _solve_dist_css, _css_flags(_const("c1"))),
+    "dist-css-fast": _Solver("column-partition selection protocol (sketched)",
+                             _load_column_split, _solve_dist_css_fast,
+                             _css_flags(("--delta", {"type": float, "default": 0.05}))),
+    "stream-1p": _Solver("one-pass turnstile PCA", _load_stream, _solve_stream_1p,
+                         _ONE_PASS_FLAGS),
+    "stream-1p-fact": _Solver("one-pass turnstile PCA with factors", _load_stream,
+                              _solve_stream_1p_fact, _ONE_PASS_FLAGS),
+    "stream-2p": _Solver("two-pass turnstile PCA", _load_stream, _solve_stream_2p,
+                         (_NOISE_SCALE, _ROUNDING)),
+}
+
+
+def _run_solver(args) -> tuple[dict, int]:
+    """Load the input once, then solve once per trial seed."""
+    solver = _SOLVERS[args.cmd]
+    loaded = solver.load(args)
 
     def trial(seed):
-        res = batch_low_rank(A, args.k, args.eps, seed,
-                             xi_left=args.const_xi_left,
-                             xi_right=args.const_xi_right,
-                             rounding=args.rounding)
-        ratio = _exact_ratio(A, _basis_err_sq(A, res.U), args.k)
-        return _report(
-            "batch",
-            {"shape": list(A.shape), "k": args.k, "eps": args.eps,
-             "xi_left": res.xi_left, "xi_right": res.xi_right,
-             "rounding": args.rounding},
-            ratio=ratio, seed=seed,
-            flags=["deficient"] if res.deficient else [])
-    return _with_trials(args, trial)
-
-
-def _run_dist_arb(args) -> dict:
-    A = _load_dense(args.input)
-    parts = _summand_parts(A, args.machines)
-
-    def trial(seed):
-        cluster = Cluster([p.copy() for p in parts], kind="arbitrary")
-        res = distributed_pca_arbitrary(cluster, ArbProtocolParams(
-            k=args.k, eps=args.eps, seed=seed,
-            noise_scale=args.noise_scale, rounding=args.rounding,
-            xi_sketch=args.const_xi_sketch, xi_affine=args.const_xi_affine))
-        ratio = _exact_ratio(A, _basis_err_sq(A, res.U), args.k)
-        return _report(
-            "dist-arb",
-            {"shape": list(A.shape), "k": args.k, "eps": args.eps,
-             "machines": args.machines},
-            ratio=ratio, ledger=res.phase_words, total=res.total_words,
-            branch=res.branch, flags=res.flags, seed=seed,
-            extra={"retried": bool(res.retried)})
-    return _with_trials(args, trial)
-
-
-def _run_dist_css(args, fast: bool) -> dict:
-    A = read_matrix_market(args.input)
-    n = A.n_cols if isinstance(A, SparseColMatrix) else A.shape[1]
-    widths = _read_widths(args.widths, n, args.machines)
-    parts = _split_columns(A, widths)
-    name = "dist-css-fast" if fast else "dist-css"
-
-    def trial(seed):
-        cluster = Cluster(parts, kind="column")
-        if fast:
-            res = distributed_css_pca_fast(cluster, FastCssProtocolParams(
-                k=args.k, eps=args.eps, seed=seed, delta=args.delta,
-                ell=args.const_ell, c2=args.const_c2,
-                xi_subspace=args.const_xi_subspace,
-                per_machine_finalize=args.per_machine_finalize))
-        else:
-            res = distributed_css_pca(cluster, CssProtocolParams(
-                k=args.k, eps=args.eps, seed=seed,
-                ell=args.const_ell, c1=args.const_c1, c2=args.const_c2,
-                xi_subspace=args.const_xi_subspace,
-                per_machine_finalize=args.per_machine_finalize))
-        ratio, estimated = _css_ratio(A, res.U, args.k, seed)
-        return _report(
-            name,
-            {"shape": list(A.shape), "k": args.k, "eps": args.eps,
-             "machines": len(widths), "widths": widths,
-             "c_actual": int(res.c_actual), "xi": int(res.xi)},
-            ratio=ratio, estimated=estimated, ledger=res.phase_words,
-            total=res.total_words, flags=res.flags, seed=seed)
-    return _with_trials(args, trial)
-
-
-def _run_stream_one_pass(args, factored: bool) -> dict:
-    shape, updates = read_stream_file(args.input)
-    m, n = shape
-
-    def trial(seed):
-        if factored:
-            res = one_pass_factorization(updates, m, n, args.k, args.eps, seed,
-                                         xi_regression=args.const_xi_regression,
-                                         xi_affine=args.const_xi_affine)
-        else:
-            res = one_pass_pca(updates, m, n, args.k, args.eps, seed,
-                               xi_regression=args.const_xi_regression,
-                               xi_affine=args.const_xi_affine)
-        ratio = None
-        if m * n <= MATERIALIZE_LIMIT:
-            A = np.zeros((m, n))
-            for i, j, x in updates:
-                A[i, j] += x
-            err = (float(np.linalg.norm(A - res.matrix()) ** 2) if factored
-                   else _basis_err_sq(A, res.U))
-            ratio = _exact_ratio(A, err, args.k)
-        return _report(
-            "stream-1p-fact" if factored else "stream-1p",
-            {"shape": [m, n], "k": args.k, "eps": args.eps,
-             "updates": len(updates)},
-            ratio=ratio, space=res.space_words, seed=seed)
-    return _with_trials(args, trial)
-
-
-def _run_stream_two_pass(args) -> dict:
-    shape, updates = read_stream_file(args.input)
-    m, n = shape
-
-    def trial(seed):
-        res = two_pass_pca(updates, m, n, args.k, args.eps, seed,
-                           noise_scale=args.noise_scale, rounding=args.rounding)
-        ratio = None
-        if m * n <= MATERIALIZE_LIMIT:
-            A = np.zeros((m, n))
-            for i, j, x in updates:
-                A[i, j] += x
-            ratio = _exact_ratio(A, _basis_err_sq(A, res.U), args.k)
-        return _report(
-            "stream-2p",
-            {"shape": [m, n], "k": args.k, "eps": args.eps,
-             "updates": len(updates)},
-            ratio=ratio, ledger=res.phase_words, total=res.total_words,
-            space=m * n, branch=res.branch, flags=res.flags, seed=seed)
-    return _with_trials(args, trial)
+        return _report(args.cmd, seed=seed, **solver.solve(loaded, args, seed))
+    return _with_trials(args, trial), 0
 
 
 # -- gen ----------------------------------------------------------------
 
 
-def _gen_output_path(args) -> str:
-    return args.output if args.output else "/dev/stdout"
-
-
-def _run_gen(args) -> dict | None:
+def _run_gen(args) -> tuple[None, int]:
+    need = {"dense-hard": ("m", "n", "k"), "css-hard": ("k", "phi"),
+            "lowrank": ("m", "n", "k")}
+    for field in need[args.family]:
+        if getattr(args, field) is None:
+            raise InputError(f"gen {args.family} requires --{field}")
+    out = args.output if args.output else "/dev/stdout"
     if args.family == "dense-hard":
         spec = HardDenseSpec(m=args.m, k=args.k, s=args.machines, n=args.n,
                              wall=args.wall)
         cluster = gen_dense_hard(spec, args.seed)
-        write_matrix_market(_gen_output_path(args), cluster.materialize())
+        write_matrix_market(out, cluster.materialize())
         if args.manifest:
             widths = [int(p.shape[1]) for p in cluster.parts]
             with open(args.manifest, "w") as fh:
                 json.dump({"widths": widths, "m": spec.m, "n": spec.n,
                            "k": spec.k, "machines": spec.s}, fh, indent=2)
                 fh.write("\n")
-        return None
-    if args.family == "css-hard":
+    elif args.family == "css-hard":
         spec = HardCssSpec(k=args.k, phi=args.phi, eps=args.eps)
         A = gen_css_hard(spec, rotate=args.rotate, seed=args.seed,
                          granularity=args.granularity)
-        write_matrix_market(_gen_output_path(args), A)
-        return None
-    # lowrank
-    A = gen_lowrank_noise(args.m, args.n, args.k, args.noise, args.seed)
-    if args.stream:
-        write_stream_file(_gen_output_path(args), A.shape,
-                          [(i, j, float(A[i, j]))
-                           for i in range(A.shape[0]) for j in range(A.shape[1])])
-    else:
-        write_matrix_market(_gen_output_path(args), A)
-    return None
+        write_matrix_market(out, A)
+    else:  # lowrank
+        A = gen_lowrank_noise(args.m, args.n, args.k, args.noise, args.seed)
+        if args.stream:
+            write_stream_file(out, A.shape,
+                              [(i, j, float(A[i, j]))
+                               for i in range(A.shape[0]) for j in range(A.shape[1])])
+        else:
+            write_matrix_market(out, A)
+    return None, 0
 
 
 # -- check --------------------------------------------------------------
@@ -480,9 +544,7 @@ def _invariant_battery() -> list[tuple[str, "callable"]]:
         ups = [(int(rng.integers(8)), int(rng.integers(9)), float(rng.standard_normal()))
                for _ in range(80)]
         st = TurnstileSketchState(8, 9, 2, 0.5, 6).consume(ups)
-        A = np.zeros((8, 9))
-        for i, j, x in ups:
-            A[i, j] += x
+        A = _dense_from_updates(8, 9, ups)
         want = st.T_left @ A @ st.T_right
         assert np.linalg.norm(st.M - want) <= 1e-10 * np.linalg.norm(want)
 
@@ -502,9 +564,7 @@ def _invariant_battery() -> list[tuple[str, "callable"]]:
         ups = [(int(rng.integers(8)), int(rng.integers(10)), float(rng.standard_normal()))
                for _ in range(60)]
         res = two_pass_pca(ups, 8, 10, 2, 0.5, 11)
-        A = np.zeros((8, 10))
-        for i, j, x in ups:
-            A[i, j] += x
+        A = _dense_from_updates(8, 10, ups)
         direct = distributed_pca_arbitrary(Cluster([A], kind="arbitrary"),
                                            ArbProtocolParams(k=2, eps=0.5, seed=11))
         assert res.U.tobytes() == direct.U.tobytes()
@@ -523,7 +583,7 @@ def _invariant_battery() -> list[tuple[str, "callable"]]:
     ]
 
 
-def _run_check(args) -> dict:
+def _run_check(args) -> tuple[dict, int]:
     results = []
     for name, fn in _invariant_battery():
         try:
@@ -531,89 +591,30 @@ def _run_check(args) -> dict:
             results.append({"name": name, "ok": True, "detail": None})
         except Exception as exc:  # report, never crash the battery
             results.append({"name": name, "ok": False, "detail": str(exc)})
-    return {
-        "algorithm": "check",
-        "invariants": results,
-        "ok": all(r["ok"] for r in results),
-    }
+    ok = all(r["ok"] for r in results)
+    return {"algorithm": "check", "invariants": results, "ok": ok}, 0 if ok else 3
 
 
 # -- argument wiring ----------------------------------------------------
-
-
-def _add_common(p: argparse.ArgumentParser) -> None:
-    p.add_argument("--seed", type=int, default=0)
-    p.add_argument("--trials", type=int, default=1)
-    p.add_argument("--timings", action="store_true",
-                   help="include wall_time_s (breaks byte-identical output)")
-    p.add_argument("--json-out", metavar="PATH")
 
 
 def build_parser() -> argparse.ArgumentParser:
     parser = _Parser(prog="sketchpca", description=__doc__.splitlines()[0])
     sub = parser.add_subparsers(dest="cmd", parser_class=_Parser)
 
-    p = sub.add_parser("batch", help="two-sided sketch PCA on a dense matrix")
-    p.add_argument("--input", required=True)
-    p.add_argument("-k", "--k", type=int, required=True, dest="k")
-    p.add_argument("--eps", type=float, required=True)
-    p.add_argument("--rounding", type=float, default=0.0)
-    p.add_argument("--const-xi-left", type=int, default=None)
-    p.add_argument("--const-xi-right", type=int, default=None)
-    _add_common(p)
-    p.set_defaults(func=_run_batch)
-
-    p = sub.add_parser("dist-arb", help="arbitrary-partition protocol")
-    p.add_argument("--input", required=True)
-    p.add_argument("-k", "--k", type=int, required=True, dest="k")
-    p.add_argument("--eps", type=float, required=True)
-    p.add_argument("--machines", type=int, default=2)
-    p.add_argument("--noise-scale", type=float, default=None)
-    p.add_argument("--rounding", type=float, default=0.0)
-    p.add_argument("--const-xi-sketch", type=int, default=None)
-    p.add_argument("--const-xi-affine", type=int, default=None)
-    _add_common(p)
-    p.set_defaults(func=_run_dist_arb)
-
-    for name, fast in (("dist-css", False), ("dist-css-fast", True)):
-        p = sub.add_parser(name, help="column-partition selection protocol"
-                           + (" (sketched)" if fast else ""))
+    for name, solver in _SOLVERS.items():
+        p = sub.add_parser(name, help=solver.help)
         p.add_argument("--input", required=True)
         p.add_argument("-k", "--k", type=int, required=True, dest="k")
         p.add_argument("--eps", type=float, required=True)
-        p.add_argument("--machines", type=int, default=None)
-        p.add_argument("--widths", metavar="PATH",
-                       help="JSON widths manifest overriding --machines")
-        p.add_argument("--per-machine-finalize", action="store_true")
-        p.add_argument("--const-ell", type=int, default=None)
-        if not fast:
-            p.add_argument("--const-c1", type=int, default=None)
-        else:
-            p.add_argument("--delta", type=float, default=0.05)
-        p.add_argument("--const-c2", type=int, default=None)
-        p.add_argument("--const-xi-subspace", type=int, default=None)
-        _add_common(p)
-        p.set_defaults(func=lambda a, fast=fast: _run_dist_css(a, fast))
-
-    for name, factored in (("stream-1p", False), ("stream-1p-fact", True)):
-        p = sub.add_parser(name, help="one-pass turnstile PCA"
-                           + (" with factors" if factored else ""))
-        p.add_argument("--input", required=True)
-        p.add_argument("-k", "--k", type=int, required=True, dest="k")
-        p.add_argument("--eps", type=float, required=True)
-        p.add_argument("--const-xi-regression", type=int, default=None)
-        p.add_argument("--const-xi-affine", type=int, default=None)
-        _add_common(p)
-        p.set_defaults(func=lambda a, factored=factored: _run_stream_one_pass(a, factored))
-
-    p = sub.add_parser("stream-2p", help="two-pass turnstile PCA")
-    p.add_argument("--input", required=True)
-    p.add_argument("-k", "--k", type=int, required=True, dest="k")
-    p.add_argument("--eps", type=float, required=True)
-    p.add_argument("--noise-scale", type=float, default=None)
-    p.add_argument("--rounding", type=float, default=0.0)
-    _add_common(p)
-    p.set_defaults(func=_run_stream_two_pass)
+        for flag, kwargs in solver.flags:
+            p.add_argument(flag, **kwargs)
+        p.add_argument("--seed", type=int, default=0)
+        p.add_argument("--trials", type=int, default=1)
+        p.add_argument("--timings", action="store_true",
+                       help="include wall_time_s (breaks byte-identical output)")
+        p.add_argument("--json-out", metavar="PATH")
+        p.set_defaults(func=_run_solver)
 
     p = sub.add_parser("gen", help="write a test instance")
     p.add_argument("family", choices=["dense-hard", "css-hard", "lowrank"])
@@ -633,21 +634,13 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--output", metavar="PATH", help="default stdout")
     p.add_argument("--manifest", metavar="PATH",
                    help="dense-hard only: write the partition widths")
-    p.set_defaults(func=_run_gen, gen=True)
+    p.set_defaults(func=_run_gen)
 
     p = sub.add_parser("check", help="rerun module invariants")
     p.add_argument("--json-out", metavar="PATH")
-    p.set_defaults(func=_run_check, check=True)
+    p.set_defaults(func=_run_check)
 
     return parser
-
-
-def _validate_gen(args) -> None:
-    need = {"dense-hard": ("m", "n", "k"), "css-hard": ("k", "phi"),
-            "lowrank": ("m", "n", "k")}
-    for field in need[args.family]:
-        if getattr(args, field) is None:
-            raise InputError(f"gen {args.family} requires --{field}")
 
 
 def main(argv=None) -> int:
@@ -660,17 +653,10 @@ def main(argv=None) -> int:
         parser.print_usage(sys.stderr)
         return 64
     try:
-        if getattr(args, "gen", False):
-            _validate_gen(args)
-            _run_gen(args)
-            return 0
-        if getattr(args, "check", False):
-            rep = _run_check(args)
+        rep, code = args.func(args)
+        if rep is not None:
             _emit(rep, args)
-            return 0 if rep["ok"] else 3
-        rep = args.func(args)
-        _emit(rep, args)
-        return 0
+        return code
     except (InputError, OSError) as exc:
         sys.stderr.write(f"error: {exc}\n")
         return 2

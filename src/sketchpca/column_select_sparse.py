@@ -193,15 +193,17 @@ def dense_times_sparse(M: np.ndarray, A: SparseColMatrix) -> np.ndarray:
 
 
 def right_multiply(A: SparseColMatrix, M: np.ndarray) -> np.ndarray:
-    """A @ M, accumulating column contributions in ascending column order."""
+    """A @ M, accumulating column contributions in ascending column order.
+
+    np.add.at applies the entries in storage order, so every output row
+    sums its terms in the order of a per-column loop, bit for bit.
+    """
     M = np.asarray(M, dtype=np.float64)
     if M.shape[0] != A.n_cols:
         raise InputError("operand rows disagree with the matrix columns")
     out = np.zeros((A.n_rows, M.shape[1]))
-    for j in range(A.n_cols):
-        rows, vals = A.col(j)
-        if rows.size:
-            out[rows, :] += vals[:, None] * M[j, :]
+    cols = np.repeat(np.arange(A.n_cols, dtype=np.int64), np.diff(A.indptr))
+    np.add.at(out, A.indices, A.data[:, None] * M[cols])
     TOUCHES.add(A.nnz)
     return out
 

@@ -7,6 +7,9 @@ exact float64 bits.
 
 A stream file is a header line ``m n q`` followed by q update lines
 ``i j x`` with 1-based coordinates, in arrival order.
+
+Readers raise InputError for every malformed file: a bad number or bytes
+that are not UTF-8 are reported as ``path:line``.
 """
 
 from __future__ import annotations
@@ -19,11 +22,41 @@ from .sparse import SparseColMatrix
 _FMT = "%.17g"
 
 
-def _nonblank_lines(text: str):
-    for raw in text.splitlines():
-        line = raw.strip()
-        if line and not line.startswith("%"):
-            yield line
+def _read_text(path) -> str:
+    with open(path, "rb") as fh:
+        raw = fh.read()
+    try:
+        return raw.decode("utf-8")
+    except UnicodeDecodeError as exc:
+        line = raw.count(b"\n", 0, exc.start) + 1
+        raise InputError(f"{path}:{line}: not UTF-8 text") from exc
+
+
+def _data_lines(text: str) -> list[str]:
+    """The stripped lines that are neither blank nor % comments."""
+    return [line for line in map(str.strip, text.splitlines())
+            if line and line[0] != "%"]
+
+
+def _malformed(path, text: str, index: int, line: str) -> InputError:
+    """Bad input naming the file line that holds _data_lines(text)[index]."""
+    numbers = [no for no, line in enumerate(map(str.strip, text.splitlines()), 1)
+               if line and line[0] != "%"]
+    return InputError(f"{path}:{numbers[index]}: malformed number in {line!r}")
+
+
+def _sizes(path, text: str, line: str, count: int, form: str) -> list[int]:
+    """The size line's count nonnegative integers (it is data line 0)."""
+    fields = line.split()
+    if len(fields) != count:
+        raise InputError(f"{path}: {form}")
+    try:
+        sizes = [int(f) for f in fields]
+    except ValueError as exc:
+        raise _malformed(path, text, 0, line) from exc
+    if min(sizes) < 0:
+        raise InputError(f"{path}: negative size in {line!r}")
+    return sizes
 
 
 def write_matrix_market(path, A) -> None:
@@ -50,8 +83,7 @@ def write_matrix_market(path, A) -> None:
 
 def read_matrix_market(path):
     """Read a MatrixMarket file; returns ndarray (array) or SparseColMatrix."""
-    with open(path) as fh:
-        text = fh.read()
+    text = _read_text(path)
     first = text.splitlines()[0].strip() if text.splitlines() else ""
     fields = first.lower().split()
     if len(fields) != 5 or fields[0] != "%%matrixmarket" or fields[1] != "matrix":
@@ -59,39 +91,41 @@ def read_matrix_market(path):
     kind, scalar, symmetry = fields[2], fields[3], fields[4]
     if scalar != "real" or symmetry != "general":
         raise InputError(f"{path}: only 'real general' matrices are supported")
-    body = list(_nonblank_lines(text))
+    body = _data_lines(text)
     if not body:
         raise InputError(f"{path}: missing size line")
 
     if kind == "array":
-        dims = body[0].split()
-        if len(dims) != 2:
-            raise InputError(f"{path}: array size line must be 'm n'")
-        m, n = int(dims[0]), int(dims[1])
-        vals = body[1:]
-        if len(vals) != m * n:
-            raise InputError(f"{path}: expected {m * n} values, found {len(vals)}")
-        A = np.array([float(v) for v in vals], dtype=np.float64)
+        m, n = _sizes(path, text, body[0], 2, "array size line must be 'm n'")
+        if len(body) - 1 != m * n:
+            raise InputError(f"{path}: expected {m * n} values, found {len(body) - 1}")
+        vals = []
+        try:
+            for p, line in enumerate(body[1:], 1):
+                vals.append(float(line))
+        except ValueError as exc:
+            raise _malformed(path, text, p, line) from exc
+        A = np.array(vals, dtype=np.float64)
         return A.reshape((n, m)).T if m * n else np.zeros((m, n))
 
     if kind == "coordinate":
-        dims = body[0].split()
-        if len(dims) != 3:
-            raise InputError(f"{path}: coordinate size line must be 'm n nnz'")
-        m, n, nnz = (int(d) for d in dims)
-        entries = body[1:]
-        if len(entries) != nnz:
-            raise InputError(f"{path}: expected {nnz} entries, found {len(entries)}")
+        m, n, nnz = _sizes(path, text, body[0], 3,
+                           "coordinate size line must be 'm n nnz'")
+        if len(body) - 1 != nnz:
+            raise InputError(f"{path}: expected {nnz} entries, found {len(body) - 1}")
         per_col: list[list[tuple[int, float]]] = [[] for _ in range(n)]
-        for line in entries:
-            parts = line.split()
-            if len(parts) != 3:
-                raise InputError(f"{path}: bad coordinate line {line!r}")
-            i, j, v = int(parts[0]) - 1, int(parts[1]) - 1, float(parts[2])
-            if not (0 <= i < m and 0 <= j < n):
-                raise InputError(f"{path}: index out of range in line {line!r}")
-            if v != 0.0:
-                per_col[j].append((i, v))
+        try:
+            for p, line in enumerate(body[1:], 1):
+                parts = line.split()
+                if len(parts) != 3:
+                    raise InputError(f"{path}: bad coordinate line {line!r}")
+                i, j, v = int(parts[0]) - 1, int(parts[1]) - 1, float(parts[2])
+                if not (0 <= i < m and 0 <= j < n):
+                    raise InputError(f"{path}: index out of range in line {line!r}")
+                if v != 0.0:
+                    per_col[j].append((i, v))
+        except ValueError as exc:
+            raise _malformed(path, text, p, line) from exc
         cols = []
         for j in range(n):
             per_col[j].sort(key=lambda t: t[0])
@@ -118,23 +152,23 @@ def write_stream_file(path, shape, updates) -> None:
 
 def read_stream_file(path):
     """Read a stream file; returns ((m, n), list of 0-based (i, j, x))."""
-    with open(path) as fh:
-        body = list(_nonblank_lines(fh.read()))
+    text = _read_text(path)
+    body = _data_lines(text)
     if not body:
         raise InputError(f"{path}: empty stream file")
-    head = body[0].split()
-    if len(head) != 3:
-        raise InputError(f"{path}: header must be 'm n q'")
-    m, n, q = (int(h) for h in head)
+    m, n, q = _sizes(path, text, body[0], 3, "header must be 'm n q'")
     if len(body) - 1 != q:
         raise InputError(f"{path}: expected {q} updates, found {len(body) - 1}")
     updates = []
-    for line in body[1:]:
-        parts = line.split()
-        if len(parts) != 3:
-            raise InputError(f"{path}: bad update line {line!r}")
-        i, j = int(parts[0]) - 1, int(parts[1]) - 1
-        if not (0 <= i < m and 0 <= j < n):
-            raise InputError(f"{path}: update index out of range in {line!r}")
-        updates.append((i, j, float(parts[2])))
+    try:
+        for p, line in enumerate(body[1:], 1):
+            parts = line.split()
+            if len(parts) != 3:
+                raise InputError(f"{path}: bad update line {line!r}")
+            i, j = int(parts[0]) - 1, int(parts[1]) - 1
+            if not (0 <= i < m and 0 <= j < n):
+                raise InputError(f"{path}: update index out of range in {line!r}")
+            updates.append((i, j, float(parts[2])))
+    except ValueError as exc:
+        raise _malformed(path, text, p, line) from exc
     return (m, n), updates

@@ -265,3 +265,71 @@ class TestCheck:
         names = [r["name"] for r in rep["invariants"]]
         assert len(names) == len(set(names))
         assert all(r["ok"] for r in rep["invariants"])
+
+
+class TestMalformedInput:
+    """Bad numbers and undecodable bytes are bad input: exit 2, no traceback."""
+
+    def _expect_input_error(self, capsys, argv, where):
+        code, out, err = run_cli(capsys, argv)
+        assert code == 2
+        assert out == ""
+        assert err.startswith("error: ") and where in err
+        assert "Traceback" not in err
+
+    def test_bad_array_value(self, capsys, tmp_path):
+        p = tmp_path / "v.mtx"
+        p.write_text("%%MatrixMarket matrix array real general\n"
+                     "2 2\n1.0\n2.0\nabc\n4.0\n")
+        self._expect_input_error(capsys, ["batch", "--input", str(p), "-k", "1",
+                                          "--eps", "0.5"], f"{p}:5:")
+
+    def test_bad_size_line(self, capsys, tmp_path):
+        p = tmp_path / "s.mtx"
+        p.write_text("%%MatrixMarket matrix array real general\n"
+                     "% a comment\n\n2 x\n1.0\n2.0\n")
+        self._expect_input_error(capsys, ["dist-css", "--input", str(p), "-k", "1",
+                                          "--eps", "0.5"], f"{p}:4:")
+
+    def test_bad_coordinate_entry(self, capsys, tmp_path):
+        p = tmp_path / "c.mtx"
+        p.write_text("%%MatrixMarket matrix coordinate real general\n"
+                     "2 2 2\n1 1 1.0\n2 2 1e\n")
+        self._expect_input_error(capsys, ["dist-css-fast", "--input", str(p),
+                                          "-k", "1", "--eps", "0.5"], f"{p}:4:")
+
+    def test_bad_stream_line(self, capsys, tmp_path):
+        p = tmp_path / "u.txt"
+        p.write_text("2 2 2\n1 1 1.0\n1 q 2.0\n")
+        for cmd in ("stream-1p", "stream-1p-fact", "stream-2p"):
+            self._expect_input_error(capsys, [cmd, "--input", str(p), "-k", "1",
+                                              "--eps", "0.5"], f"{p}:3:")
+
+    def test_undecodable_files(self, capsys, tmp_path):
+        p = tmp_path / "ff.bin"
+        p.write_bytes(b"\xff%%MatrixMarket matrix array real general\n1 1\n1.0\n")
+        self._expect_input_error(capsys, ["batch", "--input", str(p), "-k", "1",
+                                          "--eps", "0.5"], f"{p}:1:")
+        self._expect_input_error(capsys, ["stream-1p", "--input", str(p), "-k", "1",
+                                          "--eps", "0.5"], f"{p}:1:")
+
+    def test_negative_sizes(self, capsys, tmp_path):
+        p = tmp_path / "n.mtx"
+        p.write_text("%%MatrixMarket matrix array real general\n"
+                     "-2 -3\n" + "1.0\n" * 6)
+        self._expect_input_error(capsys, ["batch", "--input", str(p), "-k", "1",
+                                          "--eps", "0.5"], str(p))
+
+    def test_boolean_widths_are_rejected(self, capsys, tmp_path, dense_mtx):
+        man = tmp_path / "w.json"
+        man.write_text('{"widths": [true, 29]}\n')
+        self._expect_input_error(capsys, ["dist-css", "--input", dense_mtx, "-k", "1",
+                                          "--eps", "0.5", "--widths", str(man)],
+                                 str(man))
+
+    def test_undecodable_widths_manifest(self, capsys, tmp_path, dense_mtx):
+        man = tmp_path / "w.json"
+        man.write_bytes(b'\xff{"widths": [15, 15]}\n')
+        self._expect_input_error(capsys, ["dist-css", "--input", dense_mtx, "-k", "1",
+                                          "--eps", "0.5", "--widths", str(man)],
+                                 str(man))

@@ -156,6 +156,35 @@ class TestKernelApplications:
         assert TOUCHES.count == nnz
 
 
+class TestRightMultiplyBits:
+    """The storage-order right_multiply against a per-column reference."""
+
+    @staticmethod
+    def _column_loop(A, M):
+        out = np.zeros((A.n_rows, M.shape[1]))
+        for j in range(A.n_cols):
+            rows, vals = A.col(j)
+            if rows.size:
+                out[rows, :] += vals[:, None] * M[j, :]
+        return out
+
+    def test_matches_a_column_loop_bit_for_bit(self):
+        for seed in range(30):
+            rng = np.random.default_rng(seed)
+            m, n, r = (int(v) for v in rng.integers(1, 25, size=3))
+            dense = rng.standard_normal((m, n)) * (rng.random((m, n)) < rng.random())
+            dense[:, rng.integers(n)] = 0.0            # at least one empty column
+            A = SparseColMatrix.from_dense(dense)
+            M = rng.standard_normal((n, r)) * 10.0 ** rng.integers(-8, 8, size=(n, 1))
+            assert right_multiply(A, M).tobytes() == self._column_loop(A, M).tobytes()
+
+    def test_empty_and_zero_width_operands(self):
+        A = SparseColMatrix.from_dense(np.zeros((4, 3)))
+        assert right_multiply(A, np.ones((3, 2))).tobytes() == np.zeros((4, 2)).tobytes()
+        B = sparse_random(3, 6, 5)
+        assert right_multiply(B, np.ones((5, 0))).shape == (6, 0)
+
+
 class TestResidualOperator:
     def _instance(self, seed=0):
         A = sparse_random(seed, 18, 25, density=0.5)

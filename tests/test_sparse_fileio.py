@@ -8,6 +8,8 @@ from __future__ import annotations
 
 import numpy as np
 import pytest
+from hypothesis import HealthCheck, given, settings
+from hypothesis import strategies as st
 
 from conftest import rand_matrix
 from sketchpca.errors import InputError
@@ -206,3 +208,69 @@ class TestStreamFiles:
         p.write_text("3 3\n")
         with pytest.raises(InputError):
             fileio.read_stream_file(p)
+
+
+# -- corrupted files: a reader returns a result or raises InputError ------
+
+_TOKENS = st.one_of(
+    st.sampled_from(["abc", "x", "1e", "--1", "0x10", "nan", "inf", "-0", "1.5",
+                     "%", "%%MatrixMarket", "1 2", "\t", "\xff", "\ud800"]),
+    st.integers(-3, 40).map(str),
+    st.floats().map(repr),
+    st.text(max_size=4),
+)
+_INSERTS = st.sampled_from(["", "   ", "% a comment", "%", "%%MatrixMarket matrix"])
+
+
+@st.composite
+def _corruptions(draw, lines):
+    """Replace a token, drop or duplicate a line, or insert a comment or
+    blank line, one to three times."""
+    lines = list(lines)
+    for _ in range(draw(st.integers(1, 3))):
+        op = draw(st.sampled_from(["replace", "drop", "duplicate", "insert"]))
+        if op == "insert" or not lines:
+            lines.insert(draw(st.integers(0, len(lines))), draw(_INSERTS))
+            continue
+        at = draw(st.integers(0, len(lines) - 1))
+        if op == "drop":
+            del lines[at]
+        elif op == "duplicate":
+            lines.insert(at, lines[at])
+        else:
+            tokens = lines[at].split() or [""]
+            tokens[draw(st.integers(0, len(tokens) - 1))] = draw(_TOKENS)
+            lines[at] = " ".join(tokens)
+    return lines
+
+
+def _valid_lines(tmp_path, kind: str, seed: int) -> list[str]:
+    rng = np.random.default_rng(seed)
+    m, n = (int(v) for v in rng.integers(1, 5, size=2))
+    A = rng.standard_normal((m, n)) * (rng.random((m, n)) < 0.6)
+    p = tmp_path / "valid"
+    if kind == "stream":
+        fileio.write_stream_file(p, (m, n), [(int(rng.integers(m)), int(rng.integers(n)),
+                                              float(rng.standard_normal()))
+                                             for _ in range(int(rng.integers(0, 6)))])
+    else:
+        fileio.write_matrix_market(p, SparseColMatrix.from_dense(A) if kind == "coordinate"
+                                   else A)
+    return p.read_text().splitlines()
+
+
+class TestCorruptedFiles:
+    @pytest.mark.parametrize("kind", ["array", "coordinate", "stream"])
+    @given(data=st.data(), seed=st.integers(0, 2**16))
+    @settings(max_examples=150, deadline=None,
+              suppress_health_check=[HealthCheck.function_scoped_fixture])
+    def test_reader_returns_or_raises_input_error(self, tmp_path, kind, data, seed):
+        lines = data.draw(_corruptions(_valid_lines(tmp_path, kind, seed)))
+        p = tmp_path / "corrupt"
+        # surrogates stay as invalid UTF-8 bytes, so undecodable files occur
+        p.write_bytes("\n".join(lines).encode("utf-8", "surrogatepass"))
+        read = fileio.read_stream_file if kind == "stream" else fileio.read_matrix_market
+        try:
+            read(p)
+        except InputError:
+            pass
