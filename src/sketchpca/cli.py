@@ -331,7 +331,8 @@ def _css_fields(loaded, args, seed, res) -> dict:
     ratio, estimated = _css_ratio(A, res.U, args.k, seed)
     return {"parameters": {"shape": list(A.shape), "k": args.k, "eps": args.eps,
                            "machines": len(widths), "widths": widths,
-                           "c_actual": int(res.c_actual), "xi": int(res.xi)},
+                           "c_actual": int(res.c_actual), "xi": int(res.xi),
+                           "finalize": res.finalize},
             "ratio": ratio, "estimated": estimated, "ledger": res.phase_words,
             "total": res.total_words, "flags": res.flags}
 

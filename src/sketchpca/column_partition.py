@@ -15,10 +15,15 @@ Four stages:
    proportionally, and machines upload residual-sampled columns verbatim
    (phase "adaptive" counts only these column words; the two quantized
    scalars per machine ride in "adaptive-meta");
-4. finalize: a shared seeded sketch turns one pass over the blocks into
-   the best rank-k basis inside span of the collected columns; machines
-   send their sketched products in blocks of sketch rows, so no machine's
-   whole product is ever built.
+4. finalize: the server finds the best rank-k basis inside the span of
+   the collected columns C from the coefficients C^T A.  When the data is
+   no wider than the sketch would be (n <= s * xi, with xi resolved by
+   default), every machine ships its block C^T A_i exactly, c * n_i words,
+   and the server concatenates them: the basis is the exact optimum in
+   span(C), and c * n <= s * c * xi keeps the paper's bound.  Otherwise,
+   and whenever xi_subspace is given, a shared seeded sketch S turns one
+   pass over the blocks into the sum of C^T A_i S_i^T, which machines send
+   in blocks of sketch rows, so no machine's whole product is ever built.
 
 run_css_protocol is the one driver of these stages.  What differs between
 variants is a CssKernels bundle: this module's exact kernels (dense SVD,
@@ -28,7 +33,8 @@ kernels for distributed_css_pca_fast.  Flags, draws, ledger records and
 the finalize are shared.
 
 The server does the finalize once and downlinks U; a per-machine variant
-(broadcast the small sketched matrix, everyone finalizes identically)
+(broadcast the server's coefficient matrix, everyone finalizes
+identically)
 is available behind a flag.
 
 Every phase total is recomputed from first principles after the run and
@@ -106,6 +112,7 @@ class CssPcaResult:
     adaptive_indices: list[int]
     c_actual: int
     xi: int
+    finalize: str       # "exact" (C^T A shipped) or "sketch"
     betas: list[float]
     draws_per_machine: list[int]
     phase_words: dict[str, int]
@@ -132,8 +139,9 @@ class CssKernels:
     i, dense or sparse; local_select(params, s, i, P, ell) -> ell column
     indices of a block wider than ell; core_select(params, G, c1) -> c1
     positions in G; residual_masses(params, cluster, parts, C) -> each
-    block's per-column residual mass off span(C); finalize(cluster, parts,
-    xi, seed) -> fn(i, lo, hi), sketch-row columns lo..hi-1 of A_i S_i^T.
+    block's per-column residual mass off span(C); coefficients(CT, P) ->
+    CT @ P for a block P; finalize(cluster, parts, CT, xi, seed) ->
+    fn(i, lo, hi), sketch-row columns lo..hi-1 of CT @ A_i @ S_i^T.
     """
 
     resolve: Callable
@@ -141,6 +149,7 @@ class CssKernels:
     local_select: Callable
     core_select: Callable
     residual_masses: Callable
+    coefficients: Callable
     finalize: Callable
 
 
@@ -213,13 +222,23 @@ def run_css_protocol(cluster: Cluster, params, kernels: CssKernels) -> CssPcaRes
     cluster.record_broadcast("span-down", _cols_words(new_cols))
     C_full = np.hstack([C, new_cols])
 
-    # stage 4: one-pass subspace finalize with a shared seeded sketch
-    sketch = kernels.finalize(cluster, parts, xi, derive_seed(params.seed, TAG_CSS_SUBSPACE))
+    # stage 4: the coefficients C^T A, exact when the data is no wider than
+    # the sketch, else through one pass of a shared seeded sketch
     c_actual = C_full.shape[1]
     CT = C_full.T
-    Xi_raw = cluster.gather_sum_blocks(
-        "subspace-up", lambda i, p, lo, hi: CT @ sketch(i, lo, hi),
-        xi, _FINALIZE_BLOCK, c_actual * xi)
+    if params.xi_subspace is None and cluster.n <= s * xi:
+        finalize = "exact"
+        coeffs = cluster.map_machines(lambda i, p: kernels.coefficients(CT, parts[i]))
+        cluster.record_gather("subspace-up", [b.size for b in coeffs])
+        Xi_raw = np.hstack(coeffs)
+        del coeffs
+    else:
+        finalize = "sketch"
+        sketch = kernels.finalize(cluster, parts, CT, xi,
+                                  derive_seed(params.seed, TAG_CSS_SUBSPACE))
+        Xi_raw = cluster.gather_sum_blocks(
+            "subspace-up", lambda i, p, lo, hi: sketch(i, lo, hi),
+            xi, _FINALIZE_BLOCK, c_actual * xi)
     Y = orthonormal_basis(C_full)
     Gmat = Y.T @ C_full
     Xi = pinv(Gmat.T) @ Xi_raw
@@ -241,7 +260,7 @@ def run_css_protocol(cluster: Cluster, params, kernels: CssKernels) -> CssPcaRes
         cluster.record_broadcast("u-down", m * kk)
 
     result = CssPcaResult(
-        U, kk, flags, core_gids, adaptive_gids, c_actual, xi, betas, draws,
+        U, kk, flags, core_gids, adaptive_gids, c_actual, xi, finalize, betas, draws,
         cluster.ledger.phase_totals(), cluster.ledger.total(), params)
     _assert_ledger(cluster, result, local_blocks, C, new_cols, Xi.shape)
     return result
@@ -266,12 +285,12 @@ def _exact_residual_masses(params, cluster, parts, C):
     return masses
 
 
-def _exact_finalize(cluster, parts, xi, seed):
+def _exact_finalize(cluster, parts, CT, xi, seed):
     W = sign_sketch(xi, cluster.n, seed, scale=1.0)
 
     def block(i, lo, hi):
         a, b = cluster.col_offsets[i], cluster.col_offsets[i + 1]
-        return parts[i] @ W.materialize_cols(np.arange(a, b), lo, hi).T
+        return CT @ (parts[i] @ W.materialize_cols(np.arange(a, b), lo, hi).T)
     return block
 
 
@@ -281,6 +300,7 @@ _EXACT_KERNELS = CssKernels(
     local_select=_exact_local_select,
     core_select=lambda params, G, c1: deterministic_css(G, params.k, c1).indices,
     residual_masses=_exact_residual_masses,
+    coefficients=lambda CT, P: CT @ P,
     finalize=_exact_finalize,
 )
 
@@ -301,7 +321,8 @@ def _assert_ledger(cluster: Cluster, result: CssPcaResult,
         "adaptive-meta": 2 * s,
         "adaptive": _cols_words(adaptive),
         "span-down": s * _cols_words(adaptive),
-        "subspace-up": s * result.c_actual * result.xi,
+        "subspace-up": result.c_actual * (
+            cluster.n if result.finalize == "exact" else s * result.xi),
     }
     if result.params.per_machine_finalize:
         expected["xi-down"] = s * xi_shape[0] * xi_shape[1]

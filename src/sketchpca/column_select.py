@@ -7,9 +7,8 @@ restriction keeps V well conditioned while never inflating the residual
 mass.  Both guarantees are asserted at runtime; they are what downstream
 protocols rely on, so a violation is a bug, not a statistical fluke.
 
-On top of it sit deterministic CSS (select from one matrix), residual-
-proportional adaptive sampling, and a sketched subspace SVD that finds the
-best rank-k basis inside a given column span without reading A twice.
+On top of it sit deterministic CSS (select from one matrix) and
+residual-proportional adaptive sampling.
 """
 
 from __future__ import annotations
@@ -27,9 +26,6 @@ from .linalg import (
     tail_sq,
     truncated_svd,
 )
-from .sketches import affine_dim, derive_seed, sign_sketch
-
-TAG_SUBSPACE = "subspace-sketch"
 
 _POST_SLACK = 1e-9
 
@@ -251,40 +247,6 @@ def adaptive_cols(A, V, c2: int, beta: float, seed: int) -> AdaptiveSample:
     probs = mass / total
     idx = sample_proportional(mass, c2, seed)
     return AdaptiveSample(idx, probs, False)
-
-
-# -- sketched subspace SVD ---------------------------------------------
-
-
-@dataclass(frozen=True)
-class SubspaceSvdResult:
-    U: np.ndarray
-    basis: np.ndarray
-    top: np.ndarray
-    xi: int
-
-
-def approx_subspace_svd(A, V, k: int, eps: float, seed: int) -> SubspaceSvdResult:
-    """Near-best rank-k basis inside span(V) from one right sketch of A.
-
-    Sketches the coefficient matrix Y^T A with a sign map wide enough to
-    preserve its top-k left singular space to relative accuracy eps; U is
-    exactly inside span(V) by construction.
-    """
-    A = as_matrix(A, "A")
-    V = as_matrix(V, "V")
-    if V.shape[0] != A.shape[0]:
-        raise InputError("V must have the same number of rows as A")
-    if k < 1:
-        raise InputError("k must be at least 1")
-    Y = orthonormal_basis(V)
-    xi = affine_dim(max(V.shape[1], 1), eps)
-    W = sign_sketch(xi, A.shape[1], derive_seed(seed, TAG_SUBSPACE))
-    sketched = A @ W.materialize().T
-    P = Y.T @ sketched
-    kk = min(k, min(P.shape))
-    top = truncated_svd(P, kk).U
-    return SubspaceSvdResult(Y @ top, Y, top, xi)
 
 
 # -- residual magnitude rounding ---------------------------------------

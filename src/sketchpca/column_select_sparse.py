@@ -54,7 +54,6 @@ TAG_BSS_EMBED = "bss-embed"
 TAG_FAST_CSS_SVD = "fast-css-svd"
 TAG_FAST_CSS_BSS = "fast-css-bss"
 TAG_ADAPTIVE_JLT = "adaptive-jlt"
-TAG_SUBSPACE_EMBED = "subspace-embed"
 TAG_FAST_LOCAL_SVD = "fast-local-svd"
 TAG_FAST_LOCAL_BSS = "fast-local-bss"
 TAG_FAST_CORE = "fast-core"
@@ -428,7 +427,7 @@ def deterministic_css_sparse(G, k: int, c: int, seed: int) -> CssResult:
     return CssResult(S.indices, G.take_columns(S.indices).to_dense(), S)
 
 
-# -- sketched adaptive sampling and subspace SVD ------------------------
+# -- sketched adaptive sampling -----------------------------------------
 
 
 def adaptive_cols_sparse(A, V, c2: int, beta: float, seed: int) -> AdaptiveSample:
@@ -459,26 +458,6 @@ def adaptive_cols_sparse(A, V, c2: int, beta: float, seed: int) -> AdaptiveSampl
     probs = mass / total
     idx = sample_proportional(mass, c2, seed)
     return AdaptiveSample(idx, probs, False)
-
-
-def approx_subspace_svd_sparse(A, V, k: int, eps: float, seed: int):
-    """Near-best rank-k basis inside span(V), right sketch replaced by a
-    one-nonzero-per-column embedding applied in one pass over the entries."""
-    from .column_select import SubspaceSvdResult
-
-    A = _as_sparse(A)
-    V = as_matrix(V, "V")
-    if V.shape[0] != A.n_rows:
-        raise InputError("V must have the same number of rows as A")
-    if k < 1:
-        raise InputError("k must be at least 1")
-    Y = orthonormal_basis(V)
-    xi = subspace_embed_dim(max(V.shape[1], 1), eps, max(A.n_cols, 1))
-    emb = sparse_embedding(xi, A.n_cols, derive_seed(seed, TAG_SUBSPACE_EMBED))
-    P = Y.T @ embed_cols(emb, A)
-    kk = min(k, min(P.shape))
-    top = truncated_svd(P, kk).U
-    return SubspaceSvdResult(Y @ top, Y, top, xi)
 
 
 # -- the sketched four-stage protocol -----------------------------------
@@ -558,9 +537,21 @@ def _fast_residual_masses(params, cluster, parts, C):
     return masses
 
 
-def _fast_finalize(cluster, parts, xi, seed):
+def _fast_finalize(cluster, parts, CT, xi, seed):
+    # C^T A_i once per machine, in c * nnz; a span of sketch rows then sums
+    # the columns the embedding hashes into it, in c * n_i over all spans
     emb = sparse_embedding(xi, cluster.n, seed)
-    return lambda i, lo, hi: embed_cols(emb, parts[i], cluster.col_offsets[i], lo, hi)
+    coeffs_t = cluster.map_machines(
+        lambda i, p: np.ascontiguousarray(dense_times_sparse(CT, parts[i]).T))
+
+    def block(i, lo, hi):
+        a = cluster.col_offsets[i]
+        buckets = emb.buckets[a:a + coeffs_t[i].shape[0]]
+        keep = np.flatnonzero((buckets >= lo) & (buckets < hi))
+        out = np.zeros((hi - lo, coeffs_t[i].shape[1]))
+        np.add.at(out, buckets[keep] - lo, coeffs_t[i][keep] * emb.signs[a + keep, None])
+        return out.T
+    return block
 
 
 _FAST_KERNELS = CssKernels(
@@ -570,6 +561,7 @@ _FAST_KERNELS = CssKernels(
     core_select=lambda params, G, c1: deterministic_css_sparse(
         G, params.k, c1, derive_seed(params.seed, TAG_FAST_CORE)).indices,
     residual_masses=_fast_residual_masses,
+    coefficients=dense_times_sparse,
     finalize=_fast_finalize,
 )
 

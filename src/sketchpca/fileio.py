@@ -113,7 +113,7 @@ def read_matrix_market(path):
                            "coordinate size line must be 'm n nnz'")
         if len(body) - 1 != nnz:
             raise InputError(f"{path}: expected {nnz} entries, found {len(body) - 1}")
-        per_col: list[list[tuple[int, float]]] = [[] for _ in range(n)]
+        rows, cols, vals = [], [], []
         try:
             for p, line in enumerate(body[1:], 1):
                 parts = line.split()
@@ -122,18 +122,24 @@ def read_matrix_market(path):
                 i, j, v = int(parts[0]) - 1, int(parts[1]) - 1, float(parts[2])
                 if not (0 <= i < m and 0 <= j < n):
                     raise InputError(f"{path}: index out of range in line {line!r}")
-                if v != 0.0:
-                    per_col[j].append((i, v))
+                rows.append(i)
+                cols.append(j)
+                vals.append(v)
         except ValueError as exc:
             raise _malformed(path, text, p, line) from exc
-        cols = []
-        for j in range(n):
-            per_col[j].sort(key=lambda t: t[0])
-            rows = [t[0] for t in per_col[j]]
-            if len(set(rows)) != len(rows):
-                raise InputError(f"{path}: duplicate entry in column {j + 1}")
-            cols.append((rows, [t[1] for t in per_col[j]]))
-        return SparseColMatrix.from_columns((m, n), cols)
+        # explicit zeros are dropped; the rest sorted by column, then row
+        vals = np.array(vals, dtype=np.float64)
+        keep = vals != 0.0
+        rows = np.array(rows, dtype=np.int64)[keep]
+        cols = np.array(cols, dtype=np.int64)[keep]
+        order = np.lexsort((rows, cols))
+        rows, cols, vals = rows[order], cols[order], vals[keep][order]
+        dup = (np.diff(cols) == 0) & (np.diff(rows) == 0)
+        if np.any(dup):
+            raise InputError(f"{path}: duplicate entry in column {cols[np.argmax(dup)] + 1}")
+        indptr = np.zeros(n + 1, dtype=np.int64)
+        np.cumsum(np.bincount(cols, minlength=n), out=indptr[1:])
+        return SparseColMatrix((m, n), indptr, rows, vals)
 
     raise InputError(f"{path}: unsupported kind {kind!r}")
 

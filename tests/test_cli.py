@@ -129,6 +129,18 @@ class TestDistCssCommands:
         assert rep["algorithm"] == "dist-css-fast"
         assert rep["ratio"] is not None
 
+    @pytest.mark.parametrize("command", ["dist-css", "dist-css-fast"])
+    def test_report_names_the_finalize_branch(self, capsys, tmp_path, command):
+        h = str(tmp_path / "h.mtx")
+        run_cli(capsys, ["gen", "css-hard", "-k", "1", "--phi", "6", "--output", h])
+        base = [command, "--input", h, "-k", "1", "--eps", "0.5", "--machines", "2",
+                "--seed", "3"]
+        rep = run_json(capsys, base)
+        assert rep["parameters"]["finalize"] == "exact"
+        rep = run_json(capsys, base + ["--const-xi-subspace", "16"])
+        assert rep["parameters"]["finalize"] == "sketch"
+        assert rep["parameters"]["xi"] == 16
+
     def test_oversized_sparse_input_reports_estimated_ratio(self, capsys, tmp_path):
         rng = np.random.default_rng(0)
         m, n = 4000, 3000

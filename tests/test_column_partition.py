@@ -9,11 +9,12 @@ from __future__ import annotations
 import numpy as np
 import pytest
 
-from conftest import best_tail_sq, frob_sq, sparse_columns_block
+from conftest import best_tail_sq, frob_sq, lowrank_plus_noise, sparse_columns_block
 from sketchpca.cluster import Cluster
 from sketchpca.column_partition import CssProtocolParams, distributed_css_pca
+from sketchpca.column_select_sparse import FastCssProtocolParams, distributed_css_pca_fast
 from sketchpca.errors import InputError
-from sketchpca.linalg import residual_ratio, span_residual_sq
+from sketchpca.linalg import best_rank_k_in_colspan, residual_ratio, span_residual_sq
 from sketchpca.sparse import SparseColMatrix
 
 
@@ -127,7 +128,8 @@ class TestAccounting:
         assert res.phase_words["adaptive-meta"] == 2 * cl.s
         assert res.phase_words["global-down"] == cl.s * sum(
             2 * nnz(j) + 1 for j in res.core_indices)
-        assert res.phase_words["subspace-up"] == cl.s * res.c_actual * res.xi
+        assert res.finalize == "exact"
+        assert res.phase_words["subspace-up"] == res.c_actual * cl.n
         assert res.phase_words["u-down"] == cl.s * cl.m * res.rank
         assert res.total_words == sum(res.phase_words.values())
 
@@ -173,3 +175,73 @@ class TestVariantsAndDeterminism:
             _params(k=3, ell=3).resolve()
         with pytest.raises(InputError):
             CssProtocolParams(k=0, eps=1.0, seed=1)
+
+
+# protocol, its params class, and the default sketch size for n columns
+_PROTOCOLS = {
+    "exact": (distributed_css_pca, CssProtocolParams,
+              lambda params, n: params.resolve()[3]),
+    "fast": (distributed_css_pca_fast, FastCssProtocolParams,
+             lambda params, n: params.resolve(n)[3]),
+}
+
+
+def _dense_cluster(seed, m=30, widths=(30, 30, 30, 30), parallel=False):
+    A = lowrank_plus_noise(seed, m, sum(widths), 2, 0.3)
+    bounds = np.cumsum((0,) + widths)
+    return Cluster([A[:, bounds[i]:bounds[i + 1]] for i in range(len(widths))],
+                   kind="column", parallel=parallel)
+
+
+@pytest.mark.parametrize("protocol", sorted(_PROTOCOLS))
+class TestFinalizeBranches:
+    """Stage 4 ships C^T A exactly when n <= s * xi with xi resolved by
+    default, and sketches otherwise or when xi_subspace is given."""
+
+    @pytest.mark.parametrize("data", ["dense", "sparse"])
+    def test_exact_branch_is_the_restricted_optimum(self, protocol, data):
+        run, Params, _ = _PROTOCOLS[protocol]
+        build = _dense_cluster if data == "dense" else _sparse_cluster
+        cl = build(16)
+        k = 2
+        res = run(cl, Params(k=k, eps=1.0, seed=160, c2=6))
+        assert res.finalize == "exact"
+        A = cl.materialize()
+        C = A[:, res.core_indices + res.adaptive_indices]
+        assert np.linalg.matrix_rank(C) < cl.m     # a proper subspace
+        proj = best_rank_k_in_colspan(A, C, k)
+        U = proj.basis @ proj.top
+        assert np.linalg.norm(res.U @ res.U.T - U @ U.T, 2) <= 1e-10
+
+    def test_branch_rule_at_the_boundary(self, protocol):
+        run, Params, default_xi = _PROTOCOLS[protocol]
+        budgets = (dict(k=2, eps=1.0, ell=3, c1=3, c2=2) if protocol == "exact"
+                   else dict(k=2, eps=1.0, c2=0))
+        s = 2
+        # at a width where the fast sizing rule's 2n cap does not bind
+        xi = default_xi(Params(seed=0, **budgets), 10_000)
+        for widths, mode in (((xi, xi), "exact"), ((xi, xi + 1), "sketch")):
+            cl = _sparse_cluster(17, widths=widths)
+            assert default_xi(Params(seed=0, **budgets), cl.n) == xi
+            res = run(cl, Params(seed=170, **budgets))
+            assert (res.finalize, res.xi) == (mode, xi)
+            words = res.c_actual * (cl.n if mode == "exact" else s * xi)
+            assert res.phase_words["subspace-up"] == words
+        # an explicit sketch size sketches, however wide it is
+        for explicit in (xi, s * xi):
+            res = run(_sparse_cluster(17, widths=(xi, xi)),
+                      Params(seed=170, xi_subspace=explicit, **budgets))
+            assert (res.finalize, res.xi) == ("sketch", explicit)
+            assert res.phase_words["subspace-up"] == s * res.c_actual * explicit
+
+    def test_exact_branch_is_bitwise_across_modes(self, protocol):
+        run, Params, _ = _PROTOCOLS[protocol]
+        params = Params(k=2, eps=1.0, seed=180)
+        serial = run(_sparse_cluster(18), params)
+        parallel = run(_sparse_cluster(18, parallel=True), params)
+        replicas = run(_sparse_cluster(18), Params(k=2, eps=1.0, seed=180,
+                                                   per_machine_finalize=True))
+        assert serial.finalize == parallel.finalize == replicas.finalize == "exact"
+        assert serial.U.tobytes() == parallel.U.tobytes() == replicas.U.tobytes()
+        assert serial.phase_words == parallel.phase_words
+        assert replicas.phase_words["subspace-up"] == serial.phase_words["subspace-up"]

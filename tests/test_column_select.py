@@ -15,8 +15,11 @@ import pytest
 
 from conftest import best_tail_sq, frob_sq, rand_matrix, rand_orthonormal
 from sketchpca import column_select as cs
+from sketchpca.cluster import Cluster
+from sketchpca.column_partition import CssProtocolParams, distributed_css_pca
 from sketchpca.errors import InputError
-from sketchpca.linalg import colspan_residual_sq, orthonormal_basis, span_residual_sq, truncated_svd
+from sketchpca.linalg import colspan_residual_sq, orthonormal_basis, span_residual_sq
+from sketchpca.sketches import affine_dim
 
 
 class TestBssSampling:
@@ -195,33 +198,53 @@ class TestSampleProportional:
 
 
 class TestApproxSubspaceSvd:
+    """The column-partition protocol's stage 4: the rank-k basis inside the
+    span of the collected columns C, sketched when xi_subspace is given and
+    exact when the data is no wider than the default sketch."""
+
+    @staticmethod
+    def _run(A, s=2, **params):
+        b = [round(i * A.shape[1] / s) for i in range(s + 1)]
+        cl = Cluster([A[:, b[i]:b[i + 1]] for i in range(s)], kind="column")
+        res = distributed_css_pca(cl, CssProtocolParams(**params))
+        return res, A[:, res.core_indices + res.adaptive_indices]
+
     def test_close_to_restricted_optimum(self):
         k, eps = 3, 0.5
         ratios = []
         for seed in range(15):
             A = rand_matrix(seed, 20, 40)
-            V = A[:, :10]
-            res = cs.approx_subspace_svd(A, V, k, eps, seed=200 + seed)
-            got = frob_sq(A - res.U @ (res.U.T @ A))
-            opt = colspan_residual_sq(A, V, k)
-            ratios.append(got / opt)
+            budgets = dict(k=k, eps=eps, seed=200 + seed, ell=4, c1=4, c2=6)
+            res, C = self._run(A, xi_subspace=affine_dim(10, eps), **budgets)
+            assert res.finalize == "sketch"
+            opt = colspan_residual_sq(A, C, k)
+            ratios.append(frob_sq(A - res.U @ (res.U.T @ A)) / opt)
+            exact, _ = self._run(A, **budgets)
+            assert exact.finalize == "exact"
+            assert frob_sq(A - exact.U @ (exact.U.T @ A)) <= opt * (1 + 1e-10)
         assert float(np.median(ratios)) <= 1 + eps
 
     def test_result_lies_in_span(self):
         A = rand_matrix(31, 15, 25)
-        V = A[:, :6]
-        res = cs.approx_subspace_svd(A, V, 2, 0.5, seed=3)
-        Y = orthonormal_basis(V)
-        assert np.allclose(res.U, Y @ (Y.T @ res.U), atol=1e-9)
-        assert np.allclose(res.U.T @ res.U, np.eye(2), atol=1e-9)
+        for xi in (None, 40):
+            res, C = self._run(A, k=2, eps=0.5, seed=3, ell=3, c1=3, c2=4,
+                               xi_subspace=xi)
+            assert C.shape[1] < 15
+            Y = orthonormal_basis(C)
+            assert np.allclose(res.U, Y @ (Y.T @ res.U), atol=1e-9)
+            assert np.allclose(res.U.T @ res.U, np.eye(2), atol=1e-9)
 
     def test_exact_when_sketch_covers_everything(self):
-        # with V spanning the top-k left space, the restricted optimum is
-        # the true truncation and the sketched answer must land on it
+        # the collected columns span the whole column space, so the
+        # restricted optimum is the true truncation: the exact finalize
+        # lands on it and the sketched one comes close
         A = rand_matrix(32, 12, 18)
         k = 2
-        V = truncated_svd(A, k).U
-        res = cs.approx_subspace_svd(A, V, k, 0.5, seed=4)
+        exact, C = self._run(A, k=k, eps=0.5, seed=4)
+        assert np.linalg.matrix_rank(C) == 12 and exact.finalize == "exact"
+        got = frob_sq(A - exact.U @ (exact.U.T @ A))
+        assert got <= best_tail_sq(A, k) * (1 + 1e-10)
+        res, _ = self._run(A, k=k, eps=0.5, seed=4, xi_subspace=affine_dim(k, 0.5))
         got = frob_sq(A - res.U @ (res.U.T @ A))
         assert got <= best_tail_sq(A, k) * (1 + 0.6)
 

@@ -13,6 +13,7 @@ from conftest import (
 from sketchpca.cluster import Cluster
 from sketchpca.column_select import bss_sampling
 from sketchpca.column_select_sparse import (
+    _FAST_KERNELS,
     TOUCHES,
     TAG_BOOST,
     TAG_BSS_EMBED,
@@ -21,7 +22,6 @@ from sketchpca.column_select_sparse import (
     ResidualOperator,
     _select_top_two_thirds,
     adaptive_cols_sparse,
-    approx_subspace_svd_sparse,
     bss_sampling_sparse,
     dense_times_sparse,
     deterministic_css_sparse,
@@ -542,49 +542,73 @@ class TestAdaptiveColsSparse:
 
 
 class TestApproxSubspaceSvdSparse:
+    """Stage 4 of distributed_css_pca_fast: the rank-k basis inside the span
+    of the collected columns, from C^T A_i formed in one pass over each
+    machine's entries, shipped exactly or bucketed through the embedding."""
+
+    @staticmethod
+    def _run(A, s=2, **params):
+        b = [round(i * A.n_cols / s) for i in range(s + 1)]
+        cl = Cluster([A.take_columns(np.arange(b[i], b[i + 1])) for i in range(s)],
+                     kind="column")
+        return distributed_css_pca_fast(cl, FastCssProtocolParams(**params)), cl
+
     def test_output_lives_in_the_span(self):
         A = sparse_random(1, 20, 30)
-        V = A.to_dense()[:, :6]
-        out = approx_subspace_svd_sparse(A, V, 3, 0.5, 5)
-        assert out.U.shape == (20, 3)
-        assert np.allclose(out.U.T @ out.U, np.eye(3), atol=1e-10)
-        Y = orthonormal_basis(V)
-        assert frob_sq(out.U - Y @ (Y.T @ out.U)) <= 1e-20
+        for xi in (None, 40):
+            res, cl = self._run(A, k=3, eps=0.5, seed=5, ell=4, c2=2, xi_subspace=xi)
+            assert res.finalize == ("exact" if xi is None else "sketch")
+            assert res.U.shape == (20, 3)
+            assert np.allclose(res.U.T @ res.U, np.eye(3), atol=1e-10)
+            C = cl.materialize()[:, res.core_indices + res.adaptive_indices]
+            assert C.shape[1] < 20
+            Y = orthonormal_basis(C)
+            assert frob_sq(res.U - Y @ (Y.T @ res.U)) <= 1e-20
 
     def test_exact_when_the_span_suffices(self):
         rng = np.random.default_rng(2)
         U = rand_orthonormal(3, 18, 2)
         A = U @ rng.standard_normal((2, 24))
-        out = approx_subspace_svd_sparse(SparseColMatrix.from_dense(A), A[:, :4], 2, 0.5, 9)
-        assert frob_sq(A - out.U @ (out.U.T @ A)) <= 1e-12 * frob_sq(A)
+        for xi in (None, 8):
+            res, _ = self._run(SparseColMatrix.from_dense(A), k=2, eps=0.5, seed=9,
+                               xi_subspace=xi)
+            assert frob_sq(A - res.U @ (res.U.T @ A)) <= 1e-12 * frob_sq(A)
 
     def test_xi_uses_the_capped_sizing_rule(self):
-        A = sparse_random(4, 12, 100)
-        V = rand_orthonormal(5, 12, 4)
-        out = approx_subspace_svd_sparse(A, V, 2, 0.5, 1)
-        assert out.xi == 128
-        small = sparse_random(6, 12, 20)
-        assert approx_subspace_svd_sparse(small, rand_orthonormal(7, 12, 4),
-                                          2, 0.5, 1).xi == 40
+        # budgets c1 + c2 = 4 at eps = 1/2: 128 buckets, capped at 2n
+        res, _ = self._run(sparse_random(4, 12, 100), k=1, eps=0.5, seed=1, c2=0)
+        assert res.xi == 128
+        small, _ = self._run(sparse_random(6, 12, 20), k=1, eps=0.5, seed=1, c2=0)
+        assert small.xi == 40
 
     def test_rank_clamp(self):
         A = sparse_random(8, 10, 15)
-        v = A.to_dense()[:, :1]
-        out = approx_subspace_svd_sparse(A, v, 3, 0.5, 2)
-        assert out.U.shape[1] == 1
+        res, _ = self._run(A, k=3, eps=0.5, seed=2, xi_subspace=1)
+        assert res.U.shape[1] == res.rank == 1
+        assert "rank-deficient" in res.flags
 
     def test_touch_count(self):
-        A = sparse_random(9, 10, 12)
+        cl = _sparse_cluster(9, m=10, widths=(12, 12))
+        CT = np.random.default_rng(3).standard_normal((4, 10))
+        for P in cl.parts:
+            TOUCHES.reset()
+            _FAST_KERNELS.coefficients(CT, P)
+            assert TOUCHES.count == P.nnz
         TOUCHES.reset()
-        approx_subspace_svd_sparse(A, rand_orthonormal(1, 10, 2), 2, 0.5, 3)
-        assert TOUCHES.count == A.nnz
+        block = _FAST_KERNELS.finalize(cl, cl.parts, CT, 7, 3)
+        for i in range(cl.s):
+            for lo in range(0, 7, 3):
+                block(i, lo, min(lo + 3, 7))
+        assert TOUCHES.count == sum(P.nnz for P in cl.parts)
 
     def test_validation(self):
-        A = sparse_random(0, 10, 5)
+        cl = _sparse_cluster(0, m=10, widths=(5, 5))
         with pytest.raises(InputError):
-            approx_subspace_svd_sparse(A, np.zeros((9, 2)), 2, 0.5, 0)
+            distributed_css_pca_fast(cl, _params(k=2, xi_subspace=0))
         with pytest.raises(InputError):
-            approx_subspace_svd_sparse(A, np.zeros((10, 2)), 0, 0.5, 0)
+            _FAST_KERNELS.coefficients(np.zeros((2, 9)), cl.parts[0])
+        with pytest.raises(InputError):
+            _params(k=0)
 
 
 def _sparse_cluster(seed, m=30, widths=(30, 30, 30, 30), phi=8, parallel=False):
@@ -632,7 +656,8 @@ class TestFastProtocol:
         res = distributed_css_pca_fast(cl, _params(k=2, seed=200))
         s = 4
         assert res.phase_words["adaptive-meta"] == 2 * s
-        assert res.phase_words["subspace-up"] == s * res.c_actual * res.xi
+        assert res.finalize == "exact"
+        assert res.phase_words["subspace-up"] == res.c_actual * cl.n
         assert res.phase_words["u-down"] == s * 30 * res.rank
         assert res.total_words == sum(res.phase_words.values())
 
@@ -843,3 +868,29 @@ class TestFastProtocolBlockedFinalize:
         assert rs.phase_words == rp.phase_words
         assert rs.total_words == rp.total_words
         assert rs.phase_words["subspace-up"] == 4 * rs.c_actual * xi
+
+
+class TestFastFinalizeSketch:
+    def test_blocks_match_the_embedded_product(self):
+        cl = _sparse_cluster(15)
+        CT = np.random.default_rng(4).standard_normal((9, 30))
+        xi, seed = 70, 5
+        emb = sparse_embedding(xi, cl.n, seed)
+        block = _FAST_KERNELS.finalize(cl, cl.parts, CT, xi, seed)
+        for i in range(cl.s):
+            for lo, hi in ((0, 70), (0, 32), (32, 64), (64, 70), (10, 10)):
+                ref = CT @ embed_cols(emb, cl.parts[i], cl.col_offsets[i], lo, hi)
+                got = block(i, lo, hi)
+                assert got.shape == ref.shape == (9, hi - lo)
+                assert np.linalg.norm(got - ref) <= 1e-12 * np.linalg.norm(ref)
+
+    @pytest.mark.parametrize("xi", [None, 60, 1100])
+    @pytest.mark.parametrize("parallel", [False, True])
+    def test_protocol_touches_are_pinned(self, xi, parallel):
+        # the same count on both finalize branches: stage 4 touches every
+        # stored entry once, as the embedded sketch did
+        cl = _sparse_cluster(1, parallel=parallel)
+        TOUCHES.reset()
+        res = distributed_css_pca_fast(cl, _params(k=2, seed=200, xi_subspace=xi))
+        assert res.finalize == ("exact" if xi is None else "sketch")
+        assert TOUCHES.count == 12744

@@ -6,6 +6,9 @@ float64 bits, because downstream protocols are tested bitwise.
 
 from __future__ import annotations
 
+import time
+import tracemalloc
+
 import numpy as np
 import pytest
 from hypothesis import HealthCheck, given, settings
@@ -183,6 +186,57 @@ class TestMatrixMarket:
         fileio.write_matrix_market(p, A)
         vals = [line for line in p.read_text().splitlines()[2:]]
         assert [float(v) for v in vals] == [1.0, 2.0, 3.0, 4.0]
+
+
+def _storage(A: SparseColMatrix) -> tuple:
+    return A.shape, A.indptr.tobytes(), A.indices.tobytes(), A.data.tobytes()
+
+
+class TestCoordinateReader:
+    """The coordinate body is read into entry arrays, sorted by (column,
+    row); the declared width costs only the column index."""
+
+    def test_a_huge_declared_width_reads_fast_and_small(self, tmp_path):
+        p = tmp_path / "wide.mtx"
+        p.write_text("%%MatrixMarket matrix coordinate real general\n1 2000000 0\n")
+        assert p.stat().st_size == 58
+        tracemalloc.start()
+        try:
+            start = time.perf_counter()
+            A = fileio.read_matrix_market(p)
+            elapsed = time.perf_counter() - start
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert A.shape == (1, 2000000) and A.nnz == 0
+        assert elapsed < 2.0
+        assert peak < 64 * 2**20
+
+    def test_duplicates_name_the_lowest_column(self, tmp_path):
+        p = tmp_path / "dup.mtx"
+        p.write_text("%%MatrixMarket matrix coordinate real general\n3 4 5\n"
+                     "2 4 1.0\n1 1 3.0\n2 4 2.0\n3 2 1.0\n3 2 -1.0\n")
+        with pytest.raises(InputError, match="duplicate entry in column 2$"):
+            fileio.read_matrix_market(p)
+
+    @given(seed=st.integers(0, 2**16), zeros=st.integers(0, 3))
+    @settings(max_examples=60, deadline=None,
+              suppress_health_check=[HealthCheck.function_scoped_fixture])
+    def test_entry_order_and_explicit_zeros_leave_the_bits(self, tmp_path, seed, zeros):
+        rng = np.random.default_rng(seed)
+        m, n = (int(v) for v in rng.integers(1, 7, size=2))
+        S = _random_sparse(seed, m, n, density=0.5)
+        p = tmp_path / "ordered.mtx"
+        fileio.write_matrix_market(p, S)
+        head, size, *entries = p.read_text().splitlines()
+        entries += [f"{rng.integers(m) + 1} {rng.integers(n) + 1} {z}"
+                    for z in ("0", "-0.0", "0e5")[:zeros]]
+        shuffled = [entries[t] for t in rng.permutation(len(entries))]
+        q = tmp_path / "shuffled.mtx"
+        q.write_text("\n".join([head, f"{m} {n} {len(entries)}"] + shuffled) + "\n")
+        ordered = fileio.read_matrix_market(p)
+        assert _storage(ordered) == _storage(S)
+        assert _storage(fileio.read_matrix_market(q)) == _storage(S)
 
 
 class TestStreamFiles:
