@@ -20,10 +20,14 @@ Four stages:
    no wider than the sketch would be (n <= s * xi, with xi resolved by
    default), every machine ships its block C^T A_i exactly, c * n_i words,
    and the server concatenates them: the basis is the exact optimum in
-   span(C), and c * n <= s * c * xi keeps the paper's bound.  Otherwise,
-   and whenever xi_subspace is given, a shared seeded sketch S turns one
-   pass over the blocks into the sum of C^T A_i S_i^T, which machines send
-   in blocks of sketch rows, so no machine's whole product is ever built.
+   span(C), and c * n <= s * c * xi keeps the paper's bound.  With a
+   per-machine finalize the server's r x n matrix (r = rank C) then goes
+   to all s machines, so the rule becomes n * (c + s * r) <= xi * (s * c +
+   s * r): the exact branch never ships more words than the sketch.
+   Otherwise, and whenever xi_subspace is given, a shared seeded sketch S
+   turns one pass over the blocks into the sum of C^T A_i S_i^T, which
+   machines send in blocks of sketch rows, so no machine's whole product is
+   ever built.
 
 run_css_protocol is the one driver of these stages.  What differs between
 variants is a CssKernels bundle: this module's exact kernels (dense SVD,
@@ -140,8 +144,8 @@ class CssKernels:
     indices of a block wider than ell; core_select(params, G, c1) -> c1
     positions in G; residual_masses(params, cluster, parts, C) -> each
     block's per-column residual mass off span(C); coefficients(CT, P) ->
-    CT @ P for a block P; finalize(cluster, parts, CT, xi, seed) ->
-    fn(i, lo, hi), sketch-row columns lo..hi-1 of CT @ A_i @ S_i^T.
+    CT @ P for a block P; finalize(cluster, parts, xi, seed) ->
+    fn(i, lo, hi), sketch-row columns lo..hi-1 of A_i S_i^T.
     """
 
     resolve: Callable
@@ -222,11 +226,17 @@ def run_css_protocol(cluster: Cluster, params, kernels: CssKernels) -> CssPcaRes
     cluster.record_broadcast("span-down", _cols_words(new_cols))
     C_full = np.hstack([C, new_cols])
 
-    # stage 4: the coefficients C^T A, exact when the data is no wider than
-    # the sketch, else through one pass of a shared seeded sketch
+    # stage 4: the coefficients C^T A, shipped exactly when that costs no
+    # more words than the sketch, else through one pass of a shared seeded
+    # sketch.  Per column of the shipped matrix (n exact, xi sketched) the
+    # uplink is c words exact and s * c sketched, and a per-machine
+    # finalize sends r = rank C more words to each of the s machines.
     c_actual = C_full.shape[1]
     CT = C_full.T
-    if params.xi_subspace is None and cluster.n <= s * xi:
+    Y = orthonormal_basis(C_full)
+    down = s * Y.shape[1] if params.per_machine_finalize else 0
+    if (params.xi_subspace is None
+            and cluster.n * (c_actual + down) <= xi * (s * c_actual + down)):
         finalize = "exact"
         coeffs = cluster.map_machines(lambda i, p: kernels.coefficients(CT, parts[i]))
         cluster.record_gather("subspace-up", [b.size for b in coeffs])
@@ -234,12 +244,10 @@ def run_css_protocol(cluster: Cluster, params, kernels: CssKernels) -> CssPcaRes
         del coeffs
     else:
         finalize = "sketch"
-        sketch = kernels.finalize(cluster, parts, CT, xi,
-                                  derive_seed(params.seed, TAG_CSS_SUBSPACE))
+        sketch = kernels.finalize(cluster, parts, xi, derive_seed(params.seed, TAG_CSS_SUBSPACE))
         Xi_raw = cluster.gather_sum_blocks(
-            "subspace-up", lambda i, p, lo, hi: sketch(i, lo, hi),
+            "subspace-up", lambda i, p, lo, hi: CT @ sketch(i, lo, hi),
             xi, _FINALIZE_BLOCK, c_actual * xi)
-    Y = orthonormal_basis(C_full)
     Gmat = Y.T @ C_full
     Xi = pinv(Gmat.T) @ Xi_raw
     del Xi_raw      # freed before the SVD, so the solve's heap does not grow
@@ -285,12 +293,12 @@ def _exact_residual_masses(params, cluster, parts, C):
     return masses
 
 
-def _exact_finalize(cluster, parts, CT, xi, seed):
+def _exact_finalize(cluster, parts, xi, seed):
     W = sign_sketch(xi, cluster.n, seed, scale=1.0)
 
     def block(i, lo, hi):
         a, b = cluster.col_offsets[i], cluster.col_offsets[i + 1]
-        return CT @ (parts[i] @ W.materialize_cols(np.arange(a, b), lo, hi).T)
+        return parts[i] @ W.materialize_cols(np.arange(a, b), lo, hi).T
     return block
 
 

@@ -537,21 +537,9 @@ def _fast_residual_masses(params, cluster, parts, C):
     return masses
 
 
-def _fast_finalize(cluster, parts, CT, xi, seed):
-    # C^T A_i once per machine, in c * nnz; a span of sketch rows then sums
-    # the columns the embedding hashes into it, in c * n_i over all spans
+def _fast_finalize(cluster, parts, xi, seed):
     emb = sparse_embedding(xi, cluster.n, seed)
-    coeffs_t = cluster.map_machines(
-        lambda i, p: np.ascontiguousarray(dense_times_sparse(CT, parts[i]).T))
-
-    def block(i, lo, hi):
-        a = cluster.col_offsets[i]
-        buckets = emb.buckets[a:a + coeffs_t[i].shape[0]]
-        keep = np.flatnonzero((buckets >= lo) & (buckets < hi))
-        out = np.zeros((hi - lo, coeffs_t[i].shape[1]))
-        np.add.at(out, buckets[keep] - lo, coeffs_t[i][keep] * emb.signs[a + keep, None])
-        return out.T
-    return block
+    return lambda i, lo, hi: embed_cols(emb, parts[i], cluster.col_offsets[i], lo, hi)
 
 
 _FAST_KERNELS = CssKernels(

@@ -196,7 +196,8 @@ def _dense_cluster(seed, m=30, widths=(30, 30, 30, 30), parallel=False):
 @pytest.mark.parametrize("protocol", sorted(_PROTOCOLS))
 class TestFinalizeBranches:
     """Stage 4 ships C^T A exactly when n <= s * xi with xi resolved by
-    default, and sketches otherwise or when xi_subspace is given."""
+    default (with a per-machine finalize, when that ships no more words in
+    all), and sketches otherwise or when xi_subspace is given."""
 
     @pytest.mark.parametrize("data", ["dense", "sparse"])
     def test_exact_branch_is_the_restricted_optimum(self, protocol, data):
@@ -233,6 +234,38 @@ class TestFinalizeBranches:
                       Params(seed=170, xi_subspace=explicit, **budgets))
             assert (res.finalize, res.xi) == ("sketch", explicit)
             assert res.phase_words["subspace-up"] == s * res.c_actual * explicit
+
+    def test_per_machine_rule_counts_the_broadcast(self, protocol):
+        # exact: c * n up and r * n down to each machine; sketch: s * c * xi
+        # up and r * xi down.  With r = c and s = 2 the exact branch ships no
+        # more words while 3n <= 4 xi.
+        run, Params, default_xi = _PROTOCOLS[protocol]
+        budgets = (dict(k=2, eps=1.0, ell=3, c1=3, c2=2) if protocol == "exact"
+                   else dict(k=2, eps=1.0, c2=0))
+        s = 2
+        xi = default_xi(Params(seed=0, **budgets), 10_000)
+        n = 4 * xi // 3
+        assert 3 * n <= 4 * xi < 3 * (n + 1) and n <= s * xi
+        words = {}
+        for width, xi_subspace, mode in ((n, None, "exact"), (n + 1, None, "sketch"),
+                                         (n, xi, "sketch")):
+            widths = (width // 2, width - width // 2)
+            cl = _sparse_cluster(19, widths=widths)
+            assert default_xi(Params(seed=0, **budgets), cl.n) == xi
+            res = run(cl, Params(seed=190, per_machine_finalize=True,
+                                 xi_subspace=xi_subspace, **budgets))
+            C = cl.materialize()[:, res.core_indices + res.adaptive_indices]
+            c, r = res.c_actual, np.linalg.matrix_rank(C)
+            assert c == r
+            assert (res.finalize, res.xi) == (mode, xi)
+            shipped = width if mode == "exact" else xi
+            up = res.c_actual * (width if mode == "exact" else s * xi)
+            assert res.phase_words["subspace-up"] == up
+            assert res.phase_words["xi-down"] == s * r * shipped
+            assert "u-down" not in res.phase_words
+            words[width, mode] = up + res.phase_words["xi-down"]
+        # at the same width the exact branch ships no more than the sketch
+        assert words[n, "exact"] <= words[n, "sketch"]
 
     def test_exact_branch_is_bitwise_across_modes(self, protocol):
         run, Params, _ = _PROTOCOLS[protocol]
