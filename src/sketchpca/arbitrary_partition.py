@@ -122,17 +122,15 @@ def _run_probe(cluster: Cluster, k: int, probe_seed: int) -> _Probe:
     return _Probe(r == 2 * k, r, Hl, Hrt)
 
 
-def rank_test(cluster: Cluster, k: int, seed: int, delta: float = 1e-3) -> bool:
+def rank_test(cluster: Cluster, k: int, seed: int) -> bool:
     """Decide whether rank(A) >= 2k from one 2k x 2k sketched moment.
 
-    delta is the nominal failure probability knob; the fixed-size probe,
-    which fails only on a measure-zero set of inputs for a random seed, does
-    not consume it.  Communication: s * (4k^2 + 2) words.
+    This is the probe distributed_pca_arbitrary runs first, on its own.  It
+    fails only on a measure-zero set of inputs for a random seed, so it takes
+    no failure probability.  Communication: s * (4k^2 + 2) words.
     """
     if k < 1:
         raise InputError("k must be at least 1")
-    if not 0.0 < delta < 1.0:
-        raise InputError("delta must be in (0, 1)")
     return _run_probe(cluster, k, derive_seed(seed, TAG_RANK_TEST)).full
 
 
@@ -266,6 +264,8 @@ def distributed_pca_arbitrary(cluster: Cluster, params: ArbProtocolParams) -> Ar
     """
     if cluster.kind != "arbitrary":
         raise InputError("this protocol needs an arbitrary additive partition")
+    if cluster.ledger.messages:
+        raise InputError("cluster has already run a protocol; use a new Cluster per run")
     probe = _run_probe(cluster, params.k, derive_seed(params.seed, TAG_RANK_TEST))
     if probe.full:
         result = smoothed_protocol(cluster, params)

@@ -76,6 +76,7 @@ from .streaming import (
     TurnstileSketchState,
     one_pass_factorization,
     one_pass_pca,
+    stream_matrix,
     two_pass_pca,
 )
 
@@ -199,14 +200,6 @@ def _read_widths(path: str, n: int, machines: int | None) -> list[int]:
     return widths
 
 
-def _dense_from_updates(m: int, n: int, updates) -> np.ndarray:
-    """The m x n matrix a turnstile stream sums to, added in arrival order."""
-    A = np.zeros((m, n))
-    for i, j, x in updates:
-        A[i, j] += x
-    return A
-
-
 def _load_dense(args) -> np.ndarray:
     A = read_matrix_market(args.input)
     if isinstance(A, SparseColMatrix):
@@ -231,7 +224,7 @@ def _load_column_split(args) -> tuple:
 def _load_stream(args) -> tuple:
     """((m, n), updates, A), where A is None past MATERIALIZE_LIMIT."""
     (m, n), updates = read_stream_file(args.input)
-    A = _dense_from_updates(m, n, updates) if m * n <= MATERIALIZE_LIMIT else None
+    A = stream_matrix(updates, m, n) if m * n <= MATERIALIZE_LIMIT else None
     return (m, n), updates, A
 
 
@@ -545,7 +538,7 @@ def _invariant_battery() -> list[tuple[str, "callable"]]:
         ups = [(int(rng.integers(8)), int(rng.integers(9)), float(rng.standard_normal()))
                for _ in range(80)]
         st = TurnstileSketchState(8, 9, 2, 0.5, 6).consume(ups)
-        A = _dense_from_updates(8, 9, ups)
+        A = stream_matrix(ups, 8, 9)
         want = st.T_left @ A @ st.T_right
         assert np.linalg.norm(st.M - want) <= 1e-10 * np.linalg.norm(want)
 
@@ -565,7 +558,7 @@ def _invariant_battery() -> list[tuple[str, "callable"]]:
         ups = [(int(rng.integers(8)), int(rng.integers(10)), float(rng.standard_normal()))
                for _ in range(60)]
         res = two_pass_pca(ups, 8, 10, 2, 0.5, 11)
-        A = _dense_from_updates(8, 10, ups)
+        A = stream_matrix(ups, 8, 10)
         direct = distributed_pca_arbitrary(Cluster([A], kind="arbitrary"),
                                            ArbProtocolParams(k=2, eps=0.5, seed=11))
         assert res.U.tobytes() == direct.U.tobytes()

@@ -161,26 +161,19 @@ class Cluster:
         and send in column blocks.
 
         fn(i, part, lo, hi) is machine i's columns lo..hi-1; block is the
-        width of every block but the last.  Serial mode goes block by block,
-        summing all machines' pieces into the result before the next block,
-        so no machine's whole array exists and the working set stays the
-        size of one block.  Parallel mode has every machine build its whole
-        array from the same blocks and sums those with gather_sum.  Either
-        way every entry is ((a_0 + a_1) + a_2) + ... in machine order, the
-        sum gather_sum forms.
+        width of every block but the last.  The machines compute one block
+        (through map_machines, so in parallel when the cluster is) and its
+        pieces are summed into the result before the next block, so no
+        machine's whole array exists and the working set stays the size of
+        one block per machine.  Every entry is ((a_0 + a_1) + a_2) + ... in
+        machine order, the sum gather_sum forms.
         """
         if block < 1:
             raise InputError("column block width must be positive")
         bounds = [(lo, min(lo + block, n_cols)) for lo in range(0, n_cols, block)]
-        bounds = bounds or [(0, 0)]
-        if self.parallel and self.s > 1:
-            return self.gather_sum(phase, self.map_machines(
-                lambda i, p: np.hstack([fn(i, p, lo, hi) for lo, hi in bounds])),
-                words_each)
         total = None
-        for lo, hi in bounds:
-            for i, p in enumerate(self.parts):
-                a = fn(i, p, lo, hi)
+        for lo, hi in bounds or [(0, 0)]:
+            for i, a in enumerate(self.map_machines(lambda i, p: fn(i, p, lo, hi))):
                 if total is None:
                     total = np.empty((a.shape[0], n_cols), dtype=a.dtype)
                 if a.shape != (total.shape[0], hi - lo) or a.dtype != total.dtype:

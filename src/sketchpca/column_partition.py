@@ -161,6 +161,8 @@ def run_css_protocol(cluster: Cluster, params, kernels: CssKernels) -> CssPcaRes
     """The four stages on a column partition, with the given kernels."""
     if cluster.kind != "column":
         raise InputError("this protocol needs a column partition")
+    if cluster.ledger.messages:
+        raise InputError("cluster has already run a protocol; use a new Cluster per run")
     k = params.k
     ell, c1, c2, xi = kernels.resolve(params, cluster)
     s, m = cluster.s, cluster.m

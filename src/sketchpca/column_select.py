@@ -226,10 +226,10 @@ def adaptive_cols(A, V, c2: int, beta: float, seed: int) -> AdaptiveSample:
     """Sample c2 column indices of A proportional to residual mass after
     projecting out span(V).
 
-    beta is an oversampling knob kept for interface parity with the
-    sketched variant; the exact version computes true probabilities, so it
-    only needs validating.  A residual that is identically zero yields an
-    empty draw with the empty flag set.
+    beta is the oversampling knob of the sampler's published signature,
+    which the acceptance contract calls; with true probabilities it only
+    needs validating.  A residual that is identically zero yields an empty
+    draw with the empty flag set.
     """
     A = as_matrix(A, "A")
     V = as_matrix(V, "V")

@@ -28,13 +28,7 @@ import numpy as np
 
 from .cluster import Cluster
 from .column_partition import CssKernels, CssPcaResult, run_css_protocol
-from .column_select import (
-    AdaptiveSample,
-    CssResult,
-    SamplingMatrix,
-    bss_sampling,
-    sample_proportional,
-)
+from .column_select import CssResult, SamplingMatrix, bss_sampling
 from .errors import InputError, InternalError
 from .linalg import as_matrix, orthonormal_basis, qr, truncated_svd
 from .sketches import (
@@ -53,7 +47,6 @@ TAG_BOOST_SCORE = "svd-boost-score"
 TAG_BSS_EMBED = "bss-embed"
 TAG_FAST_CSS_SVD = "fast-css-svd"
 TAG_FAST_CSS_BSS = "fast-css-bss"
-TAG_ADAPTIVE_JLT = "adaptive-jlt"
 TAG_FAST_LOCAL_SVD = "fast-local-svd"
 TAG_FAST_LOCAL_BSS = "fast-local-bss"
 TAG_FAST_CORE = "fast-core"
@@ -90,8 +83,7 @@ class FastParams:
     """Budgets shared by the sketched kernels, derived from (k, eps, delta).
 
     repeats is the candidate count for the boosting wrappers, embed_xi the
-    bucket count of the column embeddings, jlt_beta the failure exponent of
-    the scoring JL map.
+    bucket count of the column embeddings.
     """
 
     k: int
@@ -99,7 +91,6 @@ class FastParams:
     delta: float
     repeats: int = field(init=False)
     embed_xi: int = field(init=False)
-    jlt_beta: float = field(init=False)
 
     def __post_init__(self):
         if self.k < 1:
@@ -111,7 +102,6 @@ class FastParams:
         object.__setattr__(
             self, "repeats", max(1, math.ceil(math.log2(1.0 / self.delta)) + 1))
         object.__setattr__(self, "embed_xi", embedding_dim(self.k, self.eps))
-        object.__setattr__(self, "jlt_beta", 1.0)
 
 
 def subspace_embed_dim(c: int, eps: float, n: int) -> int:
@@ -319,8 +309,7 @@ def sparse_svd_boosting(A, k: int, eps: float, delta: float, seed: int) -> np.nd
         sparse_svd(A, k, eps, derive_seed(derive_seed(seed, TAG_BOOST), i))
         for i in range(params.repeats)
     ]
-    S = jlt_sketch(max(A.n_cols, 1), A.n_rows,
-                   derive_seed(seed, TAG_BOOST_SCORE), params.jlt_beta)
+    S = jlt_sketch(max(A.n_cols, 1), A.n_rows, derive_seed(seed, TAG_BOOST_SCORE))
     SA = dense_times_sparse(S.materialize(), A)
     scores = [float(np.sum((SA - (SA @ Z) @ Z.T) ** 2)) for Z in cands]
     return cands[int(np.argmin(scores))]
@@ -425,39 +414,6 @@ def deterministic_css_sparse(G, k: int, c: int, seed: int) -> CssResult:
         Z, ResidualOperator(G, Z), c, _CSS_SPARSE_EPS, _CSS_SPARSE_DELTA,
         derive_seed(seed, TAG_FAST_CSS_BSS))
     return CssResult(S.indices, G.take_columns(S.indices).to_dense(), S)
-
-
-# -- sketched adaptive sampling -----------------------------------------
-
-
-def adaptive_cols_sparse(A, V, c2: int, beta: float, seed: int) -> AdaptiveSample:
-    """Residual-proportional column sampling with the residual norms read
-    off a sign JL sketch instead of the dense residual.
-
-    beta plays the same interface role as in the exact version; the
-    probabilities are exact with respect to the sketched residual.
-    """
-    A = _as_sparse(A)
-    V = as_matrix(V, "V")
-    if V.shape[0] != A.n_rows:
-        raise InputError("V must have the same number of rows as A")
-    if beta <= 0:
-        raise InputError("beta must be positive")
-    S = jlt_sketch(max(A.n_cols, 1), A.n_rows,
-                   derive_seed(seed, TAG_ADAPTIVE_JLT))
-    Smat = S.materialize()
-    SA = dense_times_sparse(Smat, A)
-    Y = orthonormal_basis(V)
-    coeff = dense_times_sparse(Y.T, A)
-    sketched = SA - (Smat @ Y) @ coeff
-    mass = np.sum(sketched * sketched, axis=0)
-    total = float(mass.sum())
-    scale = max(1.0, A.frob_sq())
-    if total <= 1e-24 * scale:
-        return AdaptiveSample(np.zeros(0, dtype=np.int64), np.zeros(A.n_cols), True)
-    probs = mass / total
-    idx = sample_proportional(mass, c2, seed)
-    return AdaptiveSample(idx, probs, False)
 
 
 # -- the sketched four-stage protocol -----------------------------------

@@ -61,12 +61,6 @@ class HardDenseSpec:
             return float(self.wall)
         return float(self.s * self.k * self.m) ** 3
 
-    @property
-    def delta(self) -> float:
-        """Packing distance of the subspace family the instance is drawn
-        from; not used by the generator itself, recorded for analysis."""
-        return 1.0 / (self.s * self.k * self.m)
-
 
 def gen_dense_hard(spec: HardDenseSpec, seed: int) -> Cluster:
     """Column-partitioned cluster whose signal sits on machine 1 only.

@@ -3,8 +3,8 @@
 Thin wrappers around ``numpy.linalg`` that pin down everything the protocols
 rely on for reproducibility: a fixed sign convention for singular vectors, QR
 with a nonnegative R diagonal, explicit numeric-rank tolerances, restricted
-rank-k projections onto a given column or row span, and the rank-constrained
-affine solver used by every "sketch then solve small" step.
+rank-k projections onto a given column span, and the rank-constrained affine
+solver used by every "sketch then solve small" step.
 
 All public routines accept and return float64 arrays.  Empty dimensions are
 legal everywhere; a 0-column factor is the canonical degenerate basis.
@@ -198,7 +198,7 @@ class SpanProjection(NamedTuple):
     """Pieces of the best rank-k approximation restricted to a given span.
 
     basis:    orthonormal columns spanning the candidate space
-    coeffs:   basis.T @ A (or A @ basis for row spans)
+    coeffs:   basis.T @ A
     top:      top-k left singular vectors of coeffs
     """
 
@@ -208,10 +208,6 @@ class SpanProjection(NamedTuple):
 
     def matrix_colspan(self) -> np.ndarray:
         return self.basis @ (self.top @ (self.top.T @ self.coeffs))
-
-    def matrix_rowspan(self) -> np.ndarray:
-        # coeffs here is A @ basis, with top the top right factor of coeffs
-        return (self.coeffs @ self.top) @ self.top.T @ self.basis.T
 
 
 def best_rank_k_in_colspan(A, V, k: int) -> SpanProjection:
@@ -231,21 +227,6 @@ def best_rank_k_in_colspan(A, V, k: int) -> SpanProjection:
     P = Y.T @ A
     kk = min(k, min(P.shape))
     Delta = truncated_svd(P, kk).U
-    return SpanProjection(Y, P, Delta)
-
-
-def best_rank_k_in_rowspan(A, R, k: int) -> SpanProjection:
-    """Row-space twin of best_rank_k_in_colspan; R supplies candidate rows."""
-    A = as_matrix(A, "A")
-    R = as_matrix(R, "R")
-    if R.shape[1] != A.shape[1]:
-        raise InputError("R must have the same number of columns as A")
-    if k < 0:
-        raise InputError("k must be nonnegative")
-    Y = orthonormal_basis(R.T)
-    P = A @ Y
-    kk = min(k, min(P.shape))
-    Delta = truncated_svd(P.T, kk).U
     return SpanProjection(Y, P, Delta)
 
 

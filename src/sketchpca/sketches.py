@@ -18,8 +18,8 @@ Families:
 * sparse embeddings (one nonzero per column): input-sparsity-time maps;
 * Johnson-Lindenstrauss maps for norm scoring of a bounded candidate set.
 
-Sizing helpers give the default sketch dimensions; each takes a ``const``
-override so callers can trade constants for accuracy.
+Sizing helpers give the default sketch dimensions from fixed constants;
+callers that want another size pass an explicit dimension instead.
 """
 
 from __future__ import annotations
@@ -118,36 +118,37 @@ def _sign_grid(seed: int, lo: int, hi: int, cols: np.ndarray, scale: float) -> n
 # -- sizing ------------------------------------------------------------
 
 
-def dense_pca_dim(k: int, eps: float, const: float = 4.0) -> int:
+def dense_pca_dim(k: int, eps: float) -> int:
     """Rows of a dense sign sketch for rank-k PCA at accuracy eps."""
     _check_size_args(k, eps)
-    return max(1, math.ceil(const * k / eps**2))
+    return max(1, math.ceil(4.0 * k / eps**2))
 
 
-def regression_dim(k: int, eps: float, const: float = 10.0) -> int:
+def regression_dim(k: int, eps: float) -> int:
     """Rows of a sign sketch good enough for sketched regression."""
     _check_size_args(k, eps)
-    return max(1, math.ceil(const * k / eps))
+    return max(1, math.ceil(10.0 * k / eps))
 
 
-def affine_dim(r: int, eps: float, const: float = 8.0) -> int:
+def affine_dim(r: int, eps: float) -> int:
     """Rows of an SRHT affine embedding for an r-dimensional subspace."""
     _check_size_args(r, eps)
-    return max(1, math.ceil(const * r / eps**2))
+    return max(1, math.ceil(8.0 * r / eps**2))
 
 
-def embedding_dim(k: int, eps: float, const: float = 2.0) -> int:
+def embedding_dim(k: int, eps: float) -> int:
     """Rows of a sparse embedding (one nonzero per column) for rank k."""
     _check_size_args(k, eps)
-    return max(1, math.ceil(const * k * k / eps**2))
+    return max(1, math.ceil(2.0 * k * k / eps**2))
 
 
-def jlt_rows(n_points: int, beta: float = 1.0, const: float = 8.0) -> int:
+def jlt_rows(n_points: int) -> int:
     """Rows of a JL map preserving n_points squared norms to a fixed factor
-    with failure probability n_points ** (-beta)."""
+    with failure probability 1 / n_points: (4 + 2 beta) * 8 * ln(n_points)
+    at failure exponent beta = 1."""
     if n_points < 1:
         raise InputError("n_points must be positive")
-    return max(1, math.ceil((4.0 + 2.0 * beta) * const * math.log(max(n_points, 2))))
+    return max(1, math.ceil(48.0 * math.log(max(n_points, 2))))
 
 
 def _check_size_args(k: int, eps: float) -> None:
@@ -333,8 +334,7 @@ def sparse_embedding(xi: int, n: int, seed: int) -> SparseEmbedding:
 # -- Johnson-Lindenstrauss ---------------------------------------------
 
 
-def jlt_sketch(n_points: int, n: int, seed: int, beta: float = 1.0,
-               const: float = 8.0) -> SignSketch:
-    """Sign JL map with rows chosen for n_points vectors at failure n^-beta."""
-    r = jlt_rows(n_points, beta, const)
+def jlt_sketch(n_points: int, n: int, seed: int) -> SignSketch:
+    """Sign JL map with rows chosen for n_points vectors at failure 1 / n_points."""
+    r = jlt_rows(n_points)
     return SignSketch(r, n, seed, 1.0 / math.sqrt(r))

@@ -109,12 +109,6 @@ class SparseColMatrix:
             raise InputError(f"column {j} out of range")
         return int(self.indptr[j + 1] - self.indptr[j])
 
-    @property
-    def max_col_nnz(self) -> int:
-        if self.n_cols == 0:
-            return 0
-        return int(np.diff(self.indptr).max())
-
     def col_sqnorms(self) -> np.ndarray:
         out = np.zeros(self.n_cols)
         sq = self.data ** 2
@@ -143,17 +137,6 @@ class SparseColMatrix:
         pos = np.repeat(starts - indptr[:-1], counts) + np.arange(indptr[-1])
         return SparseColMatrix((self.n_rows, idx.size), indptr,
                                self.indices[pos], self.data[pos])
-
-    def upload_words(self, idx=None) -> int:
-        """Words to ship columns as (length, then index-value pairs): 2*nnz + 1 each."""
-        counts = np.diff(self.indptr)
-        if idx is not None:
-            idx = np.asarray(idx, dtype=np.int64)
-            out = (idx < 0) | (idx >= self.n_cols)
-            if np.any(out):
-                raise InputError(f"column {idx[np.argmax(out)]} out of range")
-            counts = counts[idx]
-        return int(np.sum(2 * counts + 1))
 
     def __repr__(self) -> str:
         return f"SparseColMatrix(shape=({self.n_rows}, {self.n_cols}), nnz={self.nnz})"

@@ -229,9 +229,9 @@ def _replay(source):
     return source() if callable(source) else iter(source)
 
 
-def _materialize_pass(source, m: int, n: int):
-    """One full pass: rebuild the implied matrix, fingerprint the sequence."""
-    A = np.zeros((m, n))
+def _walk(source, m: int, n: int, A: np.ndarray | None = None):
+    """One validated pass: fingerprint the sequence and, when A is given,
+    add every increment into it in arrival order.  Returns (digest, count)."""
     digest = hashlib.blake2b(digest_size=16)
     count = 0
     for i, j, x in _replay(source):
@@ -241,10 +241,18 @@ def _materialize_pass(source, m: int, n: int):
         x = float(x)
         if not math.isfinite(x):
             raise InputError("update increment must be finite")
-        A[i, j] += x
+        if A is not None:
+            A[i, j] += x
         digest.update(struct.pack("<qqd", i, j, x))
         count += 1
-    return A, digest.digest(), count
+    return digest.digest(), count
+
+
+def stream_matrix(updates, m: int, n: int) -> np.ndarray:
+    """The m x n matrix a turnstile stream sums to, added in arrival order."""
+    A = np.zeros((m, n))
+    _walk(updates, m, n, A)
+    return A
 
 
 def two_pass_pca(source, m: int, n: int, k: int, eps: float, seed: int, *,
@@ -253,21 +261,22 @@ def two_pass_pca(source, m: int, n: int, k: int, eps: float, seed: int, *,
     """Two replays of the stream, then the arbitrary-partition protocol on
     the rebuilt matrix as a one-machine cluster.
 
-    The second pass re-derives the matrix and a sequence fingerprint; any
-    difference between passes raises StreamReplayError.  Because the
-    protocol runs on identical bits, the branch decision and the output U
-    match the distributed run exactly, which is the contract callers rely
-    on.  source is an iterable replayed by re-iteration, or a zero-argument
-    callable returning a fresh iterator per pass.
+    The first pass rebuilds the matrix and fingerprints the sequence; the
+    second only fingerprints it, and any difference between the passes
+    raises StreamReplayError.  Because the protocol runs on identical bits,
+    the branch decision and the output U match the distributed run exactly,
+    which is the contract callers rely on.  source is an iterable replayed
+    by re-iteration, or a zero-argument callable returning a fresh iterator
+    per pass.
     """
-    A1, d1, c1 = _materialize_pass(source, m, n)
-    A2, d2, c2 = _materialize_pass(source, m, n)
+    A = np.zeros((m, n))
+    d1, c1 = _walk(source, m, n, A)
+    d2, c2 = _walk(source, m, n)
     if c1 != c2 or d1 != d2:
         raise StreamReplayError(
             f"stream replay diverged: pass one had {c1} updates, pass two {c2}"
             + ("" if c1 != c2 else " with different contents"))
-    del A2
-    cluster = Cluster([A1], kind="arbitrary")
+    cluster = Cluster([A], kind="arbitrary")
     params = ArbProtocolParams(k=k, eps=eps, seed=seed,
                                noise_scale=noise_scale, rounding=rounding)
     return distributed_pca_arbitrary(cluster, params)

@@ -44,8 +44,6 @@ class TestRankTest:
         cl = _cluster_for(rand_matrix(0, 10, 10), 2, seed=1)
         with pytest.raises(InputError):
             ap.rank_test(cl, 0, seed=1)
-        with pytest.raises(InputError):
-            ap.rank_test(cl, 2, seed=1, delta=2.0)
 
 
 class TestLowRankBranch:

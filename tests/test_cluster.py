@@ -3,12 +3,16 @@
 from __future__ import annotations
 
 import json
+import tracemalloc
 
 import numpy as np
 import pytest
 
 from conftest import rand_matrix, split_rows
+from sketchpca.arbitrary_partition import ArbProtocolParams, distributed_pca_arbitrary
 from sketchpca.cluster import SERVER, Cluster, CommLedger
+from sketchpca.column_partition import CssProtocolParams, distributed_css_pca
+from sketchpca.column_select_sparse import FastCssProtocolParams, distributed_css_pca_fast
 from sketchpca.errors import InputError, ProtocolError
 from sketchpca.sparse import SparseColMatrix
 
@@ -171,3 +175,40 @@ class TestGatherSumBlocks:
         parts, _ = self._setup(2, 3)
         with pytest.raises(InputError):
             Cluster(parts).gather_sum_blocks("up", lambda i, B, lo, hi: B, 3, 0)
+
+    def test_parallel_working_set_is_one_block_per_machine(self):
+        r, n_cols, block, s = 50, 20000, 512, 4
+        cl = Cluster([np.zeros((1, 1))] * s, kind="column", parallel=True)
+        tracemalloc.start()
+        try:
+            out = cl.gather_sum_blocks(
+                "up", lambda i, B, lo, hi: np.full((r, hi - lo), i + 1.0), n_cols, block)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert np.all(out == s * (s + 1) / 2)
+        assert peak < 1.5 * out.nbytes
+
+
+class TestOneRunPerCluster:
+    """A cluster's ledger holds one protocol run; a second is bad input."""
+
+    def test_second_run_is_refused_before_any_word_moves(self):
+        A = rand_matrix(21, 10, 40)
+        sparse = SparseColMatrix.from_dense(A)
+        runs = [
+            (Cluster([A[:, :20], A[:, 20:]], kind="column"), lambda cl: distributed_css_pca(
+                cl, CssProtocolParams(k=1, eps=0.5, seed=1, c2=4))),
+            (Cluster([sparse.take_columns(np.arange(20)),
+                      sparse.take_columns(np.arange(20, 40))], kind="column"),
+             lambda cl: distributed_css_pca_fast(
+                 cl, FastCssProtocolParams(k=1, eps=0.5, seed=1, c2=4))),
+            (Cluster(split_rows(A, 2, seed=3)), lambda cl: distributed_pca_arbitrary(
+                cl, ArbProtocolParams(k=1, eps=0.5, seed=1))),
+        ]
+        for cl, run in runs:
+            run(cl)
+            messages = list(cl.ledger.messages)
+            with pytest.raises(InputError, match="already run a protocol"):
+                run(cl)
+            assert cl.ledger.messages == messages

@@ -7,21 +7,22 @@ from conftest import (
     best_tail_sq,
     frob_sq,
     lowrank_plus_noise,
+    rand_matrix,
     rand_orthonormal,
     sparse_columns_block,
 )
 from sketchpca.cluster import Cluster
-from sketchpca.column_select import bss_sampling
+from sketchpca.column_select import bss_sampling, sample_proportional
 from sketchpca.column_select_sparse import (
     _FAST_KERNELS,
     TOUCHES,
     TAG_BOOST,
     TAG_BSS_EMBED,
+    TAG_FAST_JLT,
     FastCssProtocolParams,
     FastParams,
     ResidualOperator,
     _select_top_two_thirds,
-    adaptive_cols_sparse,
     bss_sampling_sparse,
     dense_times_sparse,
     deterministic_css_sparse,
@@ -36,7 +37,7 @@ from sketchpca.column_select_sparse import (
 from sketchpca.column_partition import _FINALIZE_BLOCK, CssProtocolParams, distributed_css_pca
 from sketchpca.errors import InputError, InternalError
 from sketchpca.linalg import orthonormal_basis, residual_ratio, span_residual_sq
-from sketchpca.sketches import derive_seed, embedding_dim, sparse_embedding
+from sketchpca.sketches import derive_seed, embedding_dim, jlt_sketch, sparse_embedding
 from sketchpca.sparse import SparseColMatrix
 
 
@@ -57,7 +58,6 @@ class TestFastParams:
     def test_embed_xi_matches_sizing_rule(self):
         p = FastParams(4, 0.25, 0.1)
         assert p.embed_xi == embedding_dim(4, 0.25)
-        assert p.jlt_beta == 1.0
 
     def test_validation(self):
         with pytest.raises(InputError):
@@ -466,6 +466,16 @@ class TestDeterministicCssSparse:
 
 
 class TestAdaptiveColsSparse:
+    """Stage 3 of distributed_css_pca_fast: per-column residual masses off
+    span(C) from the JL sketch the kernel builds, and draws proportional to
+    them, as the driver makes them."""
+
+    @staticmethod
+    def _masses(blocks, C, seed):
+        cl = Cluster(blocks, kind="column")
+        params = FastCssProtocolParams(k=1, eps=0.5, seed=seed)
+        return _FAST_KERNELS.residual_masses(params, cl, cl.parts, C)
+
     def test_lone_residual_column_is_always_sampled(self):
         m = 12
         v = np.zeros(m)
@@ -473,26 +483,27 @@ class TestAdaptiveColsSparse:
         cols = [v * (j + 1) for j in range(8)]
         cols[5] = np.eye(m)[7] * 2.0
         A = SparseColMatrix.from_dense(np.stack(cols, axis=1))
-        out = adaptive_cols_sparse(A, v[:, None], 6, 1.0, 13)
-        assert not out.empty
-        assert np.all(out.indices == 5)
-        assert out.probs[5] == pytest.approx(1.0, abs=1e-20)
+        (mass,) = self._masses([A], v[:, None], 13)
+        assert mass[5] > 0.0
+        assert np.all(np.delete(mass, 5) == 0.0)
+        assert np.all(sample_proportional(mass, 6, 13) == 5)
 
     def test_empty_when_nothing_sticks_out(self):
         m = 10
         v = np.zeros(m)
         v[4] = 2.0
-        A = SparseColMatrix.from_dense(np.stack([v * j for j in range(1, 7)], axis=1))
-        out = adaptive_cols_sparse(A, v[:, None], 4, 1.0, 3)
-        assert out.empty
-        assert out.indices.size == 0
+        D = np.stack([v * j for j in range(1, 7)], axis=1)
+        masses = self._masses([SparseColMatrix.from_dense(D[:, :2]),
+                               SparseColMatrix.from_dense(D[:, 2:])], v[:, None], 3)
+        assert all(np.all(mass == 0.0) for mass in masses)
+        assert sample_proportional(np.concatenate(masses), 4, 3).size == 0
 
     def test_identical_columns_sample_uniformly(self):
         col = np.zeros(9)
         col[[1, 4]] = [1.0, -2.0]
         A = SparseColMatrix.from_dense(np.tile(col[:, None], (1, 8)))
-        out = adaptive_cols_sparse(A, np.zeros((9, 1)), 10_000, 1.0, 29)
-        counts = np.bincount(out.indices, minlength=8)
+        (mass,) = self._masses([A], np.zeros((9, 1)), 29)
+        counts = np.bincount(sample_proportional(mass, 10_000, 29), minlength=8)
         expect = 10_000 / 8
         sigma = np.sqrt(10_000 * (1 / 8) * (7 / 8))
         assert np.all(np.abs(counts - expect) <= 3 * sigma)
@@ -500,7 +511,6 @@ class TestAdaptiveColsSparse:
     def test_expected_progress(self):
         # adding c2 sampled columns cuts the score residual by roughly
         # k / c2 of the current one, up to the sampler's constant
-        rng = np.random.default_rng(41)
         k, c2 = 3, 50
         A = lowrank_plus_noise(42, 20, 60, k, 0.3)
         As = SparseColMatrix.from_dense(A)
@@ -509,8 +519,8 @@ class TestAdaptiveColsSparse:
         psi_sq = frob_sq(A - V @ (V.T @ A))
         scores = []
         for t in range(500):
-            out = adaptive_cols_sparse(As, V, c2, 1.0, 9000 + t)
-            C = np.hstack([V, A[:, out.indices]])
+            (mass,) = self._masses([As], V, 9000 + t)
+            C = np.hstack([V, A[:, sample_proportional(mass, c2, 9000 + t)]])
             Y = orthonormal_basis(C)
             proj = Y.T @ A
             U, sv, Vt = np.linalg.svd(proj, full_matrices=False)
@@ -521,24 +531,29 @@ class TestAdaptiveColsSparse:
         assert scores.mean() <= tail + (30.0 * k / c2) * psi_sq + 3 * stderr
 
     def test_probabilities_are_exact_for_the_sketch(self):
+        # the masses are ||J (A - Y Y^T A)||^2 per column for the protocol's
+        # JL map J, so draws follow the sketched residual exactly
         A = sparse_random(4, 15, 12)
-        V = rand_orthonormal(5, 15, 2)
-        out = adaptive_cols_sparse(A, V, 6, 1.0, 7)
-        assert out.probs.sum() == pytest.approx(1.0, rel=1e-12)
-
-    def test_validation(self):
-        A = sparse_random(0, 10, 5)
-        with pytest.raises(InputError):
-            adaptive_cols_sparse(A, np.zeros((9, 2)), 3, 1.0, 0)
-        with pytest.raises(InputError):
-            adaptive_cols_sparse(A, np.zeros((10, 2)), 3, 0.0, 0)
+        C = rand_matrix(5, 15, 2)
+        masses = self._masses([A.take_columns(np.arange(5)),
+                               A.take_columns(np.arange(5, 12))], C, 7)
+        J = jlt_sketch(12, 15, derive_seed(7, TAG_FAST_JLT)).materialize()
+        Y = orthonormal_basis(C)
+        D = A.to_dense()
+        want = np.sum((J @ (D - Y @ (Y.T @ D))) ** 2, axis=0)
+        assert [mass.size for mass in masses] == [5, 7]
+        np.testing.assert_allclose(np.concatenate(masses), want, rtol=1e-12, atol=0.0)
 
     def test_touch_count(self):
         A = sparse_random(8, 14, 11)
-        V = rand_orthonormal(9, 14, 2)
-        TOUCHES.reset()
-        adaptive_cols_sparse(A, V, 4, 1.0, 1)
-        assert TOUCHES.count == 2 * A.nnz
+        blocks = [A.take_columns(np.arange(4)), A.take_columns(np.arange(4, 11))]
+        cl = Cluster(blocks, kind="column")
+        params = FastCssProtocolParams(k=1, eps=0.5, seed=1)
+        C = rand_orthonormal(9, 14, 2)
+        for P in blocks:
+            TOUCHES.reset()
+            _FAST_KERNELS.residual_masses(params, cl, [P], C)
+            assert TOUCHES.count == 2 * P.nnz
 
 
 class TestApproxSubspaceSvdSparse:

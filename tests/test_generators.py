@@ -33,7 +33,6 @@ class TestHardDenseSpec:
     def test_default_denominator_is_the_cubed_product(self):
         spec = HardDenseSpec(m=10, k=2, s=3, n=32)
         assert spec.denominator == float(3 * 2 * 10) ** 3
-        assert spec.delta == 1.0 / 60
         assert HardDenseSpec(m=10, k=2, s=3, n=32, wall=64.0).denominator == 64.0
 
 

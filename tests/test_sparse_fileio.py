@@ -41,19 +41,12 @@ class TestSparseColMatrix:
             rows, vals = S.col(j)
             assert np.array_equal(D[rows, j], vals)
             assert S.col_nnz(j) == np.count_nonzero(D[:, j])
-        assert S.max_col_nnz == max(np.count_nonzero(D[:, j]) for j in range(5))
 
     def test_take_columns_verbatim_with_repeats(self):
         S = _random_sparse(2, 7, 6)
         T = S.take_columns([4, 0, 4])
         D = S.to_dense()
         assert np.array_equal(T.to_dense(), D[:, [4, 0, 4]])
-
-    def test_upload_words_formula(self):
-        S = _random_sparse(3, 10, 7)
-        counts = S.col_nnz()
-        assert S.upload_words() == int(np.sum(2 * counts + 1))
-        assert S.upload_words([2, 2]) == 2 * (2 * S.col_nnz(2) + 1)
 
     def test_frob_and_col_norms(self):
         S = _random_sparse(4, 9, 8)
@@ -63,7 +56,7 @@ class TestSparseColMatrix:
 
     def test_empty_matrix(self):
         S = SparseColMatrix.from_dense(np.zeros((4, 0)))
-        assert S.shape == (4, 0) and S.nnz == 0 and S.max_col_nnz == 0
+        assert S.shape == (4, 0) and S.nnz == 0
 
     def test_validation(self):
         with pytest.raises(InputError):  # unsorted rows
@@ -99,7 +92,7 @@ class TestSparseColMatrixBits:
             assert S.data.tobytes() == ref.data.tobytes()
             assert S.to_dense().tobytes() == (A + 0.0).tobytes()
 
-    def test_take_columns_and_upload_words_match_column_loops(self):
+    def test_take_columns_matches_a_column_loop(self):
         S = SparseColMatrix.from_dense(self._dense(7))
         idx = [8, 2, 2, 0, 5, 1]
         T = S.take_columns(idx)
@@ -108,11 +101,6 @@ class TestSparseColMatrixBits:
         assert T.indices.tobytes() == ref.indices.tobytes()
         assert T.data.tobytes() == ref.data.tobytes()
         assert S.take_columns([]).shape == (7, 0)
-        assert S.upload_words(idx) == sum(2 * S.col_nnz(j) + 1 for j in idx)
-        assert S.upload_words([]) == 0
-        for bad in (-1, 9):
-            with pytest.raises(InputError, match=f"column {bad} out of range"):
-                S.upload_words([1, bad, 20])
 
     def test_validation_names_the_first_unsorted_column(self):
         # rows may fall between columns; within column 3 (after an empty

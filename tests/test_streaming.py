@@ -7,6 +7,8 @@ agree to roundoff.  Two-pass runs must match the one-machine distributed
 protocol bit for bit, since both see the same rebuilt matrix.
 """
 
+import tracemalloc
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -380,6 +382,28 @@ class TestTwoPass:
 
         with pytest.raises(StreamReplayError):
             two_pass_pca(source, 12, 14, 2, 0.5, 3)
+
+    def test_peak_holds_one_rebuilt_matrix(self):
+        # pass two only fingerprints the stream, so the process holds one
+        # m x n matrix plus the low-rank branch's small sketches
+        m, n = 64, 4096
+        rng = np.random.default_rng(8)
+        u, v = rng.standard_normal(m), rng.standard_normal(n)
+
+        def source():
+            for i in range(m):
+                row = u[i] * v
+                for j in range(n):
+                    yield i, j, row[j]
+
+        tracemalloc.start()
+        try:
+            res = two_pass_pca(source, m, n, 1, 1.0, 5)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert res.branch == "low-rank"
+        assert peak < 1.5 * 8 * m * n
 
     def test_validates_updates_like_the_state(self):
         with pytest.raises(InputError):
