@@ -12,9 +12,9 @@ A cheap 2k x 2k probe decides between two branches:
   summed at the server, an optional quantization of the small right factor
   bounding the downlink word size.
 
-Every phase has a closed-form word count that is independent of n except
-through nothing at all: doubling the width of the input leaves the ledger
-unchanged.  The protocol asserts its own ledger against those forms.
+Every phase has a closed-form word count that is independent of n:
+doubling the width of the input leaves the ledger unchanged.  The protocol
+asserts its own ledger against those forms.
 """
 
 from __future__ import annotations
@@ -32,7 +32,7 @@ from .batch import (
     sketch_two_sided,
 )
 from .cluster import Cluster
-from .errors import InputError, InternalError, ProtocolError, RetryWithNewSeed
+from .errors import InputError, InternalError, ProtocolError
 from .linalg import (
     numeric_rank,
     rank_constrained_affine_solve,
@@ -147,29 +147,22 @@ def low_rank_protocol(cluster: Cluster, params: ArbProtocolParams,
     m = cluster.m
     s = cluster.s
     retried = False
-    C = None
-    probe_used = None
     for attempt in range(2):
-        try:
-            if attempt == 0 and probe is not None:
-                cur = probe
-            else:
-                tag = TAG_RANK_TEST if attempt == 0 else TAG_RANK_TEST_RETRY
-                cur = _run_probe(cluster, k, derive_seed(params.seed, tag))
-            Hrt = cur.Hrt
-            C_try = cluster.gather_sum(
-                "span-up",
-                cluster.map_machines(lambda i, B: B @ Hrt),
-                m * 2 * k)
-            if numeric_rank(C_try) != cur.probe_rank:
-                raise RetryWithNewSeed(
-                    f"span certificate failed: rank(C) != {cur.probe_rank}")
-            C, probe_used = C_try, cur
+        if attempt == 0 and probe is not None:
+            cur = probe
+        else:
+            tag = TAG_RANK_TEST if attempt == 0 else TAG_RANK_TEST_RETRY
+            cur = _run_probe(cluster, k, derive_seed(params.seed, tag))
+        Hrt = cur.Hrt
+        C = cluster.gather_sum(
+            "span-up",
+            cluster.map_machines(lambda i, B: B @ Hrt),
+            m * 2 * k)
+        if numeric_rank(C) == cur.probe_rank:
             break
-        except RetryWithNewSeed:
-            if attempt == 1:
-                raise ProtocolError("span certificate failed after reseeding") from None
-            retried = True
+        if attempt == 1:
+            raise ProtocolError("span certificate failed after reseeding")
+        retried = True
 
     flags: set[str] = set()
     cluster.record_broadcast("span-down", m * 2 * k)
@@ -189,8 +182,8 @@ def low_rank_protocol(cluster: Cluster, params: ArbProtocolParams,
     N = Tl @ C
     X = rank_constrained_affine_solve(Msum, N, Lsum, k)
     P = C @ X
-    r = numeric_rank(P)
     F = svd(P)
+    r = F.rank()
     U = F.U[:, :k]
     deficient = r < k
     if deficient:
@@ -201,7 +194,7 @@ def low_rank_protocol(cluster: Cluster, params: ArbProtocolParams,
 
     phase_words = cluster.ledger.phase_totals()
     result = ArbResult(U, min(r, k), deficient, "low-rank", flags, retried,
-                       probe_used.full, phase_words, cluster.ledger.total(), params)
+                       cur.full, phase_words, cluster.ledger.total(), params)
     _assert_ledger(cluster, _expected_low_rank(s, m, k, xi_a, retried))
     return result
 

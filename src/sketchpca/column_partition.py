@@ -38,8 +38,7 @@ the finalize are shared.
 
 The server does the finalize once and downlinks U; a per-machine variant
 (broadcast the server's coefficient matrix, everyone finalizes
-identically)
-is available behind a flag.
+identically) is available behind a flag.
 
 Every phase total is recomputed from first principles after the run and
 compared with the ledger, so the accounting is double-entry checked.
@@ -61,7 +60,7 @@ from .column_select import (
     sample_proportional,
 )
 from .errors import InputError, InternalError
-from .linalg import orthonormal_basis, pinv, truncated_svd
+from .linalg import orthonormal_basis, svd, truncated_svd
 from .sketches import affine_dim, derive_seed, sign_sketch
 from .sparse import SparseColMatrix
 
@@ -235,24 +234,27 @@ def run_css_protocol(cluster: Cluster, params, kernels: CssKernels) -> CssPcaRes
     # finalize sends r = rank C more words to each of the s machines.
     c_actual = C_full.shape[1]
     CT = C_full.T
-    Y = orthonormal_basis(C_full)
-    down = s * Y.shape[1] if params.per_machine_finalize else 0
+    # One SVD C = U S V^T gives Y = U_r and the map W = S_r^-1 V_r^T with
+    # Y^T = W C^T, which turns the shipped C^T A into Y^T A block by block.
+    Fc = svd(C_full)
+    r = Fc.rank()
+    Y = Fc.U[:, :r]
+    W = (Fc.V[:, :r] / Fc.sigma[:r]).T
+    del Fc      # V is dropped: only Y and W (r x c) live through the gather
+    down = s * r if params.per_machine_finalize else 0
     if (params.xi_subspace is None
             and cluster.n * (c_actual + down) <= xi * (s * c_actual + down)):
         finalize = "exact"
         coeffs = cluster.map_machines(lambda i, p: kernels.coefficients(CT, parts[i]))
         cluster.record_gather("subspace-up", [b.size for b in coeffs])
-        Xi_raw = np.hstack(coeffs)
-        del coeffs
+        # each block is mapped and dropped in turn: C^T A is never held twice
+        Xi = np.hstack([W @ coeffs.pop(0) for _ in range(s)])
     else:
         finalize = "sketch"
         sketch = kernels.finalize(cluster, parts, xi, derive_seed(params.seed, TAG_CSS_SUBSPACE))
-        Xi_raw = cluster.gather_sum_blocks(
+        Xi = W @ cluster.gather_sum_blocks(
             "subspace-up", lambda i, p, lo, hi: CT @ sketch(i, lo, hi),
             xi, _FINALIZE_BLOCK, c_actual * xi)
-    Gmat = Y.T @ C_full
-    Xi = pinv(Gmat.T) @ Xi_raw
-    del Xi_raw      # freed before the SVD, so the solve's heap does not grow
     kk = min(k, min(Xi.shape))
     Delta = truncated_svd(Xi, kk).U
     U = Y @ Delta

@@ -23,8 +23,7 @@ from .linalg import (
     as_matrix,
     orthonormal_basis,
     span_residual_sq,
-    tail_sq,
-    truncated_svd,
+    svd,
 )
 
 _POST_SLACK = 1e-9
@@ -177,9 +176,10 @@ def deterministic_css(G, k: int, c: int) -> CssResult:
         raise InputError(f"k={k} out of range for shape {G.shape}")
     if not k < c <= G.shape[1]:
         raise InputError(f"need k < c <= n_cols, got c={c}")
-    F = truncated_svd(G, k)
-    E = G - (G @ F.V) @ F.V.T
-    sampler = bss_sampling(F.V, E, c)
+    F = svd(G)
+    Vk = F.V[:, :k]
+    E = G - (G @ Vk) @ Vk.T
+    sampler = bss_sampling(Vk, E, c)
     indices = sampler.indices
     if indices.size < c:
         mass = np.sum(E * E, axis=0)
@@ -187,7 +187,7 @@ def deterministic_css(G, k: int, c: int) -> CssResult:
         extra = np.argsort(-mass, kind="stable")[:c - indices.size]
         indices = np.sort(np.concatenate([indices, extra.astype(indices.dtype)]))
     C = G[:, indices]
-    bound = (1.0 + 1.0 / (1.0 - math.sqrt(k / c)) ** 2) * tail_sq(G, k)
+    bound = (1.0 + 1.0 / (1.0 - math.sqrt(k / c)) ** 2) * np.sum(F.sigma[k:] ** 2)
     got = span_residual_sq(G, C)
     if got > bound * (1.0 + _POST_SLACK) + 1e-12:
         raise InternalError(f"css residual {got:.6e} exceeds bound {bound:.6e}")

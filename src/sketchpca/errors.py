@@ -1,9 +1,7 @@
 """Error taxonomy shared by every module in the package.
 
 Three categories matter to callers: bad input, a protocol-level failure that
-survived retries, and a broken internal postcondition.  ``RetryWithNewSeed``
-is internal control flow for protocols that are allowed one reseeded attempt;
-it never escapes a public entry point.
+survived retries, and a broken internal postcondition.
 """
 
 
@@ -21,10 +19,6 @@ class ProtocolError(SketchPcaError):
 
 class InternalError(SketchPcaError):
     """A guaranteed postcondition did not hold; indicates a bug."""
-
-
-class RetryWithNewSeed(SketchPcaError):
-    """Internal signal: the current seed produced a degenerate sketch."""
 
 
 class StreamReplayError(ProtocolError):

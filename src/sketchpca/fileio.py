@@ -8,8 +8,9 @@ exact float64 bits.
 A stream file is a header line ``m n q`` followed by q update lines
 ``i j x`` with 1-based coordinates, in arrival order.
 
-Readers raise InputError for every malformed file: a bad number or bytes
-that are not UTF-8 are reported as ``path:line``.
+Readers raise InputError for every malformed file: a bad number, a value
+that is not finite, or bytes that are not UTF-8 are reported as
+``path:line``.
 """
 
 from __future__ import annotations
@@ -38,11 +39,21 @@ def _data_lines(text: str) -> list[str]:
             if line and line[0] != "%"]
 
 
-def _malformed(path, text: str, index: int, line: str) -> InputError:
+def _malformed(path, text: str, index: int, line: str,
+               what: str = "malformed number") -> InputError:
     """Bad input naming the file line that holds _data_lines(text)[index]."""
     numbers = [no for no, line in enumerate(map(str.strip, text.splitlines()), 1)
                if line and line[0] != "%"]
-    return InputError(f"{path}:{numbers[index]}: malformed number in {line!r}")
+    return InputError(f"{path}:{numbers[index]}: {what} in {line!r}")
+
+
+def _finite(path, text: str, body: list[str], vals) -> np.ndarray:
+    """Values of data lines 1, 2, ... as float64; a non-finite one is bad input."""
+    vals = np.array(vals, dtype=np.float64)
+    bad = np.flatnonzero(~np.isfinite(vals))
+    if bad.size:
+        raise _malformed(path, text, bad[0] + 1, body[bad[0] + 1], "non-finite value")
+    return vals
 
 
 def _sizes(path, text: str, line: str, count: int, form: str) -> list[int]:
@@ -105,7 +116,7 @@ def read_matrix_market(path):
                 vals.append(float(line))
         except ValueError as exc:
             raise _malformed(path, text, p, line) from exc
-        A = np.array(vals, dtype=np.float64)
+        A = _finite(path, text, body, vals)
         return A.reshape((n, m)).T if m * n else np.zeros((m, n))
 
     if kind == "coordinate":
@@ -128,7 +139,7 @@ def read_matrix_market(path):
         except ValueError as exc:
             raise _malformed(path, text, p, line) from exc
         # explicit zeros are dropped; the rest sorted by column, then row
-        vals = np.array(vals, dtype=np.float64)
+        vals = _finite(path, text, body, vals)
         keep = vals != 0.0
         rows = np.array(rows, dtype=np.int64)[keep]
         cols = np.array(cols, dtype=np.int64)[keep]
@@ -177,4 +188,5 @@ def read_stream_file(path):
             updates.append((i, j, float(parts[2])))
     except ValueError as exc:
         raise _malformed(path, text, p, line) from exc
+    _finite(path, text, body, [x for _, _, x in updates])
     return (m, n), updates

@@ -2,9 +2,13 @@
 
 Thin wrappers around ``numpy.linalg`` that pin down everything the protocols
 rely on for reproducibility: a fixed sign convention for singular vectors, QR
-with a nonnegative R diagonal, explicit numeric-rank tolerances, restricted
-rank-k projections onto a given column span, and the rank-constrained affine
-solver used by every "sketch then solve small" step.
+with a nonnegative R diagonal, one numeric-rank rule, restricted rank-k
+projections onto a given column span, and the rank-constrained affine solver
+used by every "sketch then solve small" step.
+
+The numeric rank of an m x n matrix counts its singular values above
+DEFAULT_RANK_TOL * max(m, n) * sigma_1.  _rank alone applies that rule, and
+no routine takes a tolerance of its own.
 
 All public routines accept and return float64 arrays.  Empty dimensions are
 legal everywhere; a 0-column factor is the canonical degenerate basis.
@@ -35,11 +39,9 @@ def as_matrix(a, name: str = "matrix") -> np.ndarray:
     return arr
 
 
-def _rank_cutoff(sigma: np.ndarray, shape: tuple[int, int], tol: float | None) -> float:
-    if tol is None:
-        tol = DEFAULT_RANK_TOL * max(shape) if max(shape, default=0) else DEFAULT_RANK_TOL
-    top = sigma[0] if sigma.size else 0.0
-    return tol * top
+def _rank(sigma: np.ndarray, shape: tuple[int, int]) -> int:
+    """Numeric rank from the singular values of a matrix of this shape."""
+    return int(np.sum(sigma > DEFAULT_RANK_TOL * max(shape) * sigma.max(initial=0.0)))
 
 
 class SvdFactors(NamedTuple):
@@ -57,6 +59,9 @@ class SvdFactors(NamedTuple):
 
     def reconstruct(self) -> np.ndarray:
         return (self.U * self.sigma) @ self.V.T
+
+    def rank(self) -> int:
+        return _rank(self.sigma, (self.U.shape[0], self.V.shape[0]))
 
     def check(self, A: np.ndarray | None = None, tol: float = FACTOR_CHECK_TOL) -> None:
         """Validate orthonormality and, when A is given, the reconstruction."""
@@ -118,24 +123,10 @@ def tail_sq(A, k: int) -> float:
     return float(np.sum(s[k:] ** 2))
 
 
-def numeric_rank(A, tol: float | None = None) -> int:
-    """Number of singular values above tol * sigma_max (tol scaled by shape)."""
+def numeric_rank(A) -> int:
+    """Numeric rank, from the singular values alone."""
     A = as_matrix(A)
-    if min(A.shape) == 0:
-        return 0
-    s = np.linalg.svd(A, compute_uv=False)
-    return int(np.sum(s > _rank_cutoff(s, A.shape, tol)))
-
-
-def pinv(A, tol: float | None = None) -> np.ndarray:
-    """Moore-Penrose pseudoinverse with the same rank cutoff as numeric_rank."""
-    A = as_matrix(A)
-    if min(A.shape) == 0:
-        return np.zeros((A.shape[1], A.shape[0]))
-    U, s, Vt = np.linalg.svd(A, full_matrices=False)
-    cut = _rank_cutoff(s, A.shape, tol)
-    r = int(np.sum(s > cut))
-    return (Vt[:r].T / s[:r]) @ U[:, :r].T
+    return _rank(np.linalg.svd(A, compute_uv=False), A.shape)
 
 
 def qr(A) -> tuple[np.ndarray, np.ndarray]:
@@ -155,15 +146,10 @@ def qr(A) -> tuple[np.ndarray, np.ndarray]:
     return Q, R
 
 
-def orthonormal_basis(A, tol: float | None = None) -> np.ndarray:
+def orthonormal_basis(A) -> np.ndarray:
     """Orthonormal basis for the column space, rank-revealing via SVD."""
-    A = as_matrix(A)
-    if min(A.shape) == 0:
-        return np.zeros((A.shape[0], 0))
     F = svd(A)
-    cut = _rank_cutoff(F.sigma, A.shape, tol)
-    r = int(np.sum(F.sigma > cut))
-    return F.U[:, :r]
+    return F.U[:, :F.rank()]
 
 
 def finalize_basis(X) -> tuple[np.ndarray, int, bool]:
@@ -267,7 +253,7 @@ def rank_constrained_affine_solve(M, N, L, k: int) -> np.ndarray:
     With compact SVDs N = Un Sn Vn^T and L = Ul Sl Vl^T, the optimum is
     X = Vn Sn^{-1} B_k Sl^{-1} Ul^T where B_k is the best rank-k
     approximation of Un^T M Vl.  Rank deficiency in N or L is handled by
-    the pseudoinverse cutoff.
+    keeping only the factors inside the numeric rank.
     """
     M = as_matrix(M, "M")
     N = as_matrix(N, "N")
@@ -277,12 +263,9 @@ def rank_constrained_affine_solve(M, N, L, k: int) -> np.ndarray:
     if k < 0:
         raise InputError("k must be nonnegative")
 
-    Un, sn, Vnt = np.linalg.svd(N, full_matrices=False) if min(N.shape) else (
-        np.zeros((N.shape[0], 0)), np.zeros(0), np.zeros((0, N.shape[1])))
-    Ul, sl, Vlt = np.linalg.svd(L, full_matrices=False) if min(L.shape) else (
-        np.zeros((L.shape[0], 0)), np.zeros(0), np.zeros((0, L.shape[1])))
-    rn = int(np.sum(sn > _rank_cutoff(sn, N.shape, None)))
-    rl = int(np.sum(sl > _rank_cutoff(sl, L.shape, None)))
+    Un, sn, Vnt = np.linalg.svd(N, full_matrices=False)
+    Ul, sl, Vlt = np.linalg.svd(L, full_matrices=False)
+    rn, rl = _rank(sn, N.shape), _rank(sl, L.shape)
     Un, sn, Vn = Un[:, :rn], sn[:rn], Vnt[:rn].T
     Ul, sl, Vl = Ul[:, :rl], sl[:rl], Vlt[:rl].T
 
@@ -290,4 +273,4 @@ def rank_constrained_affine_solve(M, N, L, k: int) -> np.ndarray:
     kk = min(k, min(B.shape))
     F = truncated_svd(B, kk)
     core = (F.U * F.sigma) @ F.V.T
-    return (Vn / sn) @ core @ (Ul / sl).T if rn and rl else np.zeros((N.shape[1], L.shape[0]))
+    return (Vn / sn) @ core @ (Ul / sl).T

@@ -317,6 +317,28 @@ class TestMalformedInput:
             self._expect_input_error(capsys, [cmd, "--input", str(p), "-k", "1",
                                               "--eps", "0.5"], f"{p}:3:")
 
+    def test_non_finite_array_value(self, capsys, tmp_path):
+        p = tmp_path / "nan.mtx"
+        p.write_text("%%MatrixMarket matrix array real general\n"
+                     "2 2\n1.0\n% note\nnan\n2.0\n4.0\n")
+        self._expect_input_error(capsys, ["dist-arb", "--input", str(p), "-k", "1",
+                                          "--eps", "0.5"], f"{p}:5: non-finite value")
+
+    def test_non_finite_coordinate_value(self, capsys, tmp_path):
+        p = tmp_path / "inf.mtx"
+        p.write_text("%%MatrixMarket matrix coordinate real general\n"
+                     "2 2 2\n1 1 1.0\n2 2 -inf\n")
+        self._expect_input_error(capsys, ["dist-css-fast", "--input", str(p), "-k", "1",
+                                          "--eps", "0.5"], f"{p}:4: non-finite value")
+
+    def test_non_finite_stream_increment(self, capsys, tmp_path):
+        p = tmp_path / "u.txt"
+        for bad in ("nan", "inf"):
+            p.write_text(f"2 2 3\n1 1 1.0\n2 1 {bad}\n1 2 2.0\n")
+            for cmd in ("stream-1p", "stream-1p-fact", "stream-2p"):
+                self._expect_input_error(capsys, [cmd, "--input", str(p), "-k", "1",
+                                                  "--eps", "0.5"], f"{p}:3: non-finite value")
+
     def test_undecodable_files(self, capsys, tmp_path):
         p = tmp_path / "ff.bin"
         p.write_bytes(b"\xff%%MatrixMarket matrix array real general\n1 1\n1.0\n")

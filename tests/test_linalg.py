@@ -77,16 +77,15 @@ class TestRankAndPinv:
         A = rank_exactly(7, 10, 8, r) if r else np.zeros((10, 8))
         assert linalg.numeric_rank(A) == r
 
-    def test_pinv_penrose(self):
-        A = rank_exactly(5, 9, 6, 4)
-        P = linalg.pinv(A)
-        assert np.allclose(A @ P @ A, A, atol=1e-9)
-        assert np.allclose(P @ A @ P, P, atol=1e-9)
-        assert np.allclose((A @ P).T, A @ P, atol=1e-9)
-        assert np.allclose((P @ A).T, P @ A, atol=1e-9)
-
-    def test_pinv_zero(self):
-        assert linalg.pinv(np.zeros((3, 5))).shape == (5, 3)
+    @pytest.mark.parametrize("shape,r", [((10, 8), 0), ((10, 8), 1), ((7, 12), 5),
+                                         ((9, 9), 9), ((0, 6), 0), ((6, 0), 0),
+                                         ((0, 0), 0)])
+    def test_one_rule_everywhere(self, shape, r):
+        # numeric_rank, SvdFactors.rank and the basis width are one rule,
+        # on random rank-r matrices, the zero matrix and empty shapes
+        A = rank_exactly(r, *shape, r) if r else np.zeros(shape)
+        assert linalg.numeric_rank(A) == linalg.svd(A).rank() == r
+        assert linalg.orthonormal_basis(A).shape == (shape[0], r)
 
     @given(st.floats(min_value=1e-6, max_value=1e6))
     @settings(max_examples=25, deadline=None)
@@ -245,6 +244,13 @@ class TestRankConstrainedSolve:
         X = linalg.rank_constrained_affine_solve(
             rand_matrix(1, 4, 4), np.zeros((4, 2)), rand_matrix(2, 3, 4), 2)
         assert X.shape == (2, 3) and np.all(X == 0)
+
+    @pytest.mark.parametrize("n_rows,l_cols", [(0, 5), (4, 0), (0, 0)])
+    def test_empty_factors_give_zeros(self, n_rows, l_cols):
+        # N with 0 rows or L with 0 columns leaves nothing to fit
+        N, L = rand_matrix(1, n_rows, 3), rand_matrix(2, 2, l_cols)
+        X = linalg.rank_constrained_affine_solve(np.zeros((n_rows, l_cols)), N, L, 2)
+        assert X.shape == (3, 2) and np.all(X == 0)
 
     def test_exact_when_unconstrained(self):
         # k at full size and consistent M recovers an exact fit
