@@ -225,7 +225,7 @@ def smoothed_protocol(cluster: Cluster, params: ArbProtocolParams) -> ArbResult:
 
     small = cluster.gather_sum(
         "sketch-up",
-        [sketch_two_sided(B, S, Tr) for B in parts],
+        cluster.map_machines(lambda i, _: sketch_two_sided(parts[i], S, Tr)),
         xi * xi)
     kk = min(k, min(small.shape))
     V = truncated_svd(small, kk).V
@@ -233,7 +233,7 @@ def smoothed_protocol(cluster: Cluster, params: ArbProtocolParams) -> ArbResult:
     cluster.record_broadcast("V-down", xi * kk)
     Xsum = cluster.gather_sum(
         "X-up",
-        [lift_through_right(B, Tr, V) for B in parts],
+        cluster.map_machines(lambda i, _: lift_through_right(parts[i], Tr, V)),
         m * kk)
     U, r, deficient = basis_from_lift(Xsum)
     if deficient:

@@ -5,7 +5,8 @@ Report schema (single run; stable, scripts may rely on these fields):
     algorithm        subcommand name
     parameters       resolved inputs: shapes, k, eps, machines, constants
     ratio            squared projection error over the exact rank-k tail,
-                     null when the tail is zero or the matrix is too big
+                     null when the tail is roundoff (at most 1e-22 times
+                     max(1, ||A||_F^2)) or the matrix is too big
     ratio_estimated  true when the ratio came from a JL sketch instead of
                      the materialized matrix
     ledger           words by phase (protocols), null otherwise
@@ -69,7 +70,7 @@ from .generators import (
     gen_dense_hard,
     gen_lowrank_noise,
 )
-from .linalg import qr, tail_sq
+from .linalg import _zero_tail, qr, tail_sq
 from .sketches import derive_seed, jlt_sketch, sign_sketch, sparse_embedding
 from .sparse import SparseColMatrix
 from .streaming import (
@@ -96,7 +97,7 @@ class _Parser(argparse.ArgumentParser):
 
 def _exact_ratio(A: np.ndarray, err_sq: float, k: int) -> float | None:
     tail = tail_sq(A, k)
-    if tail <= 0.0:
+    if _zero_tail(A, tail):
         return None
     ratio = float(err_sq / tail)
     if ratio < 1.0 - 1e-9:

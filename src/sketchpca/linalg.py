@@ -153,21 +153,16 @@ def orthonormal_basis(A) -> np.ndarray:
 
 
 def finalize_basis(X) -> tuple[np.ndarray, int, bool]:
-    """Orthonormalize the columns of X, detecting rank deficiency.
+    """Orthonormalize the k columns of X, detecting rank deficiency.
 
-    Full column rank uses QR (the fast common path).  Otherwise the SVD left
-    factor gives k deterministic orthonormal columns whose leading ones span
-    the achieved column space; callers decide whether to trim.  Returns
-    (basis with k columns, achieved rank, deficient flag).
+    One SVD gives both the numeric rank r and k deterministic orthonormal
+    columns (fewer when X has fewer rows) whose leading r span the achieved
+    column space; callers decide whether to trim.  Returns (basis, achieved
+    rank, deficient flag).
     """
-    X = as_matrix(X)
-    k = X.shape[1]
-    r = numeric_rank(X)
-    if r == k and X.shape[0] >= k:
-        Q, _ = qr(X)
-        return Q, k, False
     F = svd(X)
-    return F.U[:, :k], r, True
+    r = F.rank()
+    return F.U, r, r < F.V.shape[0]   # V has a row per column of X
 
 
 def round_to_multiple(A, rho: float) -> np.ndarray:
@@ -230,6 +225,13 @@ def span_residual_sq(A, V) -> float:
     return float(np.linalg.norm(A - Y @ (Y.T @ A), "fro") ** 2)
 
 
+def _zero_tail(A, tail: float) -> bool:
+    """Whether an optimal rank-k tail of A is roundoff rather than signal:
+    at most 1e-22 * max(1, ||A||_F^2).  Ratios against such a tail are
+    roundoff over roundoff, so no caller divides by it."""
+    return tail <= 1e-22 * max(1.0, float(np.sum(A * A)))
+
+
 def residual_ratio(A, U, k: int) -> float:
     """||A - U U^T A||_F^2 relative to the optimal rank-k tail.
 
@@ -240,9 +242,8 @@ def residual_ratio(A, U, k: int) -> float:
     U = as_matrix(U, "U")
     res = float(np.linalg.norm(A - U @ (U.T @ A), "fro") ** 2)
     opt = tail_sq(A, k)
-    total = max(1.0, float(np.sum(A * A)))
-    if opt <= 1e-22 * total:
-        return 1.0 if res <= 1e-18 * total else float("inf")
+    if _zero_tail(A, opt):
+        return 1.0 if res <= 1e-18 * max(1.0, float(np.sum(A * A))) else float("inf")
     return res / opt
 
 

@@ -14,7 +14,8 @@ Families:
 * sign sketches: dense +-scale entries, the workhorse for PCA and
   regression sketches and for rank-probe matrices (scale 1);
 * subsampled randomized Hadamard (SRHT): used where affine-embedding
-  accuracy per row matters, applied with a fast Walsh-Hadamard transform;
+  accuracy per row matters; each entry comes from the parity of a sampled
+  row index and-ed with the column index, times the column's sign;
 * sparse embeddings (one nonzero per column): input-sparsity-time maps;
 * Johnson-Lindenstrauss maps for norm scoring of a bounded candidate set.
 
@@ -208,38 +209,16 @@ def sign_sketch(xi: int, n: int, seed: int, scale: float | None = None) -> SignS
 # -- subsampled randomized Hadamard -----------------------------------
 
 
-def fwht_axis0(x: np.ndarray) -> np.ndarray:
-    """Unnormalized fast Walsh-Hadamard transform along axis 0.
-
-    Leading dimension must be a power of two.  Matches the Sylvester
-    construction H_{2n} = [[H, H], [H, -H]] in natural index order.
-    """
-    n = x.shape[0]
-    if n & (n - 1):
-        raise InputError(f"FWHT length must be a power of two, got {n}")
-    out = np.array(x, dtype=np.float64, copy=True)
-    rest = out.shape[1:]
-    h = 1
-    while h < n:
-        out = out.reshape(n // (2 * h), 2, h, *rest)
-        a = out[:, 0].copy()
-        b = out[:, 1].copy()
-        out[:, 0] = a + b
-        out[:, 1] = a - b
-        out = out.reshape(n, *rest)
-        h *= 2
-    return out
-
-
 @dataclass(frozen=True)
 class SrhtSketch:
     """Subsampled randomized Hadamard transform R H D / sqrt(xi_eff).
 
-    Inputs of length n_cols are sign-flipped (D), zero-padded to the next
-    power of two, transformed, and xi_eff sampled rows are kept.  When the
-    requested row count reaches the padded length every row is kept and the
-    map is an exact isometry, which the capping rule exploits: xi_eff =
-    min(xi_requested, padded length), since sampling is without replacement.
+    H is the Sylvester Hadamard matrix of the least power of two at or above
+    n_cols, restricted to its first n_cols columns, D the sign diagonal,
+    and R keeps xi_eff sampled rows.  When the requested row count reaches
+    the padded length every row is kept and the map is an exact isometry,
+    which the capping rule exploits: xi_eff = min(xi_requested, padded
+    length), since sampling is without replacement.
     """
 
     n_rows: int
@@ -253,17 +232,29 @@ class SrhtSketch:
     def shape(self) -> tuple[int, int]:
         return (self.n_rows, self.n_cols)
 
-    def apply_left(self, A: np.ndarray) -> np.ndarray:
-        A = np.asarray(A, dtype=np.float64)
-        if A.shape[0] != self.n_cols:
-            raise InputError("operand rows disagree with sketch width")
-        z = np.zeros((self.n_pad,) + A.shape[1:])
-        z[: self.n_cols] = self.signs.reshape((-1,) + (1,) * (A.ndim - 1)) * A
-        F = fwht_axis0(z)
-        return F[self.rows] / math.sqrt(self.n_rows)
-
     def materialize(self) -> np.ndarray:
-        return self.apply_left(np.eye(self.n_cols))
+        """Entry (i, c) = H[rows[i], c] * signs[c] / sqrt(n_rows), where the
+        Sylvester entry H[r, c] is -1 exactly when r & c has odd parity.
+
+        Built in row blocks of about _BLOCK_CELLS cells: the parity bit of
+        rows[i] & c becomes the sign bit flipped on signs[c] / sqrt(n_rows),
+        which is the same float as the product, since negation is exact.
+        """
+        cols = np.arange(self.n_cols, dtype=np.uint64)[None, :]
+        col_bits = (self.signs / math.sqrt(self.n_rows)).view(np.uint64)
+        out = np.empty((self.n_rows, self.n_cols))
+        step = max(1, _BLOCK_CELLS // max(1, self.n_cols))
+        for a in range(0, self.n_rows, step):
+            b = min(a + step, self.n_rows)
+            h = self.rows[a:b, None].astype(np.uint64) & cols
+            tmp = np.empty_like(h)
+            for shift in (32, 16, 8, 4, 2, 1):   # xor-fold: bit 0 = parity
+                np.right_shift(h, np.uint64(shift), out=tmp)
+                np.bitwise_xor(h, tmp, out=h)
+            np.left_shift(h, np.uint64(63), out=h)
+            np.bitwise_xor(h, col_bits, out=h)
+            out[a:b] = h.view(np.float64)
+        return out
 
 
 def srht_sketch(xi: int, n: int, seed: int) -> SrhtSketch:

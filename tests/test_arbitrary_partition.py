@@ -186,6 +186,25 @@ class TestSmoothedBranch:
             cl, _params(k=2, seed=26, noise_scale=0.0, rounding=1e-3))
         assert residual_ratio(A, res.U, 2) <= 2.0
 
+    def test_per_machine_products_run_through_map_machines(self, monkeypatch):
+        # the sketch-up and X-up products are per-machine work, so a
+        # parallel cluster runs them concurrently, on the noised parts
+        A = lowrank_plus_noise(7, 20, 30, 2, 0.05)
+        calls = []
+        real = Cluster.map_machines
+
+        def counting(self, fn):
+            calls.append(self.parallel)
+            return real(self, fn)
+
+        monkeypatch.setattr(Cluster, "map_machines", counting)
+        serial = ap.smoothed_protocol(_cluster_for(A, 3, seed=7), _params(k=2, seed=27))
+        par = ap.smoothed_protocol(_cluster_for(A, 3, seed=7, parallel=True),
+                                   _params(k=2, seed=27))
+        assert calls == [False, False, True, True]
+        assert "perturbed" in serial.flags
+        assert par.U.tobytes() == serial.U.tobytes()
+
 
 class TestDispatcher:
     def test_routes_full_rank_to_smoothed(self):

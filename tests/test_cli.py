@@ -111,6 +111,19 @@ class TestDistCssCommands:
         assert rep["parameters"]["widths"] == [2, 10, 20]
         assert rep["ratio"] >= 1.0 - 1e-9
 
+    def test_noiseless_rank_k_input_has_no_ratio(self, capsys, tmp_path):
+        # the rank-2 tail is about 1e-29 against ||A||_F^2 of about 1.6e3:
+        # roundoff, so a ratio against it would be roundoff over roundoff
+        mtx = str(tmp_path / "exact.mtx")
+        assert run_cli(capsys, ["gen", "lowrank", "--m", "24", "--n", "40", "-k", "2",
+                                "--noise", "0", "--seed", "2", "--output", mtx])[0] == 0
+        rep = run_json(capsys, ["dist-css", "--input", mtx, "-k", "2", "--eps", "0.5",
+                                "--seed", "3", "--machines", "2"])
+        assert rep["ratio"] is None
+        rep = run_json(capsys, ["batch", "--input", mtx, "-k", "2", "--eps", "0.5",
+                                "--seed", "3"])
+        assert rep["ratio"] is None
+
     def test_even_split_default(self, capsys, tmp_path):
         h = str(tmp_path / "h.mtx")
         run_cli(capsys, ["gen", "css-hard", "-k", "2", "--phi", "5",

@@ -140,22 +140,24 @@ class TestSignGridBits:
 
 
 class TestSrht:
-    def test_fwht_matches_hadamard_oracle(self):
+    @pytest.mark.parametrize("xi,n,seed,digest", [
+        (3200, 384, 9, "02142f0168231ecd4bf1cd421eb448dd"),   # 512 x 384, capped
+        (128, 128, 3, "8ed19ecf3148cc099a4087187b4726c8"),
+        (50, 13, 6, "a1bfa868e3999a571e6928b3bde53ae0"),      # capped at 16 rows
+        (10, 30, 7, "d130b46bab8ab7e7438367d363de03d1"),
+        (7, 1, 4, "2acb4c9cc96d8097921119dde64d52d2"),
+    ])
+    def test_golden_digests(self, xi, n, seed, digest):
+        assert _digest(sk.srht_sketch(xi, n, seed).materialize()) == digest
+
+    @pytest.mark.parametrize("xi,n,seed", [(8, 13, 5), (50, 13, 6), (300, 300, 2), (3, 1, 1)])
+    def test_matches_sylvester_oracle(self, xi, n, seed):
+        T = sk.srht_sketch(xi, n, seed)
         H = np.array([[1.0]])
-        while H.shape[0] < 16:
+        while H.shape[0] < T.n_pad:
             H = np.block([[H, H], [H, -H]])
-        X = np.round(8 * rand_matrix(2, 16, 5))
-        assert np.array_equal(sk.fwht_axis0(X), H @ X)
-
-    def test_fwht_rejects_non_pow2(self):
-        with pytest.raises(InputError):
-            sk.fwht_axis0(np.zeros((6, 2)))
-
-    def test_matches_materialized_map(self):
-        T = sk.srht_sketch(8, 13, seed=5)
-        M = T.materialize()
-        X = rand_matrix(3, 13, 4)
-        assert np.allclose(T.apply_left(X), M @ X, atol=1e-12)
+        want = H[T.rows][:, :n] * T.signs / math.sqrt(T.n_rows)
+        assert T.materialize().tobytes() == want.tobytes()
 
     def test_cap_makes_exact_isometry(self):
         # requesting more rows than the padded length keeps every row
@@ -174,7 +176,7 @@ class TestSrht:
 
     def test_norm_preservation_statistical(self):
         x = rand_matrix(1, 24, 1)[:, 0]
-        ests = [np.sum(sk.srht_sketch(16, 24, seed=s).apply_left(x) ** 2)
+        ests = [np.sum((sk.srht_sketch(16, 24, seed=s).materialize() @ x) ** 2)
                 for s in range(30)]
         assert np.median(ests) == pytest.approx(np.sum(x * x), rel=0.25)
 

@@ -247,6 +247,18 @@ class TestSpaceAccounting:
         assert st_.xi1 == 6 and st_.xi3 == 8 and st_.xi4 == 8
         assert st_.space_words() == 8 * 8 + 6 * 8 + 8 * 6 + 16 * 6
 
+    def test_init_peak_is_a_few_times_the_sketches(self):
+        # the 80 x 4000 affine sketch of a 4096-padded width is built from
+        # Hadamard parity in row blocks, with no padded n x n transform
+        tracemalloc.start()
+        try:
+            st_ = TurnstileSketchState(4, 4000, 1, 1.0, 3)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        cells = st_.S.size + st_.R.size + st_.T_left.size + st_.T_right.size
+        assert peak <= 4 * 8 * cells
+
 
 class TestOnePass:
     def test_recovers_a_rank_k_stream(self):
