@@ -10,12 +10,19 @@ optionally C = S A when the caller wants an explicit factorization.
 Accumulation is canonical: updates apply in arrival order with plain
 summation, except that consecutive updates to the same entry coalesce
 before their rank-1 contribution forms, and coalesced increments are
-folded in fixed-size batches (one small matmul per batch instead of one
-outer product per update; same flops, far less overhead).  Coalescing is
-what makes the linearity contract exact: splitting an update in place
-into parts whose floating-point sum is exact (halves, or a cancellation
-pair like (2x, -x)) collapses to the identical increment sequence before
-any product or rounding happens, so every sketch is bitwise unchanged.
+folded in chunks of a fixed count.  A fold groups its chunk by stream
+column: the scaled T_left and S columns of its increments are summed per
+distinct column, and each wide sketch then takes one product with the
+T_right or R rows of those columns, so a chunk of b increments on c
+distinct columns costs about xi*b + xi*c*xi4 multiply-adds instead of
+xi*b*xi4; D sums the scaled R rows per distinct row.  Chunk boundaries
+depend on the coalesced increment sequence alone, and the grouping is a
+fixed function of each chunk, so equal sequences give equal bits.
+Coalescing is what makes the linearity contract exact: splitting an
+update in place into parts whose floating-point sum is exact (halves, or
+a cancellation pair like (2x, -x)) collapses to the identical increment
+sequence before any product or rounding happens, so every sketch is
+bitwise unchanged.
 The bitwise guarantee requires the split update to start its coalescing
 run, i.e. its entry must differ from the entry of the update right
 before it; parts that extend a run re-round against the prior partial
@@ -50,9 +57,17 @@ TAG_REGRESS_RIGHT = "stream-regress-right"
 TAG_AFFINE_LEFT = "stream-affine-left"
 TAG_AFFINE_RIGHT = "stream-affine-right"
 
-# batch size for folding coalesced increments; boundaries are a function of
+# chunk size for folding coalesced increments; boundaries are a function of
 # the increment sequence alone, so identical sequences give identical bits
 _FOLD_CHUNK = 256
+
+
+def _groups(keys: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Stable sort order of keys and the start of each run of equal keys
+    in that order, as np.add.reduceat takes them."""
+    order = np.argsort(keys, kind="stable")
+    k = keys[order]
+    return order, np.flatnonzero(np.diff(k, prepend=-1))
 
 
 class TurnstileSketchState:
@@ -80,9 +95,13 @@ class TurnstileSketchState:
         xi1 = xi_regression if xi_regression is not None else regression_dim(k, eps)
         nominal = xi_affine if xi_affine is not None else affine_dim(xi1, eps)
         self.S = sign_sketch(xi1, m, derive_seed(seed, TAG_REGRESS_LEFT)).materialize()
-        self.R = sign_sketch(xi1, n, derive_seed(seed, TAG_REGRESS_RIGHT)).materialize().T
+        # the right-hand sketches are stored n x xi, row-major, so a fold
+        # gathers whole contiguous rows per stream column
+        self.R = np.ascontiguousarray(
+            sign_sketch(xi1, n, derive_seed(seed, TAG_REGRESS_RIGHT)).materialize().T)
         self.T_left = srht_sketch(nominal, m, derive_seed(seed, TAG_AFFINE_LEFT)).materialize()
-        self.T_right = srht_sketch(nominal, n, derive_seed(seed, TAG_AFFINE_RIGHT)).materialize().T
+        self.T_right = np.ascontiguousarray(
+            srht_sketch(nominal, n, derive_seed(seed, TAG_AFFINE_RIGHT)).materialize().T)
         self.xi1 = self.xi2 = xi1
         self.xi3 = self.T_left.shape[0]
         self.xi4 = self.T_right.shape[1]
@@ -135,14 +154,23 @@ class TurnstileSketchState:
         cols = np.array([t[1] for t in self._buf], dtype=np.intp)
         vals = np.array([t[2] for t in self._buf])
         self._buf.clear()
-        tr = vals[:, None] * self.T_right[cols, :]
-        rr = vals[:, None] * self.R[cols, :]
-        self.M += self.T_left[:, rows] @ tr
-        self.L += self.S[:, rows] @ tr
-        self.N += self.T_left[:, rows] @ rr
-        np.add.at(self.D, rows, rr)
+        # W = T_left dA and V = S dA on the chunk's distinct columns uc,
+        # then one product per wide sketch
+        order, starts = _groups(cols)
+        r, v = rows[order], vals[order]
+        uc = cols[order[starts]]
+        W = np.add.reduceat(self.T_left[:, r] * v, starts, axis=1)
+        V = np.add.reduceat(self.S[:, r] * v, starts, axis=1)
+        tr = self.T_right[uc]
+        self.M += W @ tr
+        self.L += V @ tr
+        self.N += W @ self.R[uc]
         if self.C is not None:
-            np.add.at(self.C.T, cols, vals[:, None] * self.S[:, rows].T)
+            self.C[:, uc] += V
+        # D = A R: rows of v * R[cols] summed per distinct row
+        order, starts = _groups(rows)
+        rr = vals[order, None] * self.R[cols[order]]
+        self.D[rows[order[starts]]] += np.add.reduceat(rr, starts, axis=0)
 
     def flush(self) -> None:
         """Fold pending and buffered increments into the sketches."""

@@ -17,7 +17,13 @@ from hypothesis import strategies as st
 from sketchpca.arbitrary_partition import ArbProtocolParams, distributed_pca_arbitrary
 from sketchpca.cluster import Cluster
 from sketchpca.errors import InputError, StreamReplayError
+from sketchpca.sketches import affine_dim, derive_seed, regression_dim, sign_sketch, srht_sketch
 from sketchpca.streaming import (
+    _FOLD_CHUNK,
+    TAG_AFFINE_LEFT,
+    TAG_AFFINE_RIGHT,
+    TAG_REGRESS_LEFT,
+    TAG_REGRESS_RIGHT,
     FactorizationResult,
     OnePassResult,
     TurnstileSketchState,
@@ -41,6 +47,39 @@ def random_stream(seed, m, n, q, delete_prob=0.2):
         if rng.random() < delete_prob:
             ups.append((i, j, -x))
     return ups
+
+
+def column_order_stream(seed, m, n, transient_prob=0.1):
+    """Every cell arrives once, column by column; after an arrival, with
+    probability transient_prob a +d lands on a random cell, and its -d
+    follows a later arrival.  Chunks then mix column-local runs with
+    scattered cells."""
+    rng = np.random.default_rng(seed)
+    released = {}
+    ups = []
+    for t in range(m * n):
+        j, i = divmod(t, m)
+        ups.append((i, j, float(rng.standard_normal())))
+        if rng.random() < transient_prob:
+            cell = (int(rng.integers(m)), int(rng.integers(n)))
+            d = float(rng.standard_normal())
+            ups.append((*cell, d))
+            released.setdefault(int(rng.integers(t, m * n)), []).append((*cell, -d))
+        ups.extend(released.pop(t, []))
+    return ups
+
+
+def chunk_starts(ups):
+    """Indices of the updates that open a fold chunk: the first update of
+    coalesced increment number _FOLD_CHUNK * t, for t >= 1."""
+    starts, prev, runs = [], None, 0
+    for idx, (i, j, _) in enumerate(ups):
+        if prev != (i, j):
+            if runs and runs % _FOLD_CHUNK == 0:
+                starts.append(idx)
+            runs += 1
+        prev = (i, j)
+    return starts
 
 
 def dense_to_stream(A):
@@ -198,6 +237,61 @@ class TestLinearity:
             want = getattr(base, name)
             got = getattr(other, name)
             assert np.linalg.norm(got - want) <= 1e-10 * np.linalg.norm(want)
+
+
+class TestChunkedFold:
+    """Column-local runs that cross fold-chunk boundaries."""
+
+    m, n = 24, 40
+
+    def _stream(self):
+        ups = column_order_stream(5, self.m, self.n)
+        assert len(chunk_starts(ups)) >= 3
+        return ups
+
+    def test_every_sketch_matches_its_dense_product(self):
+        ups = self._stream()
+        st_ = TurnstileSketchState(self.m, self.n, 3, 0.5, 11,
+                                   track_columns=True).consume(ups)
+        A = replay_dense(self.m, self.n, ups)
+        pairs = [
+            (st_.M, st_.T_left @ A @ st_.T_right),
+            (st_.L, st_.S @ A @ st_.T_right),
+            (st_.N, st_.T_left @ A @ st_.R),
+            (st_.D, A @ st_.R),
+            (st_.C, st_.S @ A),
+        ]
+        for got, want in pairs:
+            assert np.linalg.norm(got - want) / np.linalg.norm(want) < 1e-10
+
+    @pytest.mark.parametrize("mode", ["half", "cancel"])
+    def test_splitting_a_chunk_opener_is_bitwise_invariant(self, mode):
+        ups = self._stream()
+        base = TurnstileSketchState(self.m, self.n, 3, 0.5, 11,
+                                    track_columns=True).consume(ups)
+        for idx in chunk_starts(ups):
+            i, j, x = ups[idx]
+            parts = [(i, j, x / 2)] * 2 if mode == "half" else [(i, j, 2 * x), (i, j, -x)]
+            sp = ups[:idx] + parts + ups[idx + 1:]
+            other = TurnstileSketchState(self.m, self.n, 3, 0.5, 11,
+                                         track_columns=True).consume(sp)
+            assert sketch_bytes(other) == sketch_bytes(base)
+
+    def test_stored_sketches_keep_every_entry(self):
+        m, n, k, eps, seed = 24, 40, 3, 0.5, 11
+        st_ = TurnstileSketchState(m, n, k, eps, seed)
+        xi1 = regression_dim(k, eps)
+        xi = affine_dim(xi1, eps)
+        want = {
+            "S": sign_sketch(xi1, m, derive_seed(seed, TAG_REGRESS_LEFT)).materialize(),
+            "R": sign_sketch(xi1, n, derive_seed(seed, TAG_REGRESS_RIGHT)).materialize().T,
+            "T_left": srht_sketch(xi, m, derive_seed(seed, TAG_AFFINE_LEFT)).materialize(),
+            "T_right": srht_sketch(xi, n, derive_seed(seed, TAG_AFFINE_RIGHT)).materialize().T,
+        }
+        for name, w in want.items():
+            got = getattr(st_, name)
+            assert got.shape == w.shape and got.tobytes() == np.ascontiguousarray(w).tobytes()
+        assert st_.R.flags.c_contiguous and st_.T_right.flags.c_contiguous
 
 
 class TestValidation:
