@@ -32,7 +32,7 @@ from .batch import (
     sketch_two_sided,
 )
 from .cluster import Cluster
-from .errors import InputError, InternalError, ProtocolError
+from .errors import InputError, ProtocolError
 from .linalg import (
     numeric_rank,
     rank_constrained_affine_solve,
@@ -195,7 +195,7 @@ def low_rank_protocol(cluster: Cluster, params: ArbProtocolParams,
     phase_words = cluster.ledger.phase_totals()
     result = ArbResult(U, min(r, k), deficient, "low-rank", flags, retried,
                        cur.full, phase_words, cluster.ledger.total(), params)
-    _assert_ledger(cluster, _expected_low_rank(s, m, k, xi_a, retried))
+    cluster.ledger.check(_expected_low_rank(s, m, k, xi_a, retried))
     return result
 
 
@@ -242,7 +242,7 @@ def smoothed_protocol(cluster: Cluster, params: ArbProtocolParams) -> ArbResult:
 
     result = ArbResult(U, r, deficient, "smoothed", flags, False, None,
                        cluster.ledger.phase_totals(), cluster.ledger.total(), params)
-    _assert_ledger(cluster, _expected_smoothed(
+    cluster.ledger.check(_expected_smoothed(
         s, m, k, xi, kk, U.shape[1], with_probe=cluster.ledger.total_for("rank-test-seed") > 0))
     return result
 
@@ -299,10 +299,3 @@ def _expected_smoothed(s: int, m: int, k: int, xi: int, kk: int, u_cols: int,
         out["rank-test-up"] = 4 * k * k * s
     return out
 
-
-def _assert_ledger(cluster: Cluster, expected: dict[str, int]) -> None:
-    got = cluster.ledger.phase_totals()
-    if got != expected:
-        raise InternalError(f"ledger mismatch: got {got}, expected {expected}")
-    if cluster.ledger.total() != sum(expected.values()):
-        raise InternalError("ledger total does not equal the sum of its phases")

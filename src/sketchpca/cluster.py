@@ -20,7 +20,7 @@ from functools import reduce
 
 import numpy as np
 
-from .errors import InputError, ProtocolError
+from .errors import InputError, InternalError, ProtocolError
 from .sparse import SparseColMatrix
 
 SERVER = -1
@@ -57,6 +57,13 @@ class CommLedger:
         for m in self.messages:
             out[m.phase] = out.get(m.phase, 0) + m.words
         return out
+
+    def check(self, expected: dict[str, int]) -> None:
+        """Double-entry check: the phase totals against counts recomputed
+        from the shipped payloads."""
+        got = self.phase_totals()
+        if got != expected:
+            raise InternalError(f"ledger mismatch: got {got}, expected {expected}")
 
     def to_json_lines(self) -> str:
         return "\n".join(json.dumps(

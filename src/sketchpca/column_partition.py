@@ -20,14 +20,10 @@ Four stages:
    no wider than the sketch would be (n <= s * xi, with xi resolved by
    default), every machine ships its block C^T A_i exactly, c * n_i words,
    and the server concatenates them: the basis is the exact optimum in
-   span(C), and c * n <= s * c * xi keeps the paper's bound.  With a
-   per-machine finalize the server's r x n matrix (r = rank C) then goes
-   to all s machines, so the rule becomes n * (c + s * r) <= xi * (s * c +
-   s * r): the exact branch never ships more words than the sketch.
-   Otherwise, and whenever xi_subspace is given, a shared seeded sketch S
-   turns one pass over the blocks into the sum of C^T A_i S_i^T, which
-   machines send in blocks of sketch rows, so no machine's whole product is
-   ever built.
+   span(C), and c * n <= s * c * xi keeps the paper's bound.  Otherwise,
+   and whenever xi_subspace is given, a shared seeded sketch S turns one
+   pass over the blocks into the sum of C^T A_i S_i^T, which machines send
+   in blocks of sketch rows, so no machine's whole product is ever built.
 
 run_css_protocol is the one driver of these stages.  What differs between
 variants is a CssKernels bundle: this module's exact kernels (dense SVD,
@@ -36,9 +32,11 @@ back distributed_css_pca, and column_select_sparse supplies entry-touch
 kernels for distributed_css_pca_fast.  Flags, draws, ledger records and
 the finalize are shared.
 
-The server does the finalize once and downlinks U; a per-machine variant
-(broadcast the server's coefficient matrix, everyone finalizes
-identically) is available behind a flag.
+The server does the finalize once and downlinks U, m * k words per
+machine.  Behind a flag it broadcasts instead the r x k coefficients Delta
+of U in an orthonormal basis Y of span(C) (r = rank C): every machine
+already holds C, so it forms U = Y Delta itself, and no downlink grows
+with n.
 
 Every phase total is recomputed from first principles after the run and
 compared with the ledger, so the accounting is double-entry checked.
@@ -227,11 +225,10 @@ def run_css_protocol(cluster: Cluster, params, kernels: CssKernels) -> CssPcaRes
     cluster.record_broadcast("span-down", _cols_words(new_cols))
     C_full = np.hstack([C, new_cols])
 
-    # stage 4: the coefficients C^T A, shipped exactly when that costs no
-    # more words than the sketch, else through one pass of a shared seeded
-    # sketch.  Per column of the shipped matrix (n exact, xi sketched) the
-    # uplink is c words exact and s * c sketched, and a per-machine
-    # finalize sends r = rank C more words to each of the s machines.
+    # stage 4: the coefficients C^T A, shipped exactly when the data is no
+    # wider than the sketch, else through one pass of a shared seeded sketch.
+    # Per column of the shipped matrix (n exact, xi sketched) the uplink is
+    # c words exact and s * c sketched.
     c_actual = C_full.shape[1]
     CT = C_full.T
     # One SVD C = U S V^T gives Y = U_r and the map W = S_r^-1 V_r^T with
@@ -241,9 +238,7 @@ def run_css_protocol(cluster: Cluster, params, kernels: CssKernels) -> CssPcaRes
     Y = Fc.U[:, :r]
     W = (Fc.V[:, :r] / Fc.sigma[:r]).T
     del Fc      # V is dropped: only Y and W (r x c) live through the gather
-    down = s * r if params.per_machine_finalize else 0
-    if (params.xi_subspace is None
-            and cluster.n * (c_actual + down) <= xi * (s * c_actual + down)):
+    if params.xi_subspace is None and cluster.n <= s * xi:
         finalize = "exact"
         coeffs = cluster.map_machines(lambda i, p: kernels.coefficients(CT, parts[i]))
         cluster.record_gather("subspace-up", [b.size for b in coeffs])
@@ -262,9 +257,10 @@ def run_css_protocol(cluster: Cluster, params, kernels: CssKernels) -> CssPcaRes
         flags.add("rank-deficient")
 
     if params.per_machine_finalize:
-        cluster.record_broadcast("xi-down", Xi.size)
-        replicas = cluster.map_machines(
-            lambda i, p: Y @ truncated_svd(Xi, kk).U)
+        # every machine holds C_full (global-down, span-down), so its own
+        # basis Y and the server's r x kk Delta give it U
+        cluster.record_broadcast("delta-down", Delta.size)
+        replicas = cluster.map_machines(lambda i, p: orthonormal_basis(C_full) @ Delta)
         for R in replicas:
             if R.tobytes() != U.tobytes():
                 raise InternalError("per-machine finalize diverged from the server")
@@ -274,7 +270,7 @@ def run_css_protocol(cluster: Cluster, params, kernels: CssKernels) -> CssPcaRes
     result = CssPcaResult(
         U, kk, flags, core_gids, adaptive_gids, c_actual, xi, finalize, betas, draws,
         cluster.ledger.phase_totals(), cluster.ledger.total(), params)
-    _assert_ledger(cluster, result, local_blocks, C, new_cols, Xi.shape)
+    cluster.ledger.check(_expected_words(cluster, result, local_blocks, C, new_cols, r))
     return result
 
 
@@ -322,10 +318,10 @@ def distributed_css_pca(cluster: Cluster, params: CssProtocolParams) -> CssPcaRe
     return run_css_protocol(cluster, params, _EXACT_KERNELS)
 
 
-def _assert_ledger(cluster: Cluster, result: CssPcaResult,
-                   local_blocks: list[np.ndarray], core: np.ndarray,
-                   adaptive: np.ndarray, xi_shape: tuple[int, int]) -> None:
-    """Recompute every phase from the shipped payloads; double-entry check."""
+def _expected_words(cluster: Cluster, result: CssPcaResult,
+                    local_blocks: list[np.ndarray], core: np.ndarray,
+                    adaptive: np.ndarray, r: int) -> dict[str, int]:
+    """Every phase recomputed from the shipped payloads (r = rank C)."""
     s = cluster.s
     expected = {
         "local-up": sum(_cols_words(b) for b in local_blocks),
@@ -337,11 +333,7 @@ def _assert_ledger(cluster: Cluster, result: CssPcaResult,
             cluster.n if result.finalize == "exact" else s * result.xi),
     }
     if result.params.per_machine_finalize:
-        expected["xi-down"] = s * xi_shape[0] * xi_shape[1]
+        expected["delta-down"] = s * r * result.rank
     else:
         expected["u-down"] = s * result.U.shape[0] * result.rank
-    got = cluster.ledger.phase_totals()
-    if got != expected:
-        raise InternalError(f"ledger mismatch: got {got}, expected {expected}")
-    if cluster.ledger.total() != sum(got.values()):
-        raise InternalError("ledger total does not equal the sum of its phases")
+    return expected

@@ -150,6 +150,12 @@ class TestDistCssCommands:
                 "--seed", "3"]
         rep = run_json(capsys, base)
         assert rep["parameters"]["finalize"] == "exact"
+        # the per-machine finalize takes the same branch; only its downlink differs
+        pm = run_json(capsys, base + ["--per-machine-finalize"])
+        assert pm["parameters"]["finalize"] == rep["parameters"]["finalize"]
+        assert pm["ledger"]["delta-down"] > 0
+        assert "u-down" not in pm["ledger"] and "xi-down" not in pm["ledger"]
+        assert pm["ratio"] == rep["ratio"]
         rep = run_json(capsys, base + ["--const-xi-subspace", "16"])
         assert rep["parameters"]["finalize"] == "sketch"
         assert rep["parameters"]["xi"] == 16

@@ -13,7 +13,7 @@ from sketchpca.arbitrary_partition import ArbProtocolParams, distributed_pca_arb
 from sketchpca.cluster import SERVER, Cluster, CommLedger
 from sketchpca.column_partition import CssProtocolParams, distributed_css_pca
 from sketchpca.column_select_sparse import FastCssProtocolParams, distributed_css_pca_fast
-from sketchpca.errors import InputError, ProtocolError
+from sketchpca.errors import InputError, InternalError, ProtocolError
 from sketchpca.sparse import SparseColMatrix
 
 
@@ -37,6 +37,15 @@ class TestLedger:
     def test_negative_rejected(self):
         with pytest.raises(InputError):
             CommLedger().record(1, 0, SERVER, -1, "x")
+
+    def test_check_compares_every_phase(self):
+        led = CommLedger()
+        led.record(1, SERVER, 0, 5, "down")
+        led.record(2, 0, SERVER, 7, "up")
+        led.check({"down": 5, "up": 7})
+        for wrong in ({"down": 5}, {"down": 5, "up": 6}, {"down": 5, "up": 7, "x": 0}):
+            with pytest.raises(InternalError, match="ledger mismatch"):
+                led.check(wrong)
 
 
 class TestClusterArbitrary:

@@ -148,7 +148,13 @@ class TestVariantsAndDeterminism:
         var = distributed_css_pca(
             cl2, _params(k=2, seed=111, per_machine_finalize=True))
         assert base.U.tobytes() == var.U.tobytes()
-        assert "xi-down" in var.phase_words and "u-down" not in var.phase_words
+        A = cl2.materialize()
+        r = np.linalg.matrix_rank(A[:, var.core_indices + var.adaptive_indices])
+        assert var.phase_words["delta-down"] == cl2.s * r * var.rank
+        assert "xi-down" not in var.phase_words and "u-down" not in var.phase_words
+        # only the downlink differs
+        down = {p: w for p, w in base.phase_words.items() if p != "u-down"}
+        assert var.total_words == sum(down.values()) + var.phase_words["delta-down"]
 
     def test_deterministic(self):
         r1 = distributed_css_pca(_sparse_cluster(11), _params(k=2, seed=121))
@@ -196,8 +202,9 @@ def _dense_cluster(seed, m=30, widths=(30, 30, 30, 30), parallel=False):
 @pytest.mark.parametrize("protocol", sorted(_PROTOCOLS))
 class TestFinalizeBranches:
     """Stage 4 ships C^T A exactly when n <= s * xi with xi resolved by
-    default (with a per-machine finalize, when that ships no more words in
-    all), and sketches otherwise or when xi_subspace is given."""
+    default, and sketches otherwise or when xi_subspace is given.  The rule
+    is the same with a per-machine finalize, whose downlink is the r x k
+    coefficient matrix at any width."""
 
     @pytest.mark.parametrize("data", ["dense", "sparse"])
     def test_exact_branch_is_the_restricted_optimum(self, protocol, data):
@@ -221,51 +228,34 @@ class TestFinalizeBranches:
         s = 2
         # at a width where the fast sizing rule's 2n cap does not bind
         xi = default_xi(Params(seed=0, **budgets), 10_000)
-        for widths, mode in (((xi, xi), "exact"), ((xi, xi + 1), "sketch")):
-            cl = _sparse_cluster(17, widths=widths)
-            assert default_xi(Params(seed=0, **budgets), cl.n) == xi
-            res = run(cl, Params(seed=170, **budgets))
-            assert (res.finalize, res.xi) == (mode, xi)
-            words = res.c_actual * (cl.n if mode == "exact" else s * xi)
-            assert res.phase_words["subspace-up"] == words
+        for per_machine in (False, True):
+            down = {}
+            for widths, mode in (((xi, xi), "exact"), ((xi, xi + 1), "sketch")):
+                cl = _sparse_cluster(17, widths=widths)
+                assert default_xi(Params(seed=0, **budgets), cl.n) == xi
+                res = run(cl, Params(seed=170, per_machine_finalize=per_machine, **budgets))
+                assert (res.finalize, res.xi) == (mode, xi)
+                words = res.c_actual * (cl.n if mode == "exact" else s * xi)
+                assert res.phase_words["subspace-up"] == words
+                assert "xi-down" not in res.phase_words
+                if per_machine:
+                    C = cl.materialize()[:, res.core_indices + res.adaptive_indices]
+                    r = np.linalg.matrix_rank(C)
+                    assert res.phase_words["delta-down"] == s * r * res.rank
+                    assert "u-down" not in res.phase_words
+                    down[mode] = res.phase_words["delta-down"]
+                else:
+                    assert res.phase_words["u-down"] == s * cl.m * res.rank
+                    assert "delta-down" not in res.phase_words
+            if per_machine:
+                # the downlink does not grow with the width
+                assert down["exact"] == down["sketch"]
         # an explicit sketch size sketches, however wide it is
         for explicit in (xi, s * xi):
             res = run(_sparse_cluster(17, widths=(xi, xi)),
                       Params(seed=170, xi_subspace=explicit, **budgets))
             assert (res.finalize, res.xi) == ("sketch", explicit)
             assert res.phase_words["subspace-up"] == s * res.c_actual * explicit
-
-    def test_per_machine_rule_counts_the_broadcast(self, protocol):
-        # exact: c * n up and r * n down to each machine; sketch: s * c * xi
-        # up and r * xi down.  With r = c and s = 2 the exact branch ships no
-        # more words while 3n <= 4 xi.
-        run, Params, default_xi = _PROTOCOLS[protocol]
-        budgets = (dict(k=2, eps=1.0, ell=3, c1=3, c2=2) if protocol == "exact"
-                   else dict(k=2, eps=1.0, c2=0))
-        s = 2
-        xi = default_xi(Params(seed=0, **budgets), 10_000)
-        n = 4 * xi // 3
-        assert 3 * n <= 4 * xi < 3 * (n + 1) and n <= s * xi
-        words = {}
-        for width, xi_subspace, mode in ((n, None, "exact"), (n + 1, None, "sketch"),
-                                         (n, xi, "sketch")):
-            widths = (width // 2, width - width // 2)
-            cl = _sparse_cluster(19, widths=widths)
-            assert default_xi(Params(seed=0, **budgets), cl.n) == xi
-            res = run(cl, Params(seed=190, per_machine_finalize=True,
-                                 xi_subspace=xi_subspace, **budgets))
-            C = cl.materialize()[:, res.core_indices + res.adaptive_indices]
-            c, r = res.c_actual, np.linalg.matrix_rank(C)
-            assert c == r
-            assert (res.finalize, res.xi) == (mode, xi)
-            shipped = width if mode == "exact" else xi
-            up = res.c_actual * (width if mode == "exact" else s * xi)
-            assert res.phase_words["subspace-up"] == up
-            assert res.phase_words["xi-down"] == s * r * shipped
-            assert "u-down" not in res.phase_words
-            words[width, mode] = up + res.phase_words["xi-down"]
-        # at the same width the exact branch ships no more than the sketch
-        assert words[n, "exact"] <= words[n, "sketch"]
 
     def test_exact_branch_is_bitwise_across_modes(self, protocol):
         run, Params, _ = _PROTOCOLS[protocol]

@@ -726,7 +726,10 @@ class TestFastProtocol:
         cl = _sparse_cluster(5)
         res = distributed_css_pca_fast(
             cl, _params(k=2, seed=10, per_machine_finalize=True))
-        assert "xi-down" in res.phase_words
+        C = cl.materialize()[:, res.core_indices + res.adaptive_indices]
+        r = np.linalg.matrix_rank(C)
+        assert res.phase_words["delta-down"] == cl.s * r * res.rank
+        assert "xi-down" not in res.phase_words
         assert "u-down" not in res.phase_words
 
     def test_dense_blocks_are_accepted(self):
