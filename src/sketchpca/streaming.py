@@ -9,15 +9,21 @@ optionally C = S A when the caller wants an explicit factorization.
 
 Accumulation is canonical: updates apply in arrival order with plain
 summation, except that consecutive updates to the same entry coalesce
-before their rank-1 contribution forms, and coalesced increments are
-folded in chunks of a fixed count.  A fold groups its chunk by stream
-column: the scaled T_left and S columns of its increments are summed per
-distinct column, and each wide sketch then takes one product with the
-T_right or R rows of those columns, so a chunk of b increments on c
-distinct columns costs about xi*b + xi*c*xi4 multiply-adds instead of
-xi*b*xi4; D sums the scaled R rows per distinct row.  Chunk boundaries
-depend on the coalesced increment sequence alone, and the grouping is a
-fixed function of each chunk, so equal sequences give equal bits.
+before their rank-1 contribution forms, each run summed left to right,
+and coalesced increments are folded in chunks of a fixed count.  Input is
+read in small validated blocks of raw updates; the open run and the
+partial chunk carry from one block to the next, so update() one at a
+time and consume() of the same sequence give the same increments, the
+same chunks and the same bits, and no array grows with the stream.  A
+fold scatters its chunk into a dense block dA on the chunk's distinct
+rows ur and columns uc, and every sketch updates through plain products
+with it: W = T_left[:, ur] dA and V = S[:, ur] dA, then M += W T_right[uc],
+L += V T_right[uc], N += W R[uc], C[:, uc] += V and D[ur] += dA R[uc].  A
+chunk on r distinct rows and c distinct columns thus costs about
+xi*r*c + xi*c*xi4 multiply-adds instead of xi*b*xi4 for its b increments.
+Chunk boundaries depend on the coalesced increment sequence alone, and
+the block is a fixed function of each chunk, so equal sequences give
+equal bits.
 Coalescing is what makes the linearity contract exact: splitting an
 update in place into parts whose floating-point sum is exact (halves, or
 a cancellation pair like (2x, -x)) collapses to the identical increment
@@ -40,8 +46,8 @@ from __future__ import annotations
 
 import hashlib
 import math
-import struct
 from dataclasses import dataclass
+from itertools import islice
 
 import numpy as np
 
@@ -57,17 +63,76 @@ TAG_REGRESS_RIGHT = "stream-regress-right"
 TAG_AFFINE_LEFT = "stream-affine-left"
 TAG_AFFINE_RIGHT = "stream-affine-right"
 
-# chunk size for folding coalesced increments; boundaries are a function of
-# the increment sequence alone, so identical sequences give identical bits
+# coalesced increments per fold chunk; boundaries are a function of the
+# increment sequence alone, so identical sequences give identical bits
 _FOLD_CHUNK = 256
+# raw updates read per ingest block; small, so no array grows with the stream
+_INGEST_BLOCK = 1024
+# an empty chunk of coalesced increments: (rows, cols, vals)
+_EMPTY = (np.empty(0, np.int64), np.empty(0, np.int64), np.empty(0))
+# one update as _walk fingerprints it: the bytes of struct.pack("<qqd", i, j, x)
+_RECORD = np.dtype([("i", "<i8"), ("j", "<i8"), ("x", "<f8")])
 
 
-def _groups(keys: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """Stable sort order of keys and the start of each run of equal keys
-    in that order, as np.add.reduceat takes them."""
-    order = np.argsort(keys, kind="stable")
-    k = keys[order]
-    return order, np.flatnonzero(np.diff(k, prepend=-1))
+def _check(i, j, x, m: int, n: int) -> tuple[int, int, float]:
+    """One raw update as (int, int, float), or InputError naming the first
+    rule it breaks."""
+    i, j = int(i), int(j)
+    if not (0 <= i < m and 0 <= j < n):
+        raise InputError(f"update index ({i}, {j}) out of range for {m} x {n}")
+    x = float(x)
+    if not math.isfinite(x):
+        raise InputError("update increment must be finite")
+    return i, j, x
+
+
+def _blocks(updates, m: int, n: int):
+    """Validate an update iterable in arrival order and yield it as int64
+    rows, int64 cols and float vals arrays of at most _INGEST_BLOCK updates."""
+    it = iter(updates)
+    while block := list(islice(it, _INGEST_BLOCK)):
+        yield _block_arrays(block, m, n)
+
+
+def _block_arrays(block: list, m: int, n: int):
+    try:
+        r, c, v = zip(*block)
+        rows = np.fromiter(r, np.int64, len(block))
+        cols = np.fromiter(c, np.int64, len(block))
+        vals = np.fromiter(v, float, len(block))
+        if (set(map(len, block)) == {3}
+                and ((0 <= rows) & (rows < m) & (0 <= cols) & (cols < n)).all()
+                and np.isfinite(vals).all()):
+            return rows, cols, vals
+    except (TypeError, ValueError, OverflowError):
+        pass
+    # re-read update by update, so the first bad one raises as update() would
+    r, c, v = zip(*[_check(i, j, x, m, n) for i, j, x in block])
+    return np.array(r, np.int64), np.array(c, np.int64), np.array(v)
+
+
+def _coalesce(run, rows, cols, vals):
+    """Split the open run (or None) followed by a block into its runs of
+    consecutive equal entries, each summed left to right as one running
+    float would.  Returns the closed runs as (rows, cols, sums) and the
+    last run, which stays open because the next update may extend it."""
+    if run is not None:
+        rows, cols, vals = (np.concatenate(p) for p in zip(run, (rows, cols, vals)))
+    new = np.empty(len(vals), bool)
+    new[0] = True
+    new[1:] = (rows[1:] != rows[:-1]) | (cols[1:] != cols[:-1])
+    starts = np.flatnonzero(new)
+    depth = np.diff(starts, append=len(vals))
+    # pass d adds the d-th value of every run still that long
+    sums = vals[starts]
+    live = np.flatnonzero(depth > 1)
+    d = 1
+    while live.size:
+        sums[live] += vals[starts[live] + d]
+        d += 1
+        live = live[depth[live] > d]
+    runs = (rows[starts], cols[starts], sums)
+    return tuple(a[:-1] for a in runs), tuple(a[-1:].copy() for a in runs)
 
 
 class TurnstileSketchState:
@@ -111,8 +176,12 @@ class TurnstileSketchState:
         self.D = np.zeros((m, self.xi2))
         self.C = np.zeros((self.xi1, n)) if track_columns else None
         self.updates_applied = 0
-        self._pending: list | None = None
-        self._buf: list[tuple[int, int, float]] = []
+        # update() calls not yet ingested, fewer than _INGEST_BLOCK; the open
+        # coalescing run as 1-element (row, col, running sum) arrays, or
+        # None; the coalesced increments not yet folded, fewer than _FOLD_CHUNK
+        self._raw: list[tuple[int, int, float]] = []
+        self._run: tuple | None = None
+        self._chunk = _EMPTY
 
     def space_words(self) -> int:
         """Exact scalar count of the maintained accumulators."""
@@ -124,63 +193,65 @@ class TurnstileSketchState:
 
     def update(self, i: int, j: int, x: float) -> None:
         """Absorb one additive increment to entry (i, j)."""
-        i, j = int(i), int(j)
-        if not (0 <= i < self.m and 0 <= j < self.n):
-            raise InputError(
-                f"update index ({i}, {j}) out of range for {self.m} x {self.n}")
-        x = float(x)
-        if not math.isfinite(x):
-            raise InputError("update increment must be finite")
-        if self._pending is not None and self._pending[0] == i and self._pending[1] == j:
-            self._pending[2] += x
-        else:
-            self._spill()
-            self._pending = [i, j, x]
+        self._raw.append(_check(i, j, x, self.m, self.n))
         self.updates_applied += 1
+        if len(self._raw) == _INGEST_BLOCK:
+            self._drain()
 
-    def _spill(self) -> None:
-        if self._pending is None:
-            return
-        i, j, x = self._pending
-        self._pending = None
-        self._buf.append((i, j, x))
-        if len(self._buf) >= _FOLD_CHUNK:
-            self._fold()
+    def _drain(self) -> None:
+        """Ingest the buffered update() calls as one block."""
+        if self._raw:
+            rows, cols, vals = _block_arrays(self._raw, self.m, self.n)
+            self._raw.clear()
+            self._ingest(rows, cols, vals)
 
-    def _fold(self) -> None:
-        if not self._buf:
-            return
-        rows = np.array([t[0] for t in self._buf], dtype=np.intp)
-        cols = np.array([t[1] for t in self._buf], dtype=np.intp)
-        vals = np.array([t[2] for t in self._buf])
-        self._buf.clear()
-        # W = T_left dA and V = S dA on the chunk's distinct columns uc,
-        # then one product per wide sketch
-        order, starts = _groups(cols)
-        r, v = rows[order], vals[order]
-        uc = cols[order[starts]]
-        W = np.add.reduceat(self.T_left[:, r] * v, starts, axis=1)
-        V = np.add.reduceat(self.S[:, r] * v, starts, axis=1)
-        tr = self.T_right[uc]
-        self.M += W @ tr
-        self.L += V @ tr
+    def _ingest(self, rows, cols, vals) -> None:
+        """Coalesce a validated block after the open run and fold every
+        full chunk of the increments."""
+        closed, self._run = _coalesce(self._run, rows, cols, vals)
+        r, c, v = (np.concatenate(p) for p in zip(self._chunk, closed))
+        full = len(v) - len(v) % _FOLD_CHUNK
+        for s in range(0, full, _FOLD_CHUNK):
+            t = s + _FOLD_CHUNK
+            self._fold(r[s:t], c[s:t], v[s:t])
+        # copies, so the partial chunk does not keep this block's arrays alive
+        self._chunk = (r[full:].copy(), c[full:].copy(), v[full:].copy())
+
+    def _fold(self, rows, cols, vals) -> None:
+        """Add one chunk of increments to every sketch: the chunk becomes a
+        dense block dA on its distinct rows ur and columns uc, and each
+        sketch updates through plain products with it."""
+        ur, uc = np.unique(rows), np.unique(cols)
+        dA = np.bincount(np.searchsorted(ur, rows) * len(uc) + np.searchsorted(uc, cols),
+                         weights=vals, minlength=len(ur) * len(uc)).reshape(len(ur), len(uc))
+        W = self.T_left[:, ur] @ dA
+        V = self.S[:, ur] @ dA
+        self.D[ur] += dA @ self.R[uc]
         self.N += W @ self.R[uc]
         if self.C is not None:
             self.C[:, uc] += V
-        # D = A R: rows of v * R[cols] summed per distinct row
-        order, starts = _groups(rows)
-        rr = vals[order, None] * self.R[cols[order]]
-        self.D[rows[order[starts]]] += np.add.reduceat(rr, starts, axis=0)
+        # the widest products last, with the fewest temporaries alive
+        tr = self.T_right[uc]
+        self.M += W @ tr
+        self.L += V @ tr
 
     def flush(self) -> None:
-        """Fold pending and buffered increments into the sketches."""
-        self._spill()
-        self._fold()
+        """Fold the open run and the partial chunk into the sketches."""
+        self._drain()
+        if self._run is not None:
+            self._chunk = tuple(np.concatenate(p) for p in zip(self._chunk, self._run))
+            self._run = None
+        r, c, v = self._chunk
+        self._chunk = _EMPTY
+        if len(v):
+            self._fold(r, c, v)
 
     def consume(self, updates) -> "TurnstileSketchState":
-        """Apply a whole update sequence and flush."""
-        for i, j, x in updates:
-            self.update(i, j, x)
+        """Apply a whole update sequence, read in validated blocks, and flush."""
+        self._drain()
+        for rows, cols, vals in _blocks(updates, self.m, self.n):
+            self.updates_applied += len(vals)
+            self._ingest(rows, cols, vals)
         self.flush()
         return self
 
@@ -262,17 +333,14 @@ def _walk(source, m: int, n: int, A: np.ndarray | None = None):
     add every increment into it in arrival order.  Returns (digest, count)."""
     digest = hashlib.blake2b(digest_size=16)
     count = 0
-    for i, j, x in _replay(source):
-        i, j = int(i), int(j)
-        if not (0 <= i < m and 0 <= j < n):
-            raise InputError(f"update index ({i}, {j}) out of range for {m} x {n}")
-        x = float(x)
-        if not math.isfinite(x):
-            raise InputError("update increment must be finite")
+    for rows, cols, vals in _blocks(_replay(source), m, n):
         if A is not None:
-            A[i, j] += x
-        digest.update(struct.pack("<qqd", i, j, x))
-        count += 1
+            # unbuffered, so repeated entries add one after another
+            np.add.at(A, (rows, cols), vals)
+        rec = np.empty(len(vals), _RECORD)
+        rec["i"], rec["j"], rec["x"] = rows, cols, vals
+        digest.update(rec.tobytes())
+        count += len(vals)
     return digest.digest(), count
 
 

@@ -7,6 +7,8 @@ agree to roundoff.  Two-pass runs must match the one-machine distributed
 protocol bit for bit, since both see the same rebuilt matrix.
 """
 
+import hashlib
+import struct
 import tracemalloc
 
 import numpy as np
@@ -20,6 +22,7 @@ from sketchpca.errors import InputError, StreamReplayError
 from sketchpca.sketches import affine_dim, derive_seed, regression_dim, sign_sketch, srht_sketch
 from sketchpca.streaming import (
     _FOLD_CHUNK,
+    _INGEST_BLOCK,
     TAG_AFFINE_LEFT,
     TAG_AFFINE_RIGHT,
     TAG_REGRESS_LEFT,
@@ -27,8 +30,10 @@ from sketchpca.streaming import (
     FactorizationResult,
     OnePassResult,
     TurnstileSketchState,
+    _walk,
     one_pass_factorization,
     one_pass_pca,
+    stream_matrix,
     two_pass_pca,
 )
 
@@ -292,6 +297,152 @@ class TestChunkedFold:
             got = getattr(st_, name)
             assert got.shape == w.shape and got.tobytes() == np.ascontiguousarray(w).tobytes()
         assert st_.R.flags.c_contiguous and st_.T_right.flags.c_contiguous
+
+
+def run_stream(seed, m, n, runs):
+    """runs coalescing runs of 1-4 updates each, every 40th of 10-29,
+    adjacent runs on different entries.  Run _FOLD_CHUNK - 1 closes the
+    first fold chunk and run _FOLD_CHUNK opens the second; both are long,
+    and the run holding raw update _INGEST_BLOCK - 1 goes on past it,
+    across an ingest block."""
+    rng = np.random.default_rng(seed)
+    lengths = [int(rng.integers(10, 30) if r % 40 == 0 else rng.integers(1, 5))
+               for r in range(runs)]
+    lengths[_FOLD_CHUNK - 1], lengths[_FOLD_CHUNK] = 5, 3
+    ends = np.cumsum(lengths)
+    lengths[int(np.searchsorted(ends, _INGEST_BLOCK))] += 2
+    ups, prev = [], None
+    for length in lengths:
+        cell = prev
+        while cell == prev:
+            cell = (int(rng.integers(m)), int(rng.integers(n)))
+        ups.extend((*cell, float(rng.standard_normal())) for _ in range(length))
+        prev = cell
+    return ups
+
+
+def run_of(ups, idx):
+    """Start and end (exclusive) of the coalescing run holding ups[idx]."""
+    lo, hi = idx, idx + 1
+    while lo and ups[lo - 1][:2] == ups[idx][:2]:
+        lo -= 1
+    while hi < len(ups) and ups[hi][:2] == ups[idx][:2]:
+        hi += 1
+    return lo, hi
+
+
+class TestArrayIngest:
+    """consume() reads raw updates in blocks of arrays and update() buffers
+    its calls into blocks; the open run and the partial fold chunk carry
+    across blocks, so any block boundaries give the same bits."""
+
+    m, n = 12, 16
+
+    def _state(self):
+        return TurnstileSketchState(self.m, self.n, 3, 0.5, 11, track_columns=True)
+
+    def _stream(self):
+        ups = run_stream(3, self.m, self.n, 1200)
+        lo, hi = run_of(ups, _INGEST_BLOCK - 1)
+        assert lo < _INGEST_BLOCK - 1 and hi > _INGEST_BLOCK
+        opener = chunk_starts(ups)[0]
+        assert ups[opener - 1][:2] == ups[opener - 2][:2]
+        assert run_of(ups, opener)[1] - opener > 1
+        assert len(ups) > 2 * _INGEST_BLOCK
+        return ups
+
+    def test_update_by_update_equals_consume(self):
+        ups = self._stream()
+        one = self._state()
+        for u in ups:
+            one.update(*u)
+        one.flush()
+        block = self._state().consume(ups)
+        assert sketch_bytes(one) == sketch_bytes(block)
+        assert one.updates_applied == block.updates_applied == len(ups)
+
+    def test_runs_sum_like_one_running_float(self):
+        # the reference coalesces in a Python loop; the long runs are where a
+        # pairwise or blocked sum would round differently
+        ups = self._stream()
+        incs = []
+        for i, j, x in ups:
+            if incs and incs[-1][:2] == [i, j]:
+                incs[-1][2] += x
+            else:
+                incs.append([i, j, x])
+        ref = self._state()
+        for s in range(0, len(incs), _FOLD_CHUNK):
+            r, c, v = zip(*incs[s:s + _FOLD_CHUNK])
+            ref._fold(np.array(r), np.array(c), np.array(v))
+        assert sketch_bytes(ref) == sketch_bytes(self._state().consume(ups))
+
+    def test_generator_equals_list(self):
+        ups = self._stream()
+        gen = self._state().consume(u for u in ups)
+        assert sketch_bytes(gen) == sketch_bytes(self._state().consume(ups))
+
+    def test_open_run_carries_into_consume(self):
+        ups = self._stream()
+        lo, hi = run_of(ups, 10)
+        while hi - lo < 2:
+            lo, hi = run_of(ups, hi)
+        st_ = self._state()
+        for u in ups[:lo + 1]:
+            st_.update(*u)
+        st_.consume(ups[lo + 1:])
+        assert sketch_bytes(st_) == sketch_bytes(self._state().consume(ups))
+
+    @pytest.mark.parametrize("bad,later", [
+        ((12, 0, 1.0), (0, 0, float("nan"))),
+        ((0, -1, 1.0), (0, 16, 1.0)),
+        ((0, 0, float("nan")), (99, 0, 1.0)),
+        ((3, 4, float("-inf")), (12, 3, 1.0)),
+    ])
+    @pytest.mark.parametrize("at", [5, _INGEST_BLOCK + 300])
+    def test_first_bad_update_raises_the_update_message(self, bad, later, at):
+        ups = self._stream()
+        with pytest.raises(InputError) as want:
+            self._state().update(*bad)
+        seq = ups[:at] + [bad] + ups[at:at + 50] + [later] + ups[at + 50:]
+        with pytest.raises(InputError) as got:
+            self._state().consume(seq)
+        assert str(got.value) == str(want.value)
+        with pytest.raises(InputError) as walked:
+            stream_matrix(iter(seq), self.m, self.n)
+        assert str(walked.value) == str(want.value)
+
+    def test_stream_matrix_adds_in_arrival_order(self):
+        ups = random_stream(5, 4, 5, 3000)
+        assert stream_matrix(ups, 4, 5).tobytes() == replay_dense(4, 5, ups).tobytes()
+
+    def test_replay_digest_hashes_packed_updates(self):
+        ups = self._stream()
+        want = hashlib.blake2b(digest_size=16)
+        for i, j, x in ups:
+            want.update(struct.pack("<qqd", i, j, x))
+        assert _walk(ups, self.m, self.n) == (want.digest(), len(ups))
+
+    def test_peak_does_not_grow_with_the_stream(self):
+        # the generator hands out the same 997 tuples over and over, so the
+        # stream allocates no objects of its own; one int64 array over the
+        # 180k extra updates would add 1.4 MB
+        rng = np.random.default_rng(0)
+        pattern = [(int(rng.integers(32)), int(rng.integers(48)), float(rng.standard_normal()))
+                   for _ in range(997)]
+
+        def peak(q):
+            st_ = TurnstileSketchState(32, 48, 3, 0.5, 1)
+            ups = (pattern[t % len(pattern)] for t in range(q))
+            tracemalloc.start()
+            try:
+                st_.consume(ups)
+                return tracemalloc.get_traced_memory()[1]
+            finally:
+                tracemalloc.stop()
+
+        peak(2_000)   # lazy imports inside numpy land outside the comparison
+        assert abs(peak(200_000) - peak(20_000)) < 128 * 1024
 
 
 class TestValidation:
