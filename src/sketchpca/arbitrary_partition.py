@@ -6,11 +6,14 @@ A cheap 2k x 2k probe decides between two branches:
   doubles as a span sketch, the server reconstructs a column space C = A H,
   and a small rank-constrained affine problem fits the best rank-k factor
   inside span(C);
-* smoothed branch, for general inputs: machine 0 adds a tiny seeded
-  perturbation to break spectral-gap degeneracies, then the cluster runs
-  the batch two-sided sketch pipeline with per-machine partial sketches
-  summed at the server, an optional quantization of the small right factor
-  bounding the downlink word size.
+* smoothed branch, for general inputs: the cluster runs the batch
+  two-sided sketch pipeline with per-machine partial sketches summed at the
+  server, an optional quantization of the small right factor bounding the
+  downlink word size.  A tiny seeded perturbation breaks spectral-gap
+  degeneracies; it is public, so the server adds its sketched terms from
+  row blocks of the seeded grid, and no step allocates an m x n array.  Its
+  default scale comes from the gathered sketch, so no data moves off the
+  ledger.
 
 Every phase has a closed-form word count that is independent of n:
 doubling the width of the input leaves the ledger unchanged.  The protocol
@@ -56,9 +59,11 @@ DEFAULT_NOISE_REL = 1e-6
 class ArbProtocolParams:
     """Knobs for the arbitrary-partition protocol.
 
-    noise_scale None picks the default relative perturbation; 0 disables
-    the perturbation exactly (no-op, bit for bit).  rounding 0 likewise
-    disables quantization of the downlinked factor.
+    noise_scale is eta, the magnitude of every entry of the seeded sign
+    grid the smoothed branch adds to A.  None picks DEFAULT_NOISE_REL times
+    the RMS entry of A, estimated from the gathered two-sided sketch; 0
+    disables the perturbation exactly (no-op, bit for bit).  rounding 0
+    likewise disables quantization of the downlinked factor.
     """
 
     k: int
@@ -200,10 +205,18 @@ def low_rank_protocol(cluster: Cluster, params: ArbProtocolParams,
 
 
 def smoothed_protocol(cluster: Cluster, params: ArbProtocolParams) -> ArbResult:
-    """General branch: perturb, sketch both sides, solve small, lift.
+    """General branch: sketch both sides, perturb, solve small, lift.
 
     Runs the batch pipeline with partition-summed sketches; with zero noise
     and the trivial partition it reproduces batch_low_rank bit for bit.
+
+    The perturbation is the seeded sign grid N = eta * (+-1), m x n.  It is
+    public (seed and eta), so the server adds its terms itself and no
+    machine ships or holds it: N @ Tr is formed in row blocks of N, and
+    S @ (N @ Tr) and (N @ Tr) @ V join the gathered sketch and lift.  The
+    default eta is DEFAULT_NOISE_REL times the RMS entry of A, with
+    ||A||_F estimated by the gathered sketch: S and Tr are 1/sqrt(xi)-scaled
+    sign sketches, so E ||S A Tr||_F^2 = ||A||_F^2.
     """
     k = params.k
     m, n = cluster.m, cluster.n
@@ -213,28 +226,30 @@ def smoothed_protocol(cluster: Cluster, params: ArbProtocolParams) -> ArbResult:
     xi = params.xi_sketch if params.xi_sketch is not None else dense_pca_dim(k, params.eps)
     S, Tr = pca_sketches(m, n, k, params.eps, params.seed, xi, xi)
 
-    eta = params.noise_scale
-    if eta is None:
-        A_norm = float(np.linalg.norm(cluster.materialize(), "fro"))
-        eta = DEFAULT_NOISE_REL * A_norm / math.sqrt(max(m * n, 1))
-    parts = list(cluster.parts)
-    if eta > 0.0:
-        noise = sign_sketch(m, n, derive_seed(params.seed, TAG_NOISE), scale=eta).materialize()
-        parts[0] = parts[0] + noise
-        flags.add("perturbed")
-
     small = cluster.gather_sum(
         "sketch-up",
-        cluster.map_machines(lambda i, _: sketch_two_sided(parts[i], S, Tr)),
+        cluster.map_machines(lambda i, B: sketch_two_sided(B, S, Tr)),
         xi * xi)
+    eta = params.noise_scale
+    if eta is None:
+        eta = DEFAULT_NOISE_REL * float(np.linalg.norm(small, "fro")) / math.sqrt(max(m * n, 1))
+    NTr = None
+    if eta > 0.0:
+        N = sign_sketch(m, n, derive_seed(params.seed, TAG_NOISE), scale=eta)
+        NTr = N.apply_left(Tr)
+        small = small + S @ NTr
+        flags.add("perturbed")
+
     kk = min(k, min(small.shape))
     V = truncated_svd(small, kk).V
     V = round_to_multiple(V, params.rounding)
     cluster.record_broadcast("V-down", xi * kk)
     Xsum = cluster.gather_sum(
         "X-up",
-        cluster.map_machines(lambda i, _: lift_through_right(parts[i], Tr, V)),
+        cluster.map_machines(lambda i, B: lift_through_right(B, Tr, V)),
         m * kk)
+    if NTr is not None:
+        Xsum = Xsum + NTr @ V
     U, r, deficient = basis_from_lift(Xsum)
     if deficient:
         flags.add("rank-deficient")

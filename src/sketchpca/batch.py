@@ -6,7 +6,7 @@ them back through the right sketch, and orthonormalizes:
 
     A~ = (S @ A) @ Tr        small xi x xi matrix
     V  = top-k right singular vectors of A~
-    X  = (A @ Tr) @ V        lifted m x k factor
+    X  = A @ (Tr @ V)        lifted m x k factor
     U  = orthonormal basis of X
 
 The association order of the products is part of the contract: distributed
@@ -66,8 +66,11 @@ def sketch_two_sided(B: np.ndarray, S: np.ndarray, Tr: np.ndarray) -> np.ndarray
 
 
 def lift_through_right(B: np.ndarray, Tr: np.ndarray, V: np.ndarray) -> np.ndarray:
-    """(B @ Tr) @ V in this association order, shared across call sites."""
-    return (B @ Tr) @ V
+    """B @ (Tr @ V) in this association order, shared across call sites.
+
+    Lifting V through Tr first makes the m x n product cost m n k flops,
+    not m n xi."""
+    return B @ (Tr @ V)
 
 
 def basis_from_lift(X: np.ndarray):

@@ -401,7 +401,11 @@ def _const(name: str) -> tuple:
 
 
 _ROUNDING = ("--rounding", {"type": float, "default": 0.0})
-_NOISE_SCALE = ("--noise-scale", {"type": float, "default": None})
+_NOISE_SCALE = ("--noise-scale", {
+    "type": float, "default": None,
+    "help": "entry size of the seeded perturbation the server adds in the smoothed "
+            "branch; default 1e-6 times the RMS entry of A, estimated from the "
+            "gathered sketch; 0 disables it"})
 _ONE_PASS_FLAGS = (_const("xi-regression"), _const("xi-affine"))
 
 

@@ -39,6 +39,8 @@ _SIGN_BIT = np.uint64(1 << 63)
 _ONE_BITS = np.uint64(0x3FF0000000000000)   # IEEE-754 bits of 1.0
 # Cells per sign-grid block: two 256 KiB uint64 buffers, small enough for L2.
 _BLOCK_CELLS = 1 << 15
+# Sketch cells per row block of SignSketch.apply_left: a 512 KiB float64 block.
+_APPLY_CELLS = 1 << 16
 
 
 def _mix64_np(z: np.ndarray, tmp: np.ndarray) -> np.ndarray:
@@ -197,6 +199,21 @@ class SignSketch:
             raise InputError(f"row range {lo}:{hi} outside a sketch of {self.n_rows} rows")
         return _sign_grid(self.seed, lo, hi,
                           np.asarray(cols, dtype=np.uint64), self.scale)
+
+    def apply_left(self, M: np.ndarray) -> np.ndarray:
+        """The product sketch @ M, with the sketch generated one row block
+        at a time, so no more than about _APPLY_CELLS of its entries exist
+        at once.  Each entry has the bits materialize() gives it."""
+        M = np.asarray(M, dtype=np.float64)
+        if M.ndim != 2 or M.shape[0] != self.n_cols:
+            raise InputError("operand rows disagree with sketch width")
+        out = np.empty((self.n_rows, M.shape[1]))
+        cols = np.arange(self.n_cols, dtype=np.uint64)
+        step = max(1, _APPLY_CELLS // max(1, self.n_cols))
+        for lo in range(0, self.n_rows, step):
+            hi = min(lo + step, self.n_rows)
+            np.matmul(self.materialize_cols(cols, lo, hi), M, out=out[lo:hi])
+        return out
 
 
 def sign_sketch(xi: int, n: int, seed: int, scale: float | None = None) -> SignSketch:

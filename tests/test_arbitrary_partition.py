@@ -2,6 +2,8 @@
 
 from __future__ import annotations
 
+import tracemalloc
+
 import numpy as np
 import pytest
 
@@ -264,3 +266,58 @@ class TestDispatcher:
             Cluster(parts, parallel=True), _params(k=2, seed=37, noise_scale=0.0))
         assert res_seq.U.tobytes() == res_par.U.tobytes()
         assert res_seq.phase_words == res_par.phase_words
+
+
+class TestServerSideNoise:
+    """The perturbation is applied by the server from the seeded grid."""
+
+    def test_same_perturbation_as_noised_part(self):
+        # the server's blocked terms equal adding the whole grid to one part
+        A = lowrank_plus_noise(8, 40, 70, 3, 0.05)
+        seed, eta = 28, 0.05
+        res = ap.smoothed_protocol(_cluster_for(A, 3, seed=8),
+                                   _params(k=3, seed=seed, noise_scale=eta))
+        N = ap.sign_sketch(40, 70, ap.derive_seed(seed, ap.TAG_NOISE), scale=eta).materialize()
+        ref = ap.smoothed_protocol(Cluster([A + N, np.zeros_like(A), np.zeros_like(A)]),
+                                   _params(k=3, seed=seed, noise_scale=0.0))
+        clean = ap.smoothed_protocol(_cluster_for(A, 3, seed=8),
+                                     _params(k=3, seed=seed, noise_scale=0.0))
+        assert "perturbed" in res.flags and "perturbed" not in ref.flags
+        P = res.U @ res.U.T
+        assert np.abs(P - ref.U @ ref.U.T).max() <= 1e-9
+        # the noise moves the subspace far more than the tolerance
+        assert np.abs(P - clean.U @ clean.U.T).max() > 1e-6
+
+    def test_default_scale_tracks_the_input_norm(self, monkeypatch):
+        # eta comes from the gathered sketch, within 2x of the exact RMS rule
+        real = ap.sign_sketch
+        for seed in range(50):
+            m, n = 20 + 7 * (seed % 5), 30 + 11 * (seed % 7)
+            A = lowrank_plus_noise(seed, m, n, 3, 0.1)
+            noise_seed = ap.derive_seed(seed + 300, ap.TAG_NOISE)
+            scales = []
+
+            def spy(xi, cols, sd, scale=None):
+                if sd == noise_seed:
+                    scales.append(scale)
+                return real(xi, cols, sd, scale)
+
+            monkeypatch.setattr(ap, "sign_sketch", spy)
+            res = ap.smoothed_protocol(_cluster_for(A, 3, seed=seed),
+                                       _params(k=2, seed=seed + 300))
+            assert "perturbed" in res.flags and len(scales) == 1
+            want = ap.DEFAULT_NOISE_REL * np.linalg.norm(A, "fro") / np.sqrt(m * n)
+            assert 0.5 * want <= scales[0] <= 2.0 * want
+
+    def test_peak_memory_below_one_dense_array(self):
+        m, n = 400, 3000
+        A = lowrank_plus_noise(9, m, n, 2, 0.1)
+        cl = _cluster_for(A, 3, seed=9)
+        tracemalloc.start()
+        try:
+            res = ap.distributed_pca_arbitrary(cl, _params(k=2, seed=29))
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert res.branch == "smoothed" and "perturbed" in res.flags
+        assert peak < 8 * m * n

@@ -30,9 +30,9 @@ def _int(flag, default=None):
     return (flag, dest, default, "int", False, None, "_StoreAction", None, None)
 
 
-def _float(flag, default=None):
+def _float(flag, default=None, help=None):
     dest = flag.lstrip("-").replace("-", "_")
-    return (flag, dest, default, "float", False, None, "_StoreAction", None, None)
+    return (flag, dest, default, "float", False, None, "_StoreAction", help, None)
 
 
 def _switch(flag, help=None):
@@ -43,6 +43,13 @@ def _switch(flag, help=None):
 def _path(flag, help):
     dest = flag.lstrip("-").replace("-", "_")
     return (flag, dest, None, None, False, None, "_StoreAction", help, "PATH")
+
+
+NOISE_SCALE = _float(
+    "--noise-scale",
+    help="entry size of the seeded perturbation the server adds in the smoothed "
+         "branch; default 1e-6 times the RMS entry of A, estimated from the "
+         "gathered sketch; 0 disables it")
 
 
 def _solver(*extra):
@@ -63,7 +70,7 @@ EXPECTED = {
         _float("--rounding", 0.0), _int("--const-xi-left"),
         _int("--const-xi-right"))),
     "dist-arb": ("arbitrary-partition protocol", _solver(
-        _int("--machines", 2), _float("--noise-scale"), _float("--rounding", 0.0),
+        _int("--machines", 2), NOISE_SCALE, _float("--rounding", 0.0),
         _int("--const-xi-sketch"), _int("--const-xi-affine"))),
     "dist-css": ("column-partition selection protocol",
                  _css(_int("--const-c1"))),
@@ -74,7 +81,7 @@ EXPECTED = {
     "stream-1p-fact": ("one-pass turnstile PCA with factors", _solver(
         _int("--const-xi-regression"), _int("--const-xi-affine"))),
     "stream-2p": ("two-pass turnstile PCA", _solver(
-        _float("--noise-scale"), _float("--rounding", 0.0))),
+        NOISE_SCALE, _float("--rounding", 0.0))),
     "gen": ("write a test instance", [
         HELP,
         ("", "family", None, None, True, ("dense-hard", "css-hard", "lowrank"),

@@ -8,8 +8,12 @@ import tracemalloc
 import numpy as np
 import pytest
 
-from conftest import rand_matrix, split_rows
-from sketchpca.arbitrary_partition import ArbProtocolParams, distributed_pca_arbitrary
+from conftest import rand_matrix, rank_exactly, split_rows
+from sketchpca.arbitrary_partition import (
+    ArbProtocolParams,
+    distributed_pca_arbitrary,
+    smoothed_protocol,
+)
 from sketchpca.cluster import SERVER, Cluster, CommLedger
 from sketchpca.column_partition import CssProtocolParams, distributed_css_pca
 from sketchpca.column_select_sparse import FastCssProtocolParams, distributed_css_pca_fast
@@ -221,3 +225,40 @@ class TestOneRunPerCluster:
             with pytest.raises(InputError, match="already run a protocol"):
                 run(cl)
             assert cl.ledger.messages == messages
+
+
+class TestNoDataOffTheLedger:
+    """Protocols see the data only through per-machine steps: a cluster
+    whose whole matrix cannot be read still runs every protocol."""
+
+    @pytest.fixture(autouse=True)
+    def _no_materialize(self, monkeypatch):
+        def refuse(self):
+            raise AssertionError("a protocol read the whole matrix off the ledger")
+
+        monkeypatch.setattr(Cluster, "materialize", refuse)
+
+    def test_arbitrary_partition_both_branches(self):
+        full = distributed_pca_arbitrary(
+            Cluster(split_rows(rand_matrix(31, 20, 30), 3, seed=1)),
+            ArbProtocolParams(k=3, eps=0.5, seed=1))
+        low = distributed_pca_arbitrary(
+            Cluster(split_rows(rank_exactly(32, 20, 30, 4), 3, seed=2)),
+            ArbProtocolParams(k=3, eps=0.5, seed=2))
+        assert full.branch == "smoothed" and "perturbed" in full.flags
+        assert low.branch == "low-rank"
+
+    def test_direct_smoothed_call(self):
+        res = smoothed_protocol(Cluster(split_rows(rand_matrix(33, 20, 30), 2, seed=3)),
+                                ArbProtocolParams(k=2, eps=0.5, seed=3))
+        assert "perturbed" in res.flags
+
+    def test_column_partition_protocols(self):
+        A = rand_matrix(34, 10, 40)
+        sparse = SparseColMatrix.from_dense(A)
+        distributed_css_pca(Cluster([A[:, :20], A[:, 20:]], kind="column"),
+                            CssProtocolParams(k=1, eps=0.5, seed=4, c2=4))
+        distributed_css_pca_fast(
+            Cluster([sparse.take_columns(np.arange(20)),
+                     sparse.take_columns(np.arange(20, 40))], kind="column"),
+            FastCssProtocolParams(k=1, eps=0.5, seed=4, c2=4))

@@ -139,6 +139,23 @@ class TestSignGridBits:
             sk.sign_sketch(70, 1000, seed=1).materialize_cols([0], lo, hi)
 
 
+class TestSignSketchApply:
+    """apply_left generates the sketch in row blocks and multiplies each."""
+
+    @pytest.mark.parametrize("shape", [(70, 1000), (3, 40000), (200, 7), (1, 1)])
+    def test_matches_materialized_product(self, shape):
+        S = sk.sign_sketch(*shape, seed=4242, scale=0.25)
+        M = rand_matrix(5, shape[1], 6)
+        assert np.allclose(S.apply_left(M), S.materialize() @ M, rtol=1e-12, atol=1e-12)
+
+    def test_degenerate_shapes_and_guard(self):
+        assert sk.sign_sketch(0, 5, seed=1).apply_left(np.ones((5, 3))).shape == (0, 3)
+        assert np.array_equal(sk.sign_sketch(4, 0, seed=1).apply_left(np.ones((0, 2))),
+                              np.zeros((4, 2)))
+        with pytest.raises(InputError):
+            sk.sign_sketch(4, 5, seed=1).apply_left(np.ones((4, 2)))
+
+
 class TestSrht:
     @pytest.mark.parametrize("xi,n,seed,digest", [
         (3200, 384, 9, "02142f0168231ecd4bf1cd421eb448dd"),   # 512 x 384, capped
