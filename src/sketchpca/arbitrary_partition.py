@@ -116,7 +116,9 @@ def _run_probe(cluster: Cluster, k: int, probe_seed: int) -> _Probe:
     the probe moments: s * (4k^2 + 2) in total.
     """
     m, n = cluster.m, cluster.n
-    Hl = sign_sketch(2 * k, m, derive_seed(probe_seed, TAG_PROBE_LEFT), scale=1.0).materialize()
+    # Gaussian, not signs: on a short input two sign rows can coincide and
+    # hide rank; Hl only feeds the rank decision, Hrt is reused as a sketch
+    Hl = np.random.default_rng(derive_seed(probe_seed, TAG_PROBE_LEFT)).standard_normal((2 * k, m))
     Hrt = sign_sketch(2 * k, n, derive_seed(probe_seed, TAG_PROBE_RIGHT), scale=1.0).materialize().T
     cluster.record_broadcast("rank-test-seed", 2)
     G = cluster.gather_sum(

@@ -74,6 +74,7 @@ from .linalg import _zero_tail, qr, tail_sq
 from .sketches import derive_seed, jlt_sketch, sign_sketch, sparse_embedding
 from .sparse import SparseColMatrix
 from .streaming import (
+    _RECORD,
     TurnstileSketchState,
     one_pass_factorization,
     one_pass_pca,
@@ -479,9 +480,10 @@ def _run_gen(args) -> tuple[None, int]:
     else:  # lowrank
         A = gen_lowrank_noise(args.m, args.n, args.k, args.noise, args.seed)
         if args.stream:
-            write_stream_file(out, A.shape,
-                              [(i, j, float(A[i, j]))
-                               for i in range(A.shape[0]) for j in range(A.shape[1])])
+            updates = np.empty(A.size, _RECORD)  # every entry, row by row
+            updates["i"], updates["j"] = np.divmod(np.arange(A.size), A.shape[1])
+            updates["x"] = A.ravel()
+            write_stream_file(out, A.shape, updates)
         else:
             write_matrix_market(out, A)
     return None, 0

@@ -25,9 +25,6 @@ from .errors import InputError
 # Relative spectral cutoff for numeric rank, scaled by max(shape).
 DEFAULT_RANK_TOL = 1e-10
 
-# Orthonormality / reconstruction slack for factor validation.
-FACTOR_CHECK_TOL = 1e-8
-
 
 def as_matrix(a, name: str = "matrix") -> np.ndarray:
     """Coerce to a finite float64 2-D array, copying only when needed."""
@@ -57,31 +54,8 @@ class SvdFactors(NamedTuple):
     sigma: np.ndarray
     V: np.ndarray
 
-    def reconstruct(self) -> np.ndarray:
-        return (self.U * self.sigma) @ self.V.T
-
     def rank(self) -> int:
         return _rank(self.sigma, (self.U.shape[0], self.V.shape[0]))
-
-    def check(self, A: np.ndarray | None = None, tol: float = FACTOR_CHECK_TOL) -> None:
-        """Validate orthonormality and, when A is given, the reconstruction."""
-        from .errors import InternalError
-
-        k = self.sigma.shape[0]
-        if self.U.shape[1] != k or self.V.shape[1] != k:
-            raise InternalError("factor shapes disagree with sigma length")
-        if k:
-            gu = self.U.T @ self.U - np.eye(k)
-            gv = self.V.T @ self.V - np.eye(k)
-            if max(np.abs(gu).max(), np.abs(gv).max()) > tol:
-                raise InternalError("singular vector blocks are not orthonormal")
-            if np.any(np.diff(self.sigma) > tol) or np.any(self.sigma < -tol):
-                raise InternalError("singular values not sorted nonnegative")
-        if A is not None:
-            scale = max(1.0, float(np.abs(A).max()) if A.size else 1.0)
-            err = np.abs(self.reconstruct() - A).max() if A.size else 0.0
-            if err > tol * scale * max(A.shape, default=1):
-                raise InternalError("factorization does not reconstruct the input")
 
 
 def _apply_sign_convention(U: np.ndarray, V: np.ndarray) -> tuple[np.ndarray, np.ndarray]:

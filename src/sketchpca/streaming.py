@@ -1,29 +1,32 @@
 """Turnstile-stream engine and the streaming PCA algorithms.
 
 A stream is a sequence of additive entry updates (i, j, x) with 0-based
-indices, deletions included, defining a matrix implicitly.  The sketch
-state maintains linear images of that matrix small enough to keep in
-memory: a two-sided affine pair M = T_left A T_right plus the mixed
-products L = S A T_right, N = T_left A R, the tall factor D = A R, and
-optionally C = S A when the caller wants an explicit factorization.
+indices, deletions included, defining a matrix implicitly.  Its one format
+is a _RECORD array (int64 i, int64 j, float64 x), as
+fileio.read_stream_file returns it; any other iterable of triples is read
+into _RECORD blocks as it arrives.  The sketch state maintains linear
+images of that matrix small enough to keep in memory: a two-sided affine
+pair M = T_left A T_right plus the mixed products L = S A T_right,
+N = T_left A R, the tall factor D = A R, and optionally C = S A when the
+caller wants an explicit factorization.
 
 Accumulation is canonical: updates apply in arrival order with plain
 summation, except that consecutive updates to the same entry coalesce
 before their rank-1 contribution forms, each run summed left to right,
 and coalesced increments are folded in chunks of a fixed count.  Input is
-read in small validated blocks of raw updates; the open run and the
-partial chunk carry from one block to the next, so update() one at a
-time and consume() of the same sequence give the same increments, the
-same chunks and the same bits, and no array grows with the stream.  A
-fold scatters its chunk into a dense block dA on the chunk's distinct
-rows ur and columns uc, and every sketch updates through plain products
-with it: W = T_left[:, ur] dA and V = S[:, ur] dA, then M += W T_right[uc],
-L += V T_right[uc], N += W R[uc], C[:, uc] += V and D[ur] += dA R[uc].  A
-chunk on r distinct rows and c distinct columns thus costs about
-xi*r*c + xi*c*xi4 multiply-adds instead of xi*b*xi4 for its b increments.
-Chunk boundaries depend on the coalesced increment sequence alone, and
-the block is a fixed function of each chunk, so equal sequences give
-equal bits.
+read in small validated record blocks (views of a _RECORD array); the
+open run and the partial chunk carry from one block to the next, so
+update() one at a time and consume() of the same sequence give the same
+increments, the same chunks and the same bits, and no array grows with
+the stream.  A fold scatters its chunk into a dense block dA on the
+chunk's distinct rows ur and columns uc, and every sketch updates through
+plain products with it: W = T_left[:, ur] dA and V = S[:, ur] dA, then
+M += W T_right[uc], L += V T_right[uc], N += W R[uc], C[:, uc] += V and
+D[ur] += dA R[uc].  A chunk on r distinct rows and c distinct columns
+thus costs about xi*r*c + xi*c*xi4 multiply-adds instead of xi*b*xi4 for
+its b increments.  Chunk boundaries depend on the coalesced increment
+sequence alone, and the block is a fixed function of each chunk, so equal
+sequences give equal bits.
 Coalescing is what makes the linearity contract exact: splitting an
 update in place into parts whose floating-point sum is exact (halves, or
 a cancellation pair like (2x, -x)) collapses to the identical increment
@@ -48,6 +51,7 @@ import hashlib
 import math
 from dataclasses import dataclass
 from itertools import islice
+from operator import itemgetter
 
 import numpy as np
 
@@ -68,10 +72,12 @@ TAG_AFFINE_RIGHT = "stream-affine-right"
 _FOLD_CHUNK = 256
 # raw updates read per ingest block; small, so no array grows with the stream
 _INGEST_BLOCK = 1024
-# an empty chunk of coalesced increments: (rows, cols, vals)
-_EMPTY = (np.empty(0, np.int64), np.empty(0, np.int64), np.empty(0))
-# one update as _walk fingerprints it: the bytes of struct.pack("<qqd", i, j, x)
+# one update (i, j, x), the format of a stream from the file to the fold;
+# _walk fingerprints its bytes, those of struct.pack("<qqd", i, j, x)
 _RECORD = np.dtype([("i", "<i8"), ("j", "<i8"), ("x", "<f8")])
+_FIELDS = itemgetter("i", "j", "x")
+# an empty chunk of coalesced increments
+_EMPTY = np.empty(0, _RECORD)
 
 
 def _check(i, j, x, m: int, n: int) -> tuple[int, int, float]:
@@ -87,52 +93,56 @@ def _check(i, j, x, m: int, n: int) -> tuple[int, int, float]:
 
 
 def _blocks(updates, m: int, n: int):
-    """Validate an update iterable in arrival order and yield it as int64
-    rows, int64 cols and float vals arrays of at most _INGEST_BLOCK updates."""
+    """Validate updates in arrival order and yield them as _RECORD arrays of
+    at most _INGEST_BLOCK updates: views of a _RECORD array, or blocks read
+    from any other iterable."""
+    if isinstance(updates, np.ndarray) and updates.dtype == _RECORD:
+        for s in range(0, len(updates), _INGEST_BLOCK):
+            yield _validated(updates[s:s + _INGEST_BLOCK], m, n)
+        return
     it = iter(updates)
+    # a list first, so a failing block can be re-read
     while block := list(islice(it, _INGEST_BLOCK)):
-        yield _block_arrays(block, m, n)
+        yield _validated(block, m, n)
 
 
-def _block_arrays(block: list, m: int, n: int):
+def _validated(block, m: int, n: int) -> np.ndarray:
+    """A block of raw updates as a _RECORD array, checked as arrays."""
     try:
-        r, c, v = zip(*block)
-        rows = np.fromiter(r, np.int64, len(block))
-        cols = np.fromiter(c, np.int64, len(block))
-        vals = np.fromiter(v, float, len(block))
-        if (set(map(len, block)) == {3}
-                and ((0 <= rows) & (rows < m) & (0 <= cols) & (cols < n)).all()
-                and np.isfinite(vals).all()):
-            return rows, cols, vals
+        rec = block if isinstance(block, np.ndarray) else np.fromiter(block, _RECORD, len(block))
+        i, j, x = _FIELDS(rec)
+        if ((0 <= i) & (i < m) & (0 <= j) & (j < n)).all() and np.isfinite(x).all():
+            return rec
     except (TypeError, ValueError, OverflowError):
         pass
     # re-read update by update, so the first bad one raises as update() would
-    r, c, v = zip(*[_check(i, j, x, m, n) for i, j, x in block])
-    return np.array(r, np.int64), np.array(c, np.int64), np.array(v)
+    return np.fromiter([_check(i, j, x, m, n) for i, j, x in block], _RECORD, len(block))
 
 
-def _coalesce(run, rows, cols, vals):
-    """Split the open run (or None) followed by a block into its runs of
-    consecutive equal entries, each summed left to right as one running
-    float would.  Returns the closed runs as (rows, cols, sums) and the
-    last run, which stays open because the next update may extend it."""
+def _coalesce(run, block):
+    """Split the open run (a 1-record array, or None) followed by a block
+    into its runs of consecutive equal entries, each summed left to right
+    as one running float would.  Returns the closed runs as a _RECORD array
+    of (row, col, sum) and the last run, which stays open because the next
+    update may extend it."""
     if run is not None:
-        rows, cols, vals = (np.concatenate(p) for p in zip(run, (rows, cols, vals)))
-    new = np.empty(len(vals), bool)
+        block = np.concatenate((run, block))
+    rows, cols, vals = _FIELDS(block)
+    new = np.empty(len(block), bool)
     new[0] = True
     new[1:] = (rows[1:] != rows[:-1]) | (cols[1:] != cols[:-1])
     starts = np.flatnonzero(new)
-    depth = np.diff(starts, append=len(vals))
+    depth = np.diff(starts, append=len(block))
     # pass d adds the d-th value of every run still that long
-    sums = vals[starts]
+    runs = block[starts]
+    sums = runs["x"]
     live = np.flatnonzero(depth > 1)
     d = 1
     while live.size:
         sums[live] += vals[starts[live] + d]
         d += 1
         live = live[depth[live] > d]
-    runs = (rows[starts], cols[starts], sums)
-    return tuple(a[:-1] for a in runs), tuple(a[-1:].copy() for a in runs)
+    return runs[:-1], runs[-1:].copy()
 
 
 class TurnstileSketchState:
@@ -177,10 +187,10 @@ class TurnstileSketchState:
         self.C = np.zeros((self.xi1, n)) if track_columns else None
         self.updates_applied = 0
         # update() calls not yet ingested, fewer than _INGEST_BLOCK; the open
-        # coalescing run as 1-element (row, col, running sum) arrays, or
-        # None; the coalesced increments not yet folded, fewer than _FOLD_CHUNK
+        # coalescing run as one (row, col, running sum) record, or None; the
+        # coalesced increments not yet folded, fewer than _FOLD_CHUNK records
         self._raw: list[tuple[int, int, float]] = []
-        self._run: tuple | None = None
+        self._run: np.ndarray | None = None
         self._chunk = _EMPTY
 
     def space_words(self) -> int:
@@ -201,21 +211,20 @@ class TurnstileSketchState:
     def _drain(self) -> None:
         """Ingest the buffered update() calls as one block."""
         if self._raw:
-            rows, cols, vals = _block_arrays(self._raw, self.m, self.n)
+            block = np.fromiter(self._raw, _RECORD, len(self._raw))
             self._raw.clear()
-            self._ingest(rows, cols, vals)
+            self._ingest(block)
 
-    def _ingest(self, rows, cols, vals) -> None:
+    def _ingest(self, block) -> None:
         """Coalesce a validated block after the open run and fold every
         full chunk of the increments."""
-        closed, self._run = _coalesce(self._run, rows, cols, vals)
-        r, c, v = (np.concatenate(p) for p in zip(self._chunk, closed))
-        full = len(v) - len(v) % _FOLD_CHUNK
+        closed, self._run = _coalesce(self._run, block)
+        inc = np.concatenate((self._chunk, closed))
+        full = len(inc) - len(inc) % _FOLD_CHUNK
         for s in range(0, full, _FOLD_CHUNK):
-            t = s + _FOLD_CHUNK
-            self._fold(r[s:t], c[s:t], v[s:t])
-        # copies, so the partial chunk does not keep this block's arrays alive
-        self._chunk = (r[full:].copy(), c[full:].copy(), v[full:].copy())
+            self._fold(*_FIELDS(inc[s:s + _FOLD_CHUNK]))
+        # a copy, so the partial chunk does not keep this block alive
+        self._chunk = inc[full:].copy()
 
     def _fold(self, rows, cols, vals) -> None:
         """Add one chunk of increments to every sketch: the chunk becomes a
@@ -239,19 +248,18 @@ class TurnstileSketchState:
         """Fold the open run and the partial chunk into the sketches."""
         self._drain()
         if self._run is not None:
-            self._chunk = tuple(np.concatenate(p) for p in zip(self._chunk, self._run))
+            self._chunk = np.concatenate((self._chunk, self._run))
             self._run = None
-        r, c, v = self._chunk
-        self._chunk = _EMPTY
-        if len(v):
-            self._fold(r, c, v)
+        chunk, self._chunk = self._chunk, _EMPTY
+        if len(chunk):
+            self._fold(*_FIELDS(chunk))
 
     def consume(self, updates) -> "TurnstileSketchState":
         """Apply a whole update sequence, read in validated blocks, and flush."""
         self._drain()
-        for rows, cols, vals in _blocks(updates, self.m, self.n):
-            self.updates_applied += len(vals)
-            self._ingest(rows, cols, vals)
+        for block in _blocks(updates, self.m, self.n):
+            self.updates_applied += len(block)
+            self._ingest(block)
         self.flush()
         return self
 
@@ -325,7 +333,7 @@ def one_pass_factorization(updates, m: int, n: int, k: int, eps: float,
 
 
 def _replay(source):
-    return source() if callable(source) else iter(source)
+    return source() if callable(source) else source
 
 
 def _walk(source, m: int, n: int, A: np.ndarray | None = None):
@@ -333,14 +341,12 @@ def _walk(source, m: int, n: int, A: np.ndarray | None = None):
     add every increment into it in arrival order.  Returns (digest, count)."""
     digest = hashlib.blake2b(digest_size=16)
     count = 0
-    for rows, cols, vals in _blocks(_replay(source), m, n):
+    for block in _blocks(_replay(source), m, n):
         if A is not None:
             # unbuffered, so repeated entries add one after another
-            np.add.at(A, (rows, cols), vals)
-        rec = np.empty(len(vals), _RECORD)
-        rec["i"], rec["j"], rec["x"] = rows, cols, vals
-        digest.update(rec.tobytes())
-        count += len(vals)
+            np.add.at(A, (block["i"], block["j"]), block["x"])
+        digest.update(block.tobytes())
+        count += len(block)
     return digest.digest(), count
 
 

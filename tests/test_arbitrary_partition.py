@@ -12,6 +12,7 @@ from sketchpca import arbitrary_partition as ap
 from sketchpca.batch import batch_low_rank
 from sketchpca.cluster import Cluster
 from sketchpca.errors import InputError, ProtocolError
+from sketchpca.generators import gen_lowrank_noise
 from sketchpca.linalg import residual_ratio
 
 
@@ -33,6 +34,14 @@ class TestRankTest:
             if ap.rank_test(cl, 3, seed=seed) == expect:
                 hits += 1
         assert hits >= 19
+
+    def test_short_full_rank_input_is_full_for_every_seed(self):
+        # 4 x 4000 of rank 4 > 2k = 2: a 2 x 4 sign probe repeats a row for
+        # some seeds (seed 7 here) and would route to the low-rank branch
+        A = gen_lowrank_noise(4, 4000, 1, 0.05, 1)
+        assert np.linalg.matrix_rank(A) == 4
+        for seed in range(8):
+            assert ap.rank_test(Cluster([A], kind="arbitrary"), 1, seed=seed), seed
 
     def test_cost_is_exactly_probe_size(self):
         for s in (1, 2, 5):

@@ -336,6 +336,35 @@ class TestMalformedInput:
             self._expect_input_error(capsys, [cmd, "--input", str(p), "-k", "1",
                                               "--eps", "0.5"], f"{p}:3:")
 
+    def test_bad_coordinate_shape_names_its_line(self, capsys, tmp_path):
+        p = tmp_path / "c.mtx"
+        for body, where in [("1 1 1.0\n2 2\n", f"{p}:4: wrong number of fields"),
+                            ("1 1 1.0\n2 3 1.0\n", f"{p}:4: index out of range"),
+                            ("% note\n0 1 1.0\n1 1 1.0\n", f"{p}:4: index out of range"),
+                            ("1 1 1.0\n1e0 2 1.0\n", f"{p}:4: malformed number")]:
+            p.write_text("%%MatrixMarket matrix coordinate real general\n2 2 2\n" + body)
+            self._expect_input_error(capsys, ["dist-css-fast", "--input", str(p),
+                                              "-k", "1", "--eps", "0.5"], where)
+
+    def test_bad_stream_shape_names_its_line(self, capsys, tmp_path):
+        p = tmp_path / "u.txt"
+        for body, where in [("1 1 1.0\n2 1\n", f"{p}:3: wrong number of fields"),
+                            ("1 1 1.0 4\n2 1 1.0\n", f"{p}:2: wrong number of fields"),
+                            ("1 1 1.0\n\n1 3 2.0\n", f"{p}:4: index out of range"),
+                            ("0 1 1.0\n1 1 2.0\n", f"{p}:2: index out of range"),
+                            ("1 1 1.0\n2.0 1 2.0\n", f"{p}:3: malformed number")]:
+            p.write_text("2 2 2\n" + body)
+            for cmd in ("stream-1p", "stream-1p-fact", "stream-2p"):
+                self._expect_input_error(capsys, [cmd, "--input", str(p), "-k", "1",
+                                                  "--eps", "0.5"], where)
+
+    def test_extra_array_field_names_its_line(self, capsys, tmp_path):
+        p = tmp_path / "v.mtx"
+        p.write_text("%%MatrixMarket matrix array real general\n"
+                     "2 1\n1.0\n2.0 3.0\n")
+        self._expect_input_error(capsys, ["batch", "--input", str(p), "-k", "1",
+                                          "--eps", "0.5"], f"{p}:4: wrong number of fields")
+
     def test_non_finite_array_value(self, capsys, tmp_path):
         p = tmp_path / "nan.mtx"
         p.write_text("%%MatrixMarket matrix array real general\n"

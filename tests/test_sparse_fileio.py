@@ -245,6 +245,12 @@ class TestStreamFiles:
         with pytest.raises(InputError):
             fileio.write_stream_file(tmp_path / "bad", (2, 2), [(2, 0, 1.0)])
 
+    def test_non_finite_on_write(self, tmp_path):
+        # the writer validates as the stream engine does, so it never
+        # leaves a file its reader refuses
+        with pytest.raises(InputError, match="finite"):
+            fileio.write_stream_file(tmp_path / "bad", (2, 2), [(0, 0, 1.0), (1, 1, np.nan)])
+
     def test_bad_header(self, tmp_path):
         p = tmp_path / "h.stream"
         p.write_text("3 3\n")

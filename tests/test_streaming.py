@@ -19,10 +19,12 @@ from hypothesis import strategies as st
 from sketchpca.arbitrary_partition import ArbProtocolParams, distributed_pca_arbitrary
 from sketchpca.cluster import Cluster
 from sketchpca.errors import InputError, StreamReplayError
+from sketchpca.fileio import read_stream_file, write_stream_file
 from sketchpca.sketches import affine_dim, derive_seed, regression_dim, sign_sketch, srht_sketch
 from sketchpca.streaming import (
     _FOLD_CHUNK,
     _INGEST_BLOCK,
+    _RECORD,
     TAG_AFFINE_LEFT,
     TAG_AFFINE_RIGHT,
     TAG_REGRESS_LEFT,
@@ -443,6 +445,55 @@ class TestArrayIngest:
 
         peak(2_000)   # lazy imports inside numpy land outside the comparison
         assert abs(peak(200_000) - peak(20_000)) < 128 * 1024
+
+
+class TestRecordArrays:
+    """read_stream_file returns a _RECORD array; it must give the same bits
+    and the same errors as the list of tuples it stands for."""
+
+    m, n = 12, 16
+
+    def _file(self, tmp_path):
+        ups = run_stream(3, self.m, self.n, 1200)
+        lo, hi = run_of(ups, _INGEST_BLOCK - 1)
+        assert lo < _INGEST_BLOCK - 1 and hi > _INGEST_BLOCK
+        # a transient +d on an entry, taken back 500 updates later
+        ups[1800:1800] = [(5, 7, -0.375)]
+        ups[1300:1300] = [(5, 7, 0.375)]
+        p = tmp_path / "runs.stream"
+        write_stream_file(p, (self.m, self.n), ups)
+        return ups, read_stream_file(p)
+
+    def test_file_records_equal_the_tuples(self, tmp_path):
+        ups, (shape, rec) = self._file(tmp_path)
+        assert shape == (self.m, self.n) and rec.dtype == _RECORD
+        assert rec.tolist() == ups
+
+    def test_solvers_give_the_same_bits(self, tmp_path):
+        ups, (_, rec) = self._file(tmp_path)
+        args = (self.m, self.n, 3, 0.5, 11)
+        for solve in (one_pass_pca, one_pass_factorization, two_pass_pca):
+            a, b = solve(rec, *args), solve(ups, *args)
+            for name in ("U", "T", "sigma", "K"):
+                if hasattr(a, name):
+                    assert getattr(a, name).tobytes() == getattr(b, name).tobytes()
+        assert (stream_matrix(rec, self.m, self.n).tobytes()
+                == stream_matrix(ups, self.m, self.n).tobytes())
+        assert _walk(rec, self.m, self.n) == _walk(ups, self.m, self.n)
+
+    @pytest.mark.parametrize("bad", [(12, 0, 1.0), (0, 16, 1.0), (0, -1, 1.0),
+                                     (3, 4, float("nan")), (3, 4, float("-inf"))])
+    def test_bad_record_raises_the_tuple_message(self, tmp_path, bad):
+        ups, (_, rec) = self._file(tmp_path)
+        at = _INGEST_BLOCK + 300
+        with pytest.raises(InputError) as want:
+            stream_matrix(ups[:at] + [bad] + ups[at:], self.m, self.n)
+        rec = np.insert(rec, at, bad)
+        for run in (lambda: stream_matrix(rec, self.m, self.n),
+                    lambda: one_pass_pca(rec, self.m, self.n, 3, 0.5, 11)):
+            with pytest.raises(InputError) as got:
+                run()
+            assert str(got.value) == str(want.value)
 
 
 class TestValidation:
