@@ -48,7 +48,6 @@ from .sketches import affine_dim, dense_pca_dim, derive_seed, sign_sketch
 TAG_RANK_TEST = "rank-test"
 TAG_RANK_TEST_RETRY = "rank-test-retry"
 TAG_PROBE_LEFT = "probe-left"
-TAG_PROBE_RIGHT = "probe-right"
 TAG_AFFINE_LEFT = "affine-left"
 TAG_AFFINE_RIGHT = "affine-right"
 
@@ -116,15 +115,13 @@ def _run_probe(cluster: Cluster, k: int, probe_seed: int) -> _Probe:
     the probe moments: s * (4k^2 + 2) in total.
     """
     m, n = cluster.m, cluster.n
-    # Gaussian, not signs: on a short input two sign rows can coincide and
-    # hide rank; Hl only feeds the rank decision, Hrt is reused as a sketch
-    Hl = np.random.default_rng(derive_seed(probe_seed, TAG_PROBE_LEFT)).standard_normal((2 * k, m))
-    Hrt = sign_sketch(2 * k, n, derive_seed(probe_seed, TAG_PROBE_RIGHT), scale=1.0).materialize().T
+    # Gaussian, not signs: on a short or narrow input two sign rows or
+    # columns can coincide and hide rank
+    rng = np.random.default_rng(derive_seed(probe_seed, TAG_PROBE_LEFT))
+    Hl = rng.standard_normal((2 * k, m))
+    Hrt = rng.standard_normal((n, 2 * k))
     cluster.record_broadcast("rank-test-seed", 2)
-    G = cluster.gather_sum(
-        "rank-test-up",
-        cluster.map_machines(lambda i, B: (Hl @ B) @ Hrt),
-        4 * k * k)
+    G = cluster.gather_sum("rank-test-up", cluster.map_machines(lambda i, B: (Hl @ B) @ Hrt))
     r = numeric_rank(G)
     return _Probe(r == 2 * k, r, Hl, Hrt)
 
@@ -161,10 +158,7 @@ def low_rank_protocol(cluster: Cluster, params: ArbProtocolParams,
             tag = TAG_RANK_TEST if attempt == 0 else TAG_RANK_TEST_RETRY
             cur = _run_probe(cluster, k, derive_seed(params.seed, tag))
         Hrt = cur.Hrt
-        C = cluster.gather_sum(
-            "span-up",
-            cluster.map_machines(lambda i, B: B @ Hrt),
-            m * 2 * k)
+        C = cluster.gather_sum("span-up", cluster.map_machines(lambda i, B: B @ Hrt))
         if numeric_rank(C) == cur.probe_rank:
             break
         if attempt == 1:
@@ -172,19 +166,13 @@ def low_rank_protocol(cluster: Cluster, params: ArbProtocolParams,
         retried = True
 
     flags: set[str] = set()
-    cluster.record_broadcast("span-down", m * 2 * k)
+    cluster.record_broadcast("span-down", C.size)
 
     xi_a = params.xi_affine if params.xi_affine is not None else affine_dim(k, params.eps)
     Tl = sign_sketch(xi_a, m, derive_seed(params.seed, TAG_AFFINE_LEFT)).materialize()
     Trr = sign_sketch(xi_a, cluster.n, derive_seed(params.seed, TAG_AFFINE_RIGHT)).materialize().T
-    Msum = cluster.gather_sum(
-        "affine-up",
-        cluster.map_machines(lambda i, B: (Tl @ B) @ Trr),
-        xi_a * xi_a)
-    Lsum = cluster.gather_sum(
-        "regress-up",
-        cluster.map_machines(lambda i, B: (C.T @ B) @ Trr),
-        2 * k * xi_a)
+    Msum = cluster.gather_sum("affine-up", cluster.map_machines(lambda i, B: (Tl @ B) @ Trr))
+    Lsum = cluster.gather_sum("regress-up", cluster.map_machines(lambda i, B: (C.T @ B) @ Trr))
 
     N = Tl @ C
     X = rank_constrained_affine_solve(Msum, N, Lsum, k)
@@ -197,7 +185,7 @@ def low_rank_protocol(cluster: Cluster, params: ArbProtocolParams,
         flags.add("rank-deficient")
     if not np.any(C):
         flags.add("zero-input")
-    cluster.record_broadcast("u-down", m * k)
+    cluster.record_broadcast("u-down", U.size)
 
     phase_words = cluster.ledger.phase_totals()
     result = ArbResult(U, min(r, k), deficient, "low-rank", flags, retried,
@@ -229,9 +217,7 @@ def smoothed_protocol(cluster: Cluster, params: ArbProtocolParams) -> ArbResult:
     S, Tr = pca_sketches(m, n, k, params.eps, params.seed, xi, xi)
 
     small = cluster.gather_sum(
-        "sketch-up",
-        cluster.map_machines(lambda i, B: sketch_two_sided(B, S, Tr)),
-        xi * xi)
+        "sketch-up", cluster.map_machines(lambda i, B: sketch_two_sided(B, S, Tr)))
     eta = params.noise_scale
     if eta is None:
         eta = DEFAULT_NOISE_REL * float(np.linalg.norm(small, "fro")) / math.sqrt(max(m * n, 1))
@@ -245,17 +231,15 @@ def smoothed_protocol(cluster: Cluster, params: ArbProtocolParams) -> ArbResult:
     kk = min(k, min(small.shape))
     V = truncated_svd(small, kk).V
     V = round_to_multiple(V, params.rounding)
-    cluster.record_broadcast("V-down", xi * kk)
+    cluster.record_broadcast("V-down", V.size)
     Xsum = cluster.gather_sum(
-        "X-up",
-        cluster.map_machines(lambda i, B: lift_through_right(B, Tr, V)),
-        m * kk)
+        "X-up", cluster.map_machines(lambda i, B: lift_through_right(B, Tr, V)))
     if NTr is not None:
         Xsum = Xsum + NTr @ V
     U, r, deficient = basis_from_lift(Xsum)
     if deficient:
         flags.add("rank-deficient")
-    cluster.record_broadcast("u-down", m * U.shape[1])
+    cluster.record_broadcast("u-down", U.size)
 
     result = ArbResult(U, r, deficient, "smoothed", flags, False, None,
                        cluster.ledger.phase_totals(), cluster.ledger.total(), params)
@@ -299,7 +283,7 @@ def _expected_low_rank(s: int, m: int, k: int, xi_a: int, retried: bool) -> dict
         "span-down": 2 * k * m * s,
         "affine-up": xi_a * xi_a * s,
         "regress-up": 2 * k * xi_a * s,
-        "u-down": m * k * s,
+        "u-down": m * min(k, m) * s,
     }
 
 

@@ -144,8 +144,9 @@ class Cluster:
         for i, w in enumerate(per):
             self.ledger.record(r, i, SERVER, w, phase)
 
-    def gather_sum(self, phase: str, arrays, words_each: int | None = None) -> np.ndarray:
-        """Sum per-machine arrays in machine order, recording the gather.
+    def gather_sum(self, phase: str, arrays) -> np.ndarray:
+        """Sum per-machine arrays in machine order, recording the gather of
+        each machine's array.size words.
 
         The left-to-right reduction order is canonical: floating-point
         addition is not associative, and protocol transcripts are compared
@@ -157,13 +158,10 @@ class Cluster:
         shapes = {a.shape for a in arrays}
         if len(shapes) != 1:
             raise ProtocolError(f"gather_sum shape mismatch: {sorted(shapes)}")
-        if words_each is None:
-            words_each = int(arrays[0].size)
-        self.record_gather(phase, words_each)
+        self.record_gather(phase, int(arrays[0].size))
         return reduce(np.add, arrays)
 
-    def gather_sum_blocks(self, phase: str, fn, n_cols: int, block: int,
-                          words_each: int | None = None) -> np.ndarray:
+    def gather_sum_blocks(self, phase: str, fn, n_cols: int, block: int) -> np.ndarray:
         """gather_sum of per-machine r x n_cols arrays that machines compute
         and send in column blocks.
 
@@ -192,9 +190,7 @@ class Cluster:
                     total[:, lo:hi] = a
                 else:
                     np.add(total[:, lo:hi], a, out=total[:, lo:hi])
-        if words_each is None:
-            words_each = int(total.size)
-        self.record_gather(phase, words_each)
+        self.record_gather(phase, int(total.size))
         return total
 
     # -- whole-matrix views ---------------------------------------------

@@ -115,7 +115,6 @@ class CssPcaResult:
     xi: int
     finalize: str       # "exact" (C^T A shipped) or "sketch"
     betas: list[float]
-    draws_per_machine: list[int]
     phase_words: dict[str, int]
     total_words: int
     params: CssProtocolParams
@@ -196,19 +195,17 @@ def run_css_protocol(cluster: Cluster, params, kernels: CssKernels) -> CssPcaRes
     col_masses = kernels.residual_masses(params, cluster, parts, C)
     betas = [residual_beta(float(mass.sum())) for mass in col_masses]
     cluster.record_gather("adaptive-meta", 1)
+    cluster.record_broadcast("adaptive-meta", 1)
 
     adaptive_gids: list[int] = []
     adaptive_blocks: list[np.ndarray] = []
     if sum(betas) <= 0.0:
         flags.add("no-adaptive")
-        draws = [0] * s
-        cluster.record_broadcast("adaptive-meta", 1)
         cluster.record_gather("adaptive", 0)
     else:
         picks = sample_proportional(
             np.asarray(betas), c2, derive_seed(params.seed, TAG_ADAPTIVE_MACHINES))
         draws = np.bincount(picks, minlength=s).tolist()
-        cluster.record_broadcast("adaptive-meta", 1)
         up_words = []
         for i in range(s):
             if draws[i] == 0:
@@ -249,7 +246,7 @@ def run_css_protocol(cluster: Cluster, params, kernels: CssKernels) -> CssPcaRes
         sketch = kernels.finalize(cluster, parts, xi, derive_seed(params.seed, TAG_CSS_SUBSPACE))
         Xi = W @ cluster.gather_sum_blocks(
             "subspace-up", lambda i, p, lo, hi: CT @ sketch(i, lo, hi),
-            xi, _FINALIZE_BLOCK, c_actual * xi)
+            xi, _FINALIZE_BLOCK)
     kk = min(k, min(Xi.shape))
     Delta = truncated_svd(Xi, kk).U
     U = Y @ Delta
@@ -265,10 +262,10 @@ def run_css_protocol(cluster: Cluster, params, kernels: CssKernels) -> CssPcaRes
             if R.tobytes() != U.tobytes():
                 raise InternalError("per-machine finalize diverged from the server")
     else:
-        cluster.record_broadcast("u-down", m * kk)
+        cluster.record_broadcast("u-down", U.size)
 
     result = CssPcaResult(
-        U, kk, flags, core_gids, adaptive_gids, c_actual, xi, finalize, betas, draws,
+        U, kk, flags, core_gids, adaptive_gids, c_actual, xi, finalize, betas,
         cluster.ledger.phase_totals(), cluster.ledger.total(), params)
     cluster.ledger.check(_expected_words(cluster, result, local_blocks, C, new_cols, r))
     return result

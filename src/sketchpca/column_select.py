@@ -34,15 +34,13 @@ class SamplingMatrix:
     """Weighted column selection S with distinct ascending indices.
 
     Represents the w x ell matrix with S[indices[t], t] = weights[t]; ell is
-    the number of stored entries.  merged is set when the barrier walk
-    accumulated weight on an already chosen column, in which case ell is
-    smaller than the requested budget.
+    the number of stored entries.  It is below the barrier walk's budget
+    when the walk added weight to a column it had already chosen.
     """
 
     source_cols: int
     indices: np.ndarray
     weights: np.ndarray
-    merged: bool = False
 
     @property
     def ell(self) -> int:
@@ -95,7 +93,6 @@ def bss_sampling(V, E, ell: int) -> SamplingMatrix:
     B = np.zeros((k, k))
     L = -math.sqrt(ell * k)
     s_vec = np.zeros(w)
-    merged = False
 
     for _ in range(ell):
         Lp = L + 1.0
@@ -128,8 +125,6 @@ def bss_sampling(V, E, ell: int) -> SamplingMatrix:
         # zero-cost ties resolve to the lowest candidate index
         j = int(np.argmin(cost))
         t = float(t_min[j])
-        if s_vec[j] > 0.0:
-            merged = True
         s_vec[j] += t
         B += t * np.outer(V[j], V[j])
         L = Lp
@@ -137,7 +132,7 @@ def bss_sampling(V, E, ell: int) -> SamplingMatrix:
     s_vec *= (1.0 - math.sqrt(k / ell)) / ell
     idx = np.nonzero(s_vec)[0].astype(np.int64)
     weights = np.sqrt(s_vec[idx])
-    sampler = SamplingMatrix(w, idx, weights, merged)
+    sampler = SamplingMatrix(w, idx, weights)
 
     VS = sampler.apply_to(V.T)
     sig = np.linalg.svd(VS, compute_uv=False)
@@ -158,7 +153,6 @@ class CssResult:
 
     indices: np.ndarray
     columns: np.ndarray
-    sampler: SamplingMatrix
 
 
 def deterministic_css(G, k: int, c: int) -> CssResult:
@@ -167,9 +161,9 @@ def deterministic_css(G, k: int, c: int) -> CssResult:
 
     Asserts the deterministic guarantee
       ||G - C C^+ G||_F^2 <= (1 + (1 - sqrt(k/c))^-2) * ||G - G_k||_F^2.
-    A merged barrier walk yields fewer than c distinct picks; the remainder
-    is refilled with the heaviest unpicked residual columns, which only
-    grows the span, so the bound survives and the count is always c.
+    A barrier walk that revisits a column yields fewer than c picks; the
+    remainder is refilled with the heaviest unpicked residual columns, which
+    only grows the span, so the bound survives and the count is always c.
     """
     G = as_matrix(G, "G")
     if k < 1 or k > min(G.shape):
@@ -191,7 +185,7 @@ def deterministic_css(G, k: int, c: int) -> CssResult:
     got = span_residual_sq(G, C)
     if got > bound * (1.0 + _POST_SLACK) + 1e-12:
         raise InternalError(f"css residual {got:.6e} exceeds bound {bound:.6e}")
-    return CssResult(indices, C, sampler)
+    return CssResult(indices, C)
 
 
 # -- adaptive residual sampling ----------------------------------------

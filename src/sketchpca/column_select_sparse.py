@@ -8,6 +8,10 @@ kernel fails with some probability, and the repeated-candidate wrappers
 (boosted SVD, repeated barrier sampling) drive that probability down by
 scoring candidates against sketched costs and keeping a certified winner.
 
+The barrier sampler reads its residual through one type, ResidualOperator
+(A - A Z Z^T held implicitly); a plain matrix is that operator with an
+empty basis Z, for which the A Z pass is skipped.
+
 distributed_css_pca_fast is column_partition's four-stage driver run with
 these kernels in its CssKernels bundle; the stages, ledger and checks are
 the exact protocol's.
@@ -28,7 +32,7 @@ import numpy as np
 
 from .cluster import Cluster
 from .column_partition import CssKernels, CssPcaResult, run_css_protocol
-from .column_select import CssResult, SamplingMatrix, bss_sampling
+from .column_select import _POST_SLACK, CssResult, SamplingMatrix, bss_sampling
 from .errors import InputError, InternalError
 from .linalg import as_matrix, orthonormal_basis, qr, truncated_svd
 from .sketches import (
@@ -51,8 +55,6 @@ TAG_FAST_LOCAL_SVD = "fast-local-svd"
 TAG_FAST_LOCAL_BSS = "fast-local-bss"
 TAG_FAST_CORE = "fast-core"
 TAG_FAST_JLT = "fast-residual-jlt"
-
-_POST_SLACK = 1e-9
 
 # internal constants for the once-per-protocol global selector
 _CSS_SPARSE_EPS = 0.5
@@ -205,7 +207,8 @@ class ResidualOperator:
 
     Sketches of the residual come from sketching A once and correcting in
     sketch space, so the dense m x w residual never exists.  Z must have
-    orthonormal columns for frob_sq's cancellation identity to hold.
+    orthonormal columns for frob_sq's cancellation identity to hold.  With
+    no columns in Z the operator is A itself, and the A Z pass is skipped.
     """
 
     def __init__(self, A, Z):
@@ -221,7 +224,8 @@ class ResidualOperator:
 
     def _a_times_z(self) -> np.ndarray:
         if self._az is None:
-            self._az = right_multiply(self.A, self.Z)
+            self._az = (right_multiply(self.A, self.Z) if self.Z.shape[1]
+                        else np.zeros((self.A.n_rows, 0)))
         return self._az
 
     def sketch_rows(self, emb: SparseEmbedding) -> np.ndarray:
@@ -235,39 +239,6 @@ class ResidualOperator:
         idx = np.asarray(idx, dtype=np.int64)
         return (self.A.take_columns(idx).to_dense()
                 - self._a_times_z() @ self.Z[idx, :].T)
-
-
-class _PlainResidual:
-    """Adapter giving an explicit matrix the ResidualOperator interface."""
-
-    def __init__(self, E):
-        self.E = E if isinstance(E, SparseColMatrix) else as_matrix(E, "E")
-
-    @property
-    def shape(self):
-        return self.E.shape
-
-    def sketch_rows(self, emb: SparseEmbedding) -> np.ndarray:
-        if isinstance(self.E, SparseColMatrix):
-            return embed_rows(emb, self.E)
-        return emb.apply_left(self.E)
-
-    def frob_sq(self) -> float:
-        if isinstance(self.E, SparseColMatrix):
-            return self.E.frob_sq()
-        return float(np.sum(self.E * self.E))
-
-    def columns(self, idx) -> np.ndarray:
-        idx = np.asarray(idx, dtype=np.int64)
-        if isinstance(self.E, SparseColMatrix):
-            return self.E.take_columns(idx).to_dense()
-        return self.E[:, idx]
-
-
-def _as_residual(E):
-    if isinstance(E, ResidualOperator):
-        return E
-    return _PlainResidual(E)
 
 
 # -- approximate SVD ----------------------------------------------------
@@ -350,10 +321,15 @@ def bss_sampling_sparse(V, E, ell: int, eps: float, delta: float,
     candidate that meets them is returned; when none does, the preferred
     candidate's failure is raised.
 
-    E may be a matrix (dense or column-sparse) or a ResidualOperator.
+    E is a ResidualOperator, or a matrix (dense or column-sparse) read as
+    the ResidualOperator with an empty basis: each candidate then sketches
+    E with one touch per stored entry, bit for bit the dense apply_left.
     """
     V = as_matrix(V, "V")
-    res = _as_residual(E)
+    res = E
+    if not isinstance(E, ResidualOperator):
+        A = _as_sparse(E)
+        res = ResidualOperator(A, np.zeros((A.n_cols, 0)))
     w, k = V.shape
     if res.shape[1] != w:
         raise InputError("E must have one column per row of V")
@@ -393,27 +369,27 @@ def bss_sampling_sparse(V, E, ell: int, eps: float, delta: float,
     raise InternalError(first_failure)
 
 
-def deterministic_css_sparse(G, k: int, c: int, seed: int) -> CssResult:
+def deterministic_css_sparse(G, k: int, seed: int) -> CssResult:
     """Pick c = 4k columns whose span nearly carries the top-k structure,
     in time proportional to the stored entries.
 
-    Approximate right factors stand in for the exact SVD and sketched
-    costs drive the barrier walk; the price is a constant-factor residual
-    bound holding with constant probability instead of always, so the
-    quality contract is property-tested rather than asserted here.
+    The budget is fixed at 4k because the constant-factor guarantee is
+    tuned to it.  Approximate right factors stand in for the exact SVD and
+    sketched costs drive the barrier walk; the price is a constant-factor
+    residual bound holding with constant probability instead of always, so
+    the quality contract is property-tested rather than asserted here.
     """
     G = _as_sparse(G)
     if k < 1:
         raise InputError("k must be at least 1")
-    if c != 4 * k:
-        raise InputError(f"this selector is tuned for c = 4k, got c={c}")
+    c = 4 * k
     if c > G.n_cols:
         raise InputError(f"need c <= n_cols, got c={c} for shape {G.shape}")
     Z = sparse_svd(G, k, _CSS_SPARSE_EPS, derive_seed(seed, TAG_FAST_CSS_SVD))
     S = bss_sampling_sparse(
         Z, ResidualOperator(G, Z), c, _CSS_SPARSE_EPS, _CSS_SPARSE_DELTA,
         derive_seed(seed, TAG_FAST_CSS_BSS))
-    return CssResult(S.indices, G.take_columns(S.indices).to_dense(), S)
+    return CssResult(S.indices, G.take_columns(S.indices).to_dense())
 
 
 # -- the sketched four-stage protocol -----------------------------------
@@ -503,7 +479,7 @@ _FAST_KERNELS = CssKernels(
     part=lambda cluster, i: _as_sparse(cluster.parts[i]),
     local_select=_fast_local_select,
     core_select=lambda params, G, c1: deterministic_css_sparse(
-        G, params.k, c1, derive_seed(params.seed, TAG_FAST_CORE)).indices,
+        G, params.k, derive_seed(params.seed, TAG_FAST_CORE)).indices,
     residual_masses=_fast_residual_masses,
     coefficients=dense_times_sparse,
     finalize=_fast_finalize,

@@ -132,17 +132,11 @@ def gen_css_hard(spec: HardCssSpec, *, rotate: bool = False, seed: int = 0,
     rows^-3), which destroys the sparsity pattern while provably keeping
     small column subsets bad.
     """
-    rows_per, cols_per = spec.phi + 1, spec.phi
     m, n = spec.shape
-    indptr = 2 * np.arange(n + 1, dtype=np.int64)
-    indices = np.empty(2 * n, dtype=np.int64)
-    for b in range(spec.k):
-        base = b * rows_per
-        for i in range(cols_per):
-            c = b * cols_per + i
-            indices[2 * c] = base
-            indices[2 * c + 1] = base + i + 1
-    A = SparseColMatrix((m, n), indptr, indices, np.ones(2 * n))
+    block, i = divmod(np.arange(n, dtype=np.int64), spec.phi)
+    base = block * (spec.phi + 1)
+    indices = np.column_stack([base, base + i + 1]).ravel()
+    A = SparseColMatrix((m, n), 2 * np.arange(n + 1, dtype=np.int64), indices, np.ones(2 * n))
     if not rotate:
         return A
     rng = np.random.default_rng(seed)

@@ -11,7 +11,7 @@ from conftest import best_tail_sq, lowrank_plus_noise, rand_matrix, rank_exactly
 from sketchpca import arbitrary_partition as ap
 from sketchpca.batch import batch_low_rank
 from sketchpca.cluster import Cluster
-from sketchpca.errors import InputError, ProtocolError
+from sketchpca.errors import InputError, InternalError, ProtocolError
 from sketchpca.generators import gen_lowrank_noise
 from sketchpca.linalg import residual_ratio
 
@@ -42,6 +42,15 @@ class TestRankTest:
         assert np.linalg.matrix_rank(A) == 4
         for seed in range(8):
             assert ap.rank_test(Cluster([A], kind="arbitrary"), 1, seed=seed), seed
+
+    def test_narrow_full_rank_input_routes_smoothed_for_every_seed(self):
+        # 4000 x 4 of rank 4 > 2k = 2: a 4 x 2 sign probe repeats a column
+        # up to sign for some seeds (11 here) and would route to low-rank
+        A = gen_lowrank_noise(4000, 4, 1, 0.05, 1)
+        assert np.linalg.matrix_rank(A) == 4
+        for seed in range(64):
+            res = ap.distributed_pca_arbitrary(Cluster([A]), _params(k=1, eps=1.0, seed=seed))
+            assert res.branch == "smoothed", seed
 
     def test_cost_is_exactly_probe_size(self):
         for s in (1, 2, 5):
@@ -95,6 +104,14 @@ class TestLowRankBranch:
         }
         assert res.phase_words == want
         assert res.total_words == sum(want.values())
+
+    def test_u_down_counts_the_columns_shipped(self):
+        # k above the row count: U has m columns, and u-down counts m * m
+        cl = Cluster([rand_matrix(0, 2, 30), rand_matrix(1, 2, 30)])
+        res = ap.distributed_pca_arbitrary(cl, _params(k=3, seed=1))
+        assert res.branch == "low-rank"
+        assert res.U.shape == (2, 2)
+        assert res.phase_words["u-down"] == 2 * res.U.size
 
     def test_words_independent_of_width(self):
         k, s = 2, 3
@@ -170,6 +187,16 @@ class TestSmoothedBranch:
             cl, _params(k=2, seed=23, noise_scale=0.0, xi_sketch=8))
         assert res.phase_words == {
             "sketch-up": 256, "V-down": 64, "X-up": 128, "u-down": 128}
+
+    def test_ledger_check_catches_a_payload_of_the_wrong_shape(self, monkeypatch):
+        # X-up words are measured from the gathered arrays, so a lift with
+        # an extra column no longer matches the closed form m * kk
+        real = ap.lift_through_right
+        monkeypatch.setattr(ap, "lift_through_right", lambda B, Tr, V: np.hstack(
+            [real(B, Tr, V), np.zeros((B.shape[0], 1))]))
+        cl = _cluster_for(rand_matrix(3, 16, 30), 4, seed=3)
+        with pytest.raises(InternalError, match="ledger mismatch"):
+            ap.smoothed_protocol(cl, _params(k=2, seed=23, noise_scale=0.0, xi_sketch=8))
 
     def test_default_noise_perturbs(self):
         A = lowrank_plus_noise(4, 20, 25, 2, 0.1)

@@ -168,7 +168,7 @@ class TestGatherSumBlocks:
             calls.append((lo, hi, i))
             return (B @ W)[:, lo:hi]
 
-        Cluster(parts).gather_sum_blocks("up", fn, 5, 2, words_each=1)
+        Cluster(parts).gather_sum_blocks("up", fn, 5, 2)
         assert calls == [(lo, min(lo + 2, 5), i) for lo in (0, 2, 4) for i in range(3)]
 
     def test_zero_columns(self):

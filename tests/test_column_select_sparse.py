@@ -212,6 +212,23 @@ class TestResidualOperator:
         with pytest.raises(InputError):
             ResidualOperator(A, np.zeros((6, 2)))
 
+    def test_empty_basis_is_the_plain_sparse_matrix(self):
+        E = sparse_random(2, 18, 25, density=0.5)
+        res = ResidualOperator(E, np.zeros((25, 0)))
+        emb = sparse_embedding(7, 18, 5)
+        assert res.sketch_rows(emb).tobytes() == embed_rows(emb, E).tobytes()
+        idx = np.array([3, 0, 3, 11])
+        TOUCHES.reset()
+        assert res.frob_sq() == E.frob_sq()
+        assert res.columns(idx).tobytes() == E.take_columns(idx).to_dense().tobytes()
+        assert TOUCHES.count == 0       # no A Z pass
+
+    def test_empty_basis_sketch_of_a_dense_matrix_is_apply_left(self):
+        E = rand_matrix(3, 18, 25)
+        emb = sparse_embedding(7, 18, 6)
+        got = ResidualOperator(E, np.zeros((25, 0))).sketch_rows(emb)
+        assert got.tobytes() == emb.apply_left(E).tobytes()
+
 
 class TestSparseSvd:
     def test_orthonormal_output(self):
@@ -367,6 +384,15 @@ class TestBssSamplingSparse:
         S = bss_sampling_sparse(Z, res, 12, 0.5, 0.1, 4)
         assert S.ell == 12
 
+    def test_plain_input_is_read_with_an_empty_basis(self):
+        V, E = self._instance(4)
+        for plain in (E, SparseColMatrix.from_dense(E)):
+            S = bss_sampling_sparse(V, plain, 16, 0.5, 0.1, 8)
+            W = bss_sampling_sparse(V, ResidualOperator(plain, np.zeros((30, 0))),
+                                    16, 0.5, 0.1, 8)
+            assert S.indices.tobytes() == W.indices.tobytes()
+            assert S.weights.tobytes() == W.weights.tobytes()
+
     def test_zero_residual(self):
         V = rand_orthonormal(1, 20, 3)
         S = bss_sampling_sparse(V, np.zeros((8, 20)), 12, 0.5, 0.5, 5)
@@ -410,15 +436,13 @@ class TestDeterministicCssSparse:
     def test_budget_must_be_four_k(self):
         G = sparse_random(0, 10, 30)
         with pytest.raises(InputError):
-            deterministic_css_sparse(G, 2, 9, 0)
+            deterministic_css_sparse(G, 0, 0)
         with pytest.raises(InputError):
-            deterministic_css_sparse(G, 0, 0, 0)
-        with pytest.raises(InputError):
-            deterministic_css_sparse(sparse_random(1, 10, 6), 2, 8, 0)
+            deterministic_css_sparse(sparse_random(1, 10, 6), 2, 0)
 
     def test_columns_are_verbatim(self):
         G = sparse_random(2, 10, 30)
-        res = deterministic_css_sparse(G, 2, 8, 3)
+        res = deterministic_css_sparse(G, 2, 3)
         dense = G.to_dense()
         assert res.columns.shape == (10, 8)
         assert res.columns.tobytes() == dense[:, res.indices].tobytes()
@@ -434,13 +458,13 @@ class TestDeterministicCssSparse:
         G = np.zeros((m, 30))
         for j in range(30):
             G[:, j] = patterns[:, rng.integers(k)] * float(rng.integers(1, 5))
-        res = deterministic_css_sparse(SparseColMatrix.from_dense(G), k, 4 * k, 7)
+        res = deterministic_css_sparse(SparseColMatrix.from_dense(G), k, 7)
         assert span_residual_sq(G, res.columns) <= 1e-12 * frob_sq(G)
 
     def test_deterministic(self):
         G = sparse_random(6, 12, 25)
-        r1 = deterministic_css_sparse(G, 2, 8, 11)
-        r2 = deterministic_css_sparse(G, 2, 8, 11)
+        r1 = deterministic_css_sparse(G, 2, 11)
+        r2 = deterministic_css_sparse(G, 2, 11)
         assert r1.indices.tobytes() == r2.indices.tobytes()
 
     def test_quality_with_constant_probability(self):
@@ -454,7 +478,7 @@ class TestDeterministicCssSparse:
                 hits += 1
                 continue
             try:
-                res = deterministic_css_sparse(G, 2, 8, seed)
+                res = deterministic_css_sparse(G, 2, seed)
             except InternalError:
                 continue
             ratio = span_residual_sq(dense, res.columns) / tail
