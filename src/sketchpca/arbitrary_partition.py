@@ -104,7 +104,6 @@ class ArbResult:
 class _Probe:
     full: bool
     probe_rank: int
-    Hl: np.ndarray
     Hrt: np.ndarray
 
 
@@ -123,7 +122,7 @@ def _run_probe(cluster: Cluster, k: int, probe_seed: int) -> _Probe:
     cluster.record_broadcast("rank-test-seed", 2)
     G = cluster.gather_sum("rank-test-up", cluster.map_machines(lambda i, B: (Hl @ B) @ Hrt))
     r = numeric_rank(G)
-    return _Probe(r == 2 * k, r, Hl, Hrt)
+    return _Probe(r == 2 * k, r, Hrt)
 
 
 def rank_test(cluster: Cluster, k: int, seed: int) -> bool:

@@ -408,6 +408,12 @@ _NOISE_SCALE = ("--noise-scale", {
             "branch; default 1e-6 times the RMS entry of A, estimated from the "
             "gathered sketch; 0 disables it"})
 _ONE_PASS_FLAGS = (_const("xi-regression"), _const("xi-affine"))
+_XI_SUBSPACE = ("--const-xi-subspace", {
+    "type": int, "default": None,
+    "help": "width of the finalize sketch, which then always runs; default a rank-k "
+            "projection-cost-preserving sketch (Cohen et al., STOC 2015) whose width "
+            "depends on k and eps only, with C^T A shipped exactly when the input "
+            "has at most machines times that many columns"})
 
 
 def _css_flags(variant: tuple) -> tuple:
@@ -417,7 +423,7 @@ def _css_flags(variant: tuple) -> tuple:
         ("--widths", {"metavar": "PATH",
                       "help": "JSON widths manifest overriding --machines"}),
         ("--per-machine-finalize", {"action": "store_true"}),
-        _const("ell"), variant, _const("c2"), _const("xi-subspace"),
+        _const("ell"), variant, _const("c2"), _XI_SUBSPACE,
     )
 
 

@@ -15,15 +15,20 @@ Four stages:
    proportionally, and machines upload residual-sampled columns verbatim
    (phase "adaptive" counts only these column words; the two quantized
    scalars per machine ride in "adaptive-meta");
-4. finalize: the server finds the best rank-k basis inside the span of
-   the collected columns C from the coefficients C^T A.  When the data is
-   no wider than the sketch would be (n <= s * xi, with xi resolved by
-   default), every machine ships its block C^T A_i exactly, c * n_i words,
-   and the server concatenates them: the basis is the exact optimum in
-   span(C), and c * n <= s * c * xi keeps the paper's bound.  Otherwise,
-   and whenever xi_subspace is given, a shared seeded sketch S turns one
-   pass over the blocks into the sum of C^T A_i S_i^T, which machines send
-   in blocks of sketch rows, so no machine's whole product is ever built.
+4. finalize: the server finds a rank-k basis inside the span of the
+   collected columns C from the coefficients C^T A.  With Y an orthonormal
+   basis of span(C), it needs only the top-k left singular vectors of
+   Y^T A, and a rank-k projection-cost-preserving sketch T of the columns
+   keeps them to within eps (Cohen, Elder, Musco, Musco and Persu,
+   "Dimensionality reduction for k-means clustering and low rank
+   approximation", STOC 2015).  Its width xi depends on k and eps alone,
+   so machines ship C^T A_i T_i, c * xi words each, however wide A is.  A
+   shared seeded T turns one pass over the blocks into their sum, sent in
+   blocks of sketch rows, so no machine's whole product is ever built.
+   When the data is no wider than that (n <= s * xi, with xi resolved by
+   default), every machine ships its block C^T A_i exactly instead,
+   c * n_i words and fewer in all, and the basis is the exact optimum in
+   span(C).  An explicit xi_subspace always sketches.
 
 run_css_protocol is the one driver of these stages.  What differs between
 variants is a CssKernels bundle: this module's exact kernels (dense SVD,
@@ -59,7 +64,7 @@ from .column_select import (
 )
 from .errors import InputError, InternalError
 from .linalg import orthonormal_basis, svd, truncated_svd
-from .sketches import affine_dim, derive_seed, sign_sketch
+from .sketches import dense_pca_dim, derive_seed, sign_sketch
 from .sparse import SparseColMatrix
 
 TAG_ADAPTIVE_MACHINES = "css-adaptive-machines"
@@ -92,11 +97,17 @@ class CssProtocolParams:
             raise InputError("eps must be positive")
 
     def resolve(self) -> tuple[int, int, int, int]:
+        """(ell, c1, c2, xi).  The default finalize width xi is a rank-k
+        projection-cost-preserving sign sketch, dense_pca_dim(k, eps / 2)
+        columns.  It is sized at eps / 2 because the sketch's error adds to
+        the selection's: at eps itself (4k / eps^2 columns), a noisy rank-3
+        100 x 1000 input lost 6-7% at k = 3, eps = 1/2, against under 0.1%
+        for the exact finalize."""
         k, eps = self.k, self.eps
         ell = self.ell if self.ell is not None else 4 * k
         c1 = self.c1 if self.c1 is not None else 4 * k
         c2 = self.c2 if self.c2 is not None else math.ceil(50.0 * k / eps)
-        xi = self.xi_subspace if self.xi_subspace is not None else affine_dim(c1 + c2, eps)
+        xi = self.xi_subspace if self.xi_subspace is not None else dense_pca_dim(k, eps / 2)
         if ell <= k or c1 <= k:
             raise InputError("budgets ell and c1 must exceed k")
         if c2 < 0 or xi < 1:
@@ -135,13 +146,16 @@ def _columns(P, idx) -> np.ndarray:
 class CssKernels:
     """The steps in which the column-partition protocols differ.
 
-    resolve(params, cluster) -> (ell, c1, c2, xi); part(cluster, i) -> block
-    i, dense or sparse; local_select(params, s, i, P, ell) -> ell column
-    indices of a block wider than ell; core_select(params, G, c1) -> c1
-    positions in G; residual_masses(params, cluster, parts, C) -> each
-    block's per-column residual mass off span(C); coefficients(CT, P) ->
-    CT @ P for a block P; finalize(cluster, parts, xi, seed) ->
-    fn(i, lo, hi), sketch-row columns lo..hi-1 of A_i S_i^T.
+    resolve(params, cluster) -> (ell, c1, c2, xi), with xi the width of a
+    rank-k projection-cost-preserving sketch unless xi_subspace is given;
+    part(cluster, i) -> block i, dense or sparse; local_select(params, s,
+    i, P, ell) -> ell column indices of a block wider than ell;
+    core_select(params, G, c1) -> c1 positions in G;
+    residual_masses(params, cluster, parts, C) -> each block's per-column
+    residual mass off span(C); coefficients(CT, P) -> CT @ P for a block P;
+    finalize(cluster, parts, xi, seed) -> fn(i, lo, hi), sketch columns
+    lo..hi-1 of A_i T_i for the shared xi-column sketch T (a sign sketch
+    here, a one-nonzero-per-column embedding in column_select_sparse).
     """
 
     resolve: Callable

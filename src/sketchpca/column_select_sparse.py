@@ -106,18 +106,6 @@ class FastParams:
         object.__setattr__(self, "embed_xi", embedding_dim(self.k, self.eps))
 
 
-def subspace_embed_dim(c: int, eps: float, n: int) -> int:
-    """Buckets for a column embedding good for a c-dimensional coefficient
-    space: ceil(2 c^2 / eps^2), capped at twice the column count since more
-    buckets than that only pad the sketch with structural zeros."""
-    if c < 1 or n < 1:
-        raise InputError("subspace embedding needs c >= 1 and n >= 1")
-    if not 0.0 < eps:
-        raise InputError("eps must be positive")
-    nominal = max(1, math.ceil(2.0 * c * c / eps**2))
-    return max(1, min(nominal, 2 * n))
-
-
 # -- sparse-aware kernel applications ----------------------------------
 
 
@@ -422,13 +410,15 @@ class FastCssProtocolParams:
         if not 0.0 < self.delta < 1.0:
             raise InputError("delta must be in (0, 1)")
 
-    def resolve(self, n: int) -> tuple[int, int, int, int]:
+    def resolve(self) -> tuple[int, int, int, int]:
+        """(ell, c1, c2, xi).  The default finalize width xi is a rank-k
+        projection-cost-preserving CountSketch, embedding_dim(k, eps / 2)
+        buckets, at eps / 2 for the reason CssProtocolParams.resolve gives."""
         k, eps = self.k, self.eps
         ell = self.ell if self.ell is not None else 4 * k
         c1 = 4 * k
         c2 = self.c2 if self.c2 is not None else math.ceil(50.0 * k / eps)
-        xi = (self.xi_subspace if self.xi_subspace is not None
-              else subspace_embed_dim(c1 + c2, eps, n))
+        xi = self.xi_subspace if self.xi_subspace is not None else embedding_dim(k, eps / 2)
         if ell <= k:
             raise InputError("budget ell must exceed k")
         if c2 < 0 or xi < 1:
@@ -442,7 +432,7 @@ class FastCssProtocolParams:
 def _fast_resolve(params, cluster):
     if params.k >= cluster.m:
         raise InputError("target rank must be below the row count")
-    return params.resolve(cluster.n)
+    return params.resolve()
 
 
 def _fast_local_select(params, s, i, Ai, ell):

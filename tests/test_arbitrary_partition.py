@@ -141,7 +141,7 @@ class TestLowRankBranch:
             p = orig(cluster, k, seed)
             calls["n"] += 1
             if calls["n"] == 1:
-                return ap._Probe(p.full, p.probe_rank + 1, p.Hl, p.Hrt)
+                return ap._Probe(p.full, p.probe_rank + 1, p.Hrt)
             return p
 
         monkeypatch.setattr(ap, "_run_probe", tampered)
@@ -156,7 +156,7 @@ class TestLowRankBranch:
 
         def always_bad(cluster, k, seed):
             p = orig(cluster, k, seed)
-            return ap._Probe(p.full, p.probe_rank + 1, p.Hl, p.Hrt)
+            return ap._Probe(p.full, p.probe_rank + 1, p.Hrt)
 
         monkeypatch.setattr(ap, "_run_probe", always_bad)
         with pytest.raises(ProtocolError):

@@ -25,9 +25,9 @@ SOLVER_TAIL = [
 ]
 
 
-def _int(flag, default=None):
+def _int(flag, default=None, help=None):
     dest = flag.lstrip("-").replace("-", "_")
-    return (flag, dest, default, "int", False, None, "_StoreAction", None, None)
+    return (flag, dest, default, "int", False, None, "_StoreAction", help, None)
 
 
 def _float(flag, default=None, help=None):
@@ -51,6 +51,12 @@ NOISE_SCALE = _float(
          "branch; default 1e-6 times the RMS entry of A, estimated from the "
          "gathered sketch; 0 disables it")
 
+XI_SUBSPACE_HELP = (
+    "width of the finalize sketch, which then always runs; default a rank-k "
+    "projection-cost-preserving sketch (Cohen et al., STOC 2015) whose width "
+    "depends on k and eps only, with C^T A shipped exactly when the input "
+    "has at most machines times that many columns")
+
 
 def _solver(*extra):
     return [HELP, *SOLVER_HEAD, *extra, *SOLVER_TAIL]
@@ -62,7 +68,7 @@ def _css(variant):
         _path("--widths", "JSON widths manifest overriding --machines"),
         _switch("--per-machine-finalize"),
         _int("--const-ell"), variant, _int("--const-c2"),
-        _int("--const-xi-subspace"))
+        _int("--const-xi-subspace", help=XI_SUBSPACE_HELP))
 
 
 EXPECTED = {

@@ -15,6 +15,7 @@ from sketchpca.column_partition import CssProtocolParams, distributed_css_pca
 from sketchpca.column_select_sparse import FastCssProtocolParams, distributed_css_pca_fast
 from sketchpca.errors import InputError
 from sketchpca.linalg import best_rank_k_in_colspan, residual_ratio, span_residual_sq
+from sketchpca.sketches import dense_pca_dim
 from sketchpca.sparse import SparseColMatrix
 
 
@@ -136,8 +137,9 @@ class TestAccounting:
     def test_xi_default_follows_budgets(self):
         cl = _sparse_cluster(9)
         res = distributed_css_pca(cl, _params(k=2, seed=99))
-        # affine sketch for c1 + c2 = 108 columns at eps = 1
-        assert res.xi == 8 * 108
+        # a rank-2 projection-cost-preserving sign sketch at eps / 2 = 1/2,
+        # whatever the c1 + c2 = 108 collected columns
+        assert res.xi == dense_pca_dim(2, 0.5) == 32
 
 
 class TestVariantsAndDeterminism:
@@ -183,12 +185,10 @@ class TestVariantsAndDeterminism:
             CssProtocolParams(k=0, eps=1.0, seed=1)
 
 
-# protocol, its params class, and the default sketch size for n columns
+# protocol and its params class
 _PROTOCOLS = {
-    "exact": (distributed_css_pca, CssProtocolParams,
-              lambda params, n: params.resolve()[3]),
-    "fast": (distributed_css_pca_fast, FastCssProtocolParams,
-             lambda params, n: params.resolve(n)[3]),
+    "exact": (distributed_css_pca, CssProtocolParams),
+    "fast": (distributed_css_pca_fast, FastCssProtocolParams),
 }
 
 
@@ -208,7 +208,7 @@ class TestFinalizeBranches:
 
     @pytest.mark.parametrize("data", ["dense", "sparse"])
     def test_exact_branch_is_the_restricted_optimum(self, protocol, data):
-        run, Params, _ = _PROTOCOLS[protocol]
+        run, Params = _PROTOCOLS[protocol]
         build = _dense_cluster if data == "dense" else _sparse_cluster
         cl = build(16)
         k = 2
@@ -222,17 +222,15 @@ class TestFinalizeBranches:
         assert np.linalg.norm(res.U @ res.U.T - U @ U.T, 2) <= 1e-10
 
     def test_branch_rule_at_the_boundary(self, protocol):
-        run, Params, default_xi = _PROTOCOLS[protocol]
+        run, Params = _PROTOCOLS[protocol]
         budgets = (dict(k=2, eps=1.0, ell=3, c1=3, c2=2) if protocol == "exact"
                    else dict(k=2, eps=1.0, c2=0))
         s = 2
-        # at a width where the fast sizing rule's 2n cap does not bind
-        xi = default_xi(Params(seed=0, **budgets), 10_000)
+        xi = Params(seed=0, **budgets).resolve()[3]
         for per_machine in (False, True):
             down = {}
             for widths, mode in (((xi, xi), "exact"), ((xi, xi + 1), "sketch")):
                 cl = _sparse_cluster(17, widths=widths)
-                assert default_xi(Params(seed=0, **budgets), cl.n) == xi
                 res = run(cl, Params(seed=170, per_machine_finalize=per_machine, **budgets))
                 assert (res.finalize, res.xi) == (mode, xi)
                 words = res.c_actual * (cl.n if mode == "exact" else s * xi)
@@ -258,7 +256,7 @@ class TestFinalizeBranches:
             assert res.phase_words["subspace-up"] == s * res.c_actual * explicit
 
     def test_exact_branch_is_bitwise_across_modes(self, protocol):
-        run, Params, _ = _PROTOCOLS[protocol]
+        run, Params = _PROTOCOLS[protocol]
         params = Params(k=2, eps=1.0, seed=180)
         serial = run(_sparse_cluster(18), params)
         parallel = run(_sparse_cluster(18, parallel=True), params)
@@ -268,3 +266,45 @@ class TestFinalizeBranches:
         assert serial.U.tobytes() == parallel.U.tobytes() == replicas.U.tobytes()
         assert serial.phase_words == parallel.phase_words
         assert replicas.phase_words["subspace-up"] == serial.phase_words["subspace-up"]
+
+
+@pytest.mark.parametrize("protocol", sorted(_PROTOCOLS))
+class TestDefaultSketchBranch:
+    """Past n = s * xi the default finalize ships the rank-k
+    projection-cost-preserving sketch, whose width is set by k and eps."""
+
+    def test_stage_four_words_do_not_grow_with_n(self, protocol):
+        run, Params = _PROTOCOLS[protocol]
+        s, k = 4, 2
+        xi = Params(k=k, eps=1.0, seed=0).resolve()[3]
+        for per_machine in (False, True):
+            up, down = {}, {}
+            for width in (40, 80):      # n = 160 and 320, both past s * xi = 128
+                cl = _dense_cluster(19, widths=(width,) * s)
+                assert cl.n > s * xi
+                res = run(cl, Params(k=k, eps=1.0, seed=190,
+                                     per_machine_finalize=per_machine))
+                assert (res.finalize, res.xi) == ("sketch", xi)
+                assert res.phase_words["subspace-up"] == s * res.c_actual * xi
+                up[width] = res.phase_words["subspace-up"]
+                if per_machine:
+                    C = cl.materialize()[:, res.core_indices + res.adaptive_indices]
+                    assert np.linalg.matrix_rank(C) == cl.m
+                    down[width] = res.phase_words["delta-down"]
+            assert up[40] == up[80]
+            if per_machine:
+                assert down[40] == down[80] == s * cl.m * k
+
+    @pytest.mark.parametrize("data", ["dense", "sparse"])
+    def test_default_sketch_quality(self, protocol, data):
+        run, Params = _PROTOCOLS[protocol]
+        build = _dense_cluster if data == "dense" else _sparse_cluster
+        s, k, eps = 2, 2, 0.5
+        xi = Params(k=k, eps=eps, seed=0).resolve()[3]
+        ratios = []
+        for seed in range(20):
+            cl = build(200 + seed, widths=(2 * xi,) * s)     # n = 2 * s * xi
+            res = run(cl, Params(k=k, eps=eps, seed=2000 + seed))
+            assert res.finalize == "sketch"
+            ratios.append(residual_ratio(cl.materialize(), res.U, k))
+        assert float(np.median(ratios)) <= 1 + eps

@@ -32,7 +32,6 @@ from sketchpca.column_select_sparse import (
     right_multiply,
     sparse_svd,
     sparse_svd_boosting,
-    subspace_embed_dim,
 )
 from sketchpca.column_partition import _FINALIZE_BLOCK, CssProtocolParams, distributed_css_pca
 from sketchpca.errors import InputError, InternalError
@@ -70,24 +69,6 @@ class TestFastParams:
             FastParams(2, 0.5, 0.0)
         with pytest.raises(InputError):
             FastParams(2, 0.5, 1.0001)
-
-
-class TestSubspaceEmbedDim:
-    def test_nominal_value(self):
-        # 2 * 16 / 0.25
-        assert subspace_embed_dim(4, 0.5, 1000) == 128
-
-    def test_cap_at_twice_the_columns(self):
-        assert subspace_embed_dim(4, 0.5, 20) == 40
-        assert subspace_embed_dim(312, 0.5, 200) == 400
-
-    def test_validation(self):
-        with pytest.raises(InputError):
-            subspace_embed_dim(0, 0.5, 10)
-        with pytest.raises(InputError):
-            subspace_embed_dim(4, 0.0, 10)
-        with pytest.raises(InputError):
-            subspace_embed_dim(4, 0.5, 0)
 
 
 class TestKernelApplications:
@@ -613,12 +594,14 @@ class TestApproxSubspaceSvdSparse:
                                xi_subspace=xi)
             assert frob_sq(A - res.U @ (res.U.T @ A)) <= 1e-12 * frob_sq(A)
 
-    def test_xi_uses_the_capped_sizing_rule(self):
-        # budgets c1 + c2 = 4 at eps = 1/2: 128 buckets, capped at 2n
+    def test_xi_default_is_the_pcp_width(self):
+        # a rank-1 projection-cost-preserving CountSketch at eps / 2 = 1/4:
+        # 32 buckets at any width; sketched past n = s * 32 = 64, exact below
         res, _ = self._run(sparse_random(4, 12, 100), k=1, eps=0.5, seed=1, c2=0)
-        assert res.xi == 128
+        assert res.xi == embedding_dim(1, 0.25) == 32
+        assert res.finalize == "sketch"
         small, _ = self._run(sparse_random(6, 12, 20), k=1, eps=0.5, seed=1, c2=0)
-        assert small.xi == 40
+        assert (small.xi, small.finalize) == (32, "exact")
 
     def test_rank_clamp(self):
         A = sparse_random(8, 10, 15)
@@ -662,12 +645,12 @@ def _params(k=2, eps=1.0, seed=0, **kw):
 
 class TestFastProtocolParams:
     def test_resolution_pins_the_core_budget(self):
-        ell, c1, c2, xi = _params(k=3, eps=0.5).resolve(200)
+        ell, c1, c2, xi = _params(k=3, eps=0.5).resolve()
         assert (ell, c1, c2) == (12, 12, 300)
-        assert xi == subspace_embed_dim(312, 0.5, 200)
+        assert xi == embedding_dim(3, 0.25) == 288
 
     def test_overrides(self):
-        ell, c1, c2, xi = _params(k=2, eps=1.0, ell=5, c2=7, xi_subspace=33).resolve(50)
+        ell, c1, c2, xi = _params(k=2, eps=1.0, ell=5, c2=7, xi_subspace=33).resolve()
         assert (ell, c1, c2, xi) == (5, 8, 7, 33)
 
     def test_validation(self):
@@ -678,7 +661,7 @@ class TestFastProtocolParams:
         with pytest.raises(InputError):
             FastCssProtocolParams(k=2, eps=0.5, seed=0, delta=1.0)
         with pytest.raises(InputError):
-            _params(k=3, ell=3).resolve(10)
+            _params(k=3, ell=3).resolve()
 
 
 class TestFastProtocol:
