@@ -412,7 +412,8 @@ _XI_SUBSPACE = ("--const-xi-subspace", {
     "type": int, "default": None,
     "help": "width of the finalize sketch, which then always runs; default a rank-k "
             "projection-cost-preserving sketch (Cohen et al., STOC 2015) whose width "
-            "depends on k and eps only, with C^T A shipped exactly when the input "
+            "depends on k and eps only, with Y^T A (Y an orthonormal basis of the "
+            "selected columns' span) shipped exactly when the input "
             "has at most machines times that many columns"})
 
 

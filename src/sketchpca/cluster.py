@@ -2,8 +2,9 @@
 
 One server talks to s machines; machines never talk to each other.  Every
 transfer is recorded in an append-only ledger as (round, from, to, words,
-phase), where a word is one scalar.  Shipping a sparse column costs
-2 * nnz + 1 words: a length header plus (row index, value) pairs.
+phase), where a word is one scalar.  Shipping a column of height m costs
+min(2 * nnz, m) + 1 words: a header plus (row index, value) pairs, or all m
+values when that is fewer.
 
 The simulator runs machine steps sequentially by default.  Parallel mode
 uses a thread pool but collects results by machine index before anything

@@ -2,7 +2,8 @@
 
 Machine i owns a contiguous block of columns.  The protocol ships actual
 columns, never dense sketches of them, so the uplink cost tracks the column
-sparsity: a column with z nonzeros costs 2z + 1 words.
+sparsity: a column of height m with z nonzeros costs min(2z, m) + 1 words, a
+header and then its (row, value) pairs or its m values, whichever is fewer.
 
 Four stages:
 
@@ -16,19 +17,20 @@ Four stages:
    (phase "adaptive" counts only these column words; the two quantized
    scalars per machine ride in "adaptive-meta");
 4. finalize: the server finds a rank-k basis inside the span of the
-   collected columns C from the coefficients C^T A.  With Y an orthonormal
-   basis of span(C), it needs only the top-k left singular vectors of
-   Y^T A, and a rank-k projection-cost-preserving sketch T of the columns
-   keeps them to within eps (Cohen, Elder, Musco, Musco and Persu,
-   "Dimensionality reduction for k-means clustering and low rank
-   approximation", STOC 2015).  Its width xi depends on k and eps alone,
-   so machines ship C^T A_i T_i, c * xi words each, however wide A is.  A
-   shared seeded T turns one pass over the blocks into their sum, sent in
-   blocks of sketch rows, so no machine's whole product is ever built.
-   When the data is no wider than that (n <= s * xi, with xi resolved by
-   default), every machine ships its block C^T A_i exactly instead,
-   c * n_i words and fewer in all, and the basis is the exact optimum in
-   span(C).  An explicit xi_subspace always sketches.
+   collected columns C.  Every machine holds C, so each forms the same
+   orthonormal basis Y of span(C), with r = rank C <= min(m, c) columns.
+   The server needs only the top-k left singular vectors of Y^T A, and a
+   rank-k projection-cost-preserving sketch T of the columns keeps them to
+   within eps (Cohen, Elder, Musco, Musco and Persu, "Dimensionality
+   reduction for k-means clustering and low rank approximation", STOC
+   2015).  Its width xi depends on k and eps alone, so machines ship
+   Y^T A_i T_i, r * xi words each, however wide A is.  A shared seeded T
+   turns one pass over the blocks into their sum, sent in blocks of sketch
+   rows, so no machine's whole product is ever built.  When the data is no
+   wider than that (n <= s * xi, with xi resolved by default), every
+   machine ships its block Y^T A_i exactly instead, r * n_i words and fewer
+   in all, and the basis is the exact optimum in span(C).  An explicit
+   xi_subspace always sketches.
 
 run_css_protocol is the one driver of these stages.  What differs between
 variants is a CssKernels bundle: this module's exact kernels (dense SVD,
@@ -63,7 +65,7 @@ from .column_select import (
     sample_proportional,
 )
 from .errors import InputError, InternalError
-from .linalg import orthonormal_basis, svd, truncated_svd
+from .linalg import orthonormal_basis, truncated_svd
 from .sketches import dense_pca_dim, derive_seed, sign_sketch
 from .sparse import SparseColMatrix
 
@@ -124,7 +126,7 @@ class CssPcaResult:
     adaptive_indices: list[int]
     c_actual: int
     xi: int
-    finalize: str       # "exact" (C^T A shipped) or "sketch"
+    finalize: str       # "exact" (Y^T A shipped) or "sketch"
     betas: list[float]
     phase_words: dict[str, int]
     total_words: int
@@ -132,7 +134,9 @@ class CssPcaResult:
 
 
 def _cols_words(block: np.ndarray) -> int:
-    return 2 * np.count_nonzero(block) + block.shape[1]
+    """A header per column, then its z (row, value) pairs or m values."""
+    nnz = np.count_nonzero(block, axis=0)
+    return int(np.minimum(2 * nnz, block.shape[0]).sum()) + block.shape[1]
 
 
 def _columns(P, idx) -> np.ndarray:
@@ -152,7 +156,7 @@ class CssKernels:
     i, P, ell) -> ell column indices of a block wider than ell;
     core_select(params, G, c1) -> c1 positions in G;
     residual_masses(params, cluster, parts, C) -> each block's per-column
-    residual mass off span(C); coefficients(CT, P) -> CT @ P for a block P;
+    residual mass off span(C); coefficients(YT, P) -> YT @ P for a block P;
     finalize(cluster, parts, xi, seed) -> fn(i, lo, hi), sketch columns
     lo..hi-1 of A_i T_i for the shared xi-column sketch T (a sign sketch
     here, a one-nonzero-per-column embedding in column_select_sparse).
@@ -236,30 +240,24 @@ def run_css_protocol(cluster: Cluster, params, kernels: CssKernels) -> CssPcaRes
     cluster.record_broadcast("span-down", _cols_words(new_cols))
     C_full = np.hstack([C, new_cols])
 
-    # stage 4: the coefficients C^T A, shipped exactly when the data is no
-    # wider than the sketch, else through one pass of a shared seeded sketch.
-    # Per column of the shipped matrix (n exact, xi sketched) the uplink is
-    # c words exact and s * c sketched.
+    # stage 4: the coefficients Y^T A, with Y the basis of span(C) every
+    # machine forms from C_full, shipped exactly when the data is no wider
+    # than the sketch, else through one pass of a shared seeded sketch: per
+    # shipped column, r = rank C words exact and s * r sketched.
     c_actual = C_full.shape[1]
-    CT = C_full.T
-    # One SVD C = U S V^T gives Y = U_r and the map W = S_r^-1 V_r^T with
-    # Y^T = W C^T, which turns the shipped C^T A into Y^T A block by block.
-    Fc = svd(C_full)
-    r = Fc.rank()
-    Y = Fc.U[:, :r]
-    W = (Fc.V[:, :r] / Fc.sigma[:r]).T
-    del Fc      # V is dropped: only Y and W (r x c) live through the gather
+    Y = orthonormal_basis(C_full)
+    r = Y.shape[1]
     if params.xi_subspace is None and cluster.n <= s * xi:
         finalize = "exact"
-        coeffs = cluster.map_machines(lambda i, p: kernels.coefficients(CT, parts[i]))
+        coeffs = cluster.map_machines(lambda i, p: kernels.coefficients(Y.T, parts[i]))
         cluster.record_gather("subspace-up", [b.size for b in coeffs])
-        # each block is mapped and dropped in turn: C^T A is never held twice
-        Xi = np.hstack([W @ coeffs.pop(0) for _ in range(s)])
+        Xi = np.hstack(coeffs)
+        del coeffs
     else:
         finalize = "sketch"
         sketch = kernels.finalize(cluster, parts, xi, derive_seed(params.seed, TAG_CSS_SUBSPACE))
-        Xi = W @ cluster.gather_sum_blocks(
-            "subspace-up", lambda i, p, lo, hi: CT @ sketch(i, lo, hi),
+        Xi = cluster.gather_sum_blocks(
+            "subspace-up", lambda i, p, lo, hi: Y.T @ sketch(i, lo, hi),
             xi, _FINALIZE_BLOCK)
     kk = min(k, min(Xi.shape))
     Delta = truncated_svd(Xi, kk).U
@@ -319,7 +317,7 @@ _EXACT_KERNELS = CssKernels(
     local_select=_exact_local_select,
     core_select=lambda params, G, c1: deterministic_css(G, params.k, c1).indices,
     residual_masses=_exact_residual_masses,
-    coefficients=lambda CT, P: CT @ P,
+    coefficients=lambda YT, P: YT @ P,
     finalize=_exact_finalize,
 )
 
@@ -340,8 +338,7 @@ def _expected_words(cluster: Cluster, result: CssPcaResult,
         "adaptive-meta": 2 * s,
         "adaptive": _cols_words(adaptive),
         "span-down": s * _cols_words(adaptive),
-        "subspace-up": result.c_actual * (
-            cluster.n if result.finalize == "exact" else s * result.xi),
+        "subspace-up": r * (cluster.n if result.finalize == "exact" else s * result.xi),
     }
     if result.params.per_machine_finalize:
         expected["delta-down"] = s * r * result.rank

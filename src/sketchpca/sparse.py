@@ -1,9 +1,9 @@
 """Column-sparse matrix storage with per-column nonzero accounting.
 
 The distributed column-partition protocols charge communication per column
-as 2 * nnz + 1 words (index, value pairs plus a length header), so the
-container keeps exact per-column nonzero counts and supports verbatim column
-extraction with repeats.  Arithmetic should go through ``to_dense``; this
+as min(2 * nnz, m) + 1 words (a length header plus index, value pairs, or
+all m values when that is fewer), so the container keeps exact per-column
+nonzero counts and supports verbatim column extraction with repeats.  Arithmetic should go through ``to_dense``; this
 class is storage and bookkeeping, not a BLAS replacement.
 
 Invariants enforced at construction: row indices strictly increasing within

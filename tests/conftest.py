@@ -60,6 +60,13 @@ def sparse_columns_block(seed: int, m: int, n: int, phi: int):
     return SparseColMatrix.from_columns((m, n), cols)
 
 
+def selected_rank(cluster, res) -> int:
+    """rank C for the columns a column-partition run collected, the row
+    count of its stage-4 coefficients Y^T A."""
+    C = cluster.materialize()[:, res.core_indices + res.adaptive_indices]
+    return int(np.linalg.matrix_rank(C))
+
+
 def split_rows(A: np.ndarray, s: int, seed: int) -> list[np.ndarray]:
     """Additive partition of A into s parts by random row ownership."""
     rng = np.random.default_rng(seed)

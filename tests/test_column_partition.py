@@ -9,13 +9,29 @@ from __future__ import annotations
 import numpy as np
 import pytest
 
-from conftest import best_tail_sq, frob_sq, lowrank_plus_noise, sparse_columns_block
+from conftest import (
+    best_tail_sq,
+    frob_sq,
+    lowrank_plus_noise,
+    selected_rank,
+    sparse_columns_block,
+)
 from sketchpca.cluster import Cluster
-from sketchpca.column_partition import CssProtocolParams, distributed_css_pca
-from sketchpca.column_select_sparse import FastCssProtocolParams, distributed_css_pca_fast
+from sketchpca.column_partition import (
+    _EXACT_KERNELS,
+    TAG_CSS_SUBSPACE,
+    CssProtocolParams,
+    _cols_words,
+    distributed_css_pca,
+)
+from sketchpca.column_select_sparse import (
+    _FAST_KERNELS,
+    FastCssProtocolParams,
+    distributed_css_pca_fast,
+)
 from sketchpca.errors import InputError
 from sketchpca.linalg import best_rank_k_in_colspan, residual_ratio, span_residual_sq
-from sketchpca.sketches import dense_pca_dim
+from sketchpca.sketches import dense_pca_dim, derive_seed
 from sketchpca.sparse import SparseColMatrix
 
 
@@ -130,7 +146,7 @@ class TestAccounting:
         assert res.phase_words["global-down"] == cl.s * sum(
             2 * nnz(j) + 1 for j in res.core_indices)
         assert res.finalize == "exact"
-        assert res.phase_words["subspace-up"] == res.c_actual * cl.n
+        assert res.phase_words["subspace-up"] == selected_rank(cl, res) * cl.n
         assert res.phase_words["u-down"] == cl.s * cl.m * res.rank
         assert res.total_words == sum(res.phase_words.values())
 
@@ -190,6 +206,7 @@ _PROTOCOLS = {
     "exact": (distributed_css_pca, CssProtocolParams),
     "fast": (distributed_css_pca_fast, FastCssProtocolParams),
 }
+_KERNELS = {"exact": _EXACT_KERNELS, "fast": _FAST_KERNELS}
 
 
 def _dense_cluster(seed, m=30, widths=(30, 30, 30, 30), parallel=False):
@@ -233,12 +250,11 @@ class TestFinalizeBranches:
                 cl = _sparse_cluster(17, widths=widths)
                 res = run(cl, Params(seed=170, per_machine_finalize=per_machine, **budgets))
                 assert (res.finalize, res.xi) == (mode, xi)
-                words = res.c_actual * (cl.n if mode == "exact" else s * xi)
+                r = selected_rank(cl, res)
+                words = r * (cl.n if mode == "exact" else s * xi)
                 assert res.phase_words["subspace-up"] == words
                 assert "xi-down" not in res.phase_words
                 if per_machine:
-                    C = cl.materialize()[:, res.core_indices + res.adaptive_indices]
-                    r = np.linalg.matrix_rank(C)
                     assert res.phase_words["delta-down"] == s * r * res.rank
                     assert "u-down" not in res.phase_words
                     down[mode] = res.phase_words["delta-down"]
@@ -250,10 +266,10 @@ class TestFinalizeBranches:
                 assert down["exact"] == down["sketch"]
         # an explicit sketch size sketches, however wide it is
         for explicit in (xi, s * xi):
-            res = run(_sparse_cluster(17, widths=(xi, xi)),
-                      Params(seed=170, xi_subspace=explicit, **budgets))
+            cl = _sparse_cluster(17, widths=(xi, xi))
+            res = run(cl, Params(seed=170, xi_subspace=explicit, **budgets))
             assert (res.finalize, res.xi) == ("sketch", explicit)
-            assert res.phase_words["subspace-up"] == s * res.c_actual * explicit
+            assert res.phase_words["subspace-up"] == s * selected_rank(cl, res) * explicit
 
     def test_exact_branch_is_bitwise_across_modes(self, protocol):
         run, Params = _PROTOCOLS[protocol]
@@ -285,11 +301,10 @@ class TestDefaultSketchBranch:
                 res = run(cl, Params(k=k, eps=1.0, seed=190,
                                      per_machine_finalize=per_machine))
                 assert (res.finalize, res.xi) == ("sketch", xi)
-                assert res.phase_words["subspace-up"] == s * res.c_actual * xi
+                assert selected_rank(cl, res) == cl.m
+                assert res.phase_words["subspace-up"] == s * cl.m * xi
                 up[width] = res.phase_words["subspace-up"]
                 if per_machine:
-                    C = cl.materialize()[:, res.core_indices + res.adaptive_indices]
-                    assert np.linalg.matrix_rank(C) == cl.m
                     down[width] = res.phase_words["delta-down"]
             assert up[40] == up[80]
             if per_machine:
@@ -308,3 +323,63 @@ class TestDefaultSketchBranch:
             assert res.finalize == "sketch"
             ratios.append(residual_ratio(cl.materialize(), res.U, k))
         assert float(np.median(ratios)) <= 1 + eps
+
+
+class TestColumnPrice:
+    def test_each_column_in_its_cheaper_encoding(self):
+        m = 5
+        block = np.zeros((m, 4))
+        block[:, 0] = np.arange(1.0, m + 1)     # dense: m values
+        block[[1, 3], 1] = (2.0, -1.0)          # z = 2: (row, value) pairs
+        block[[0, 2, 4], 3] = 1.0               # z = 3, 2z > m: m values
+        assert [_cols_words(block[:, [j]]) for j in range(4)] == [m + 1, 5, 1, m + 1]
+        assert _cols_words(block) == (m + 1) + 5 + 1 + (m + 1)
+        assert _cols_words(np.zeros((m, 0))) == 0
+
+
+@pytest.mark.parametrize("protocol", sorted(_PROTOCOLS))
+@pytest.mark.parametrize("branch", ["exact", "sketch"])
+class TestSpanCoordinates:
+    """Stage 4 ships Y^T A_i (T_i), r = rank C rows per machine, where C
+    holds more columns than A has rows."""
+
+    def _run(self, protocol, branch, **kw):
+        run, Params = _PROTOCOLS[protocol]
+        cl = _dense_cluster(21)
+        xi = None if branch == "exact" else 48
+        params = Params(k=2, eps=1.0, seed=210, xi_subspace=xi, **kw)
+        return cl, params, run(cl, params)
+
+    def test_uplink_is_rank_c_rows(self, protocol, branch):
+        cl, _, res = self._run(protocol, branch)
+        assert res.finalize == branch
+        r = selected_rank(cl, res)
+        assert r <= cl.m < res.c_actual
+        width = cl.n if branch == "exact" else cl.s * res.xi
+        assert res.phase_words["subspace-up"] == r * width
+        # every column of this input is dense, so each ships as m + 1 words
+        assert res.phase_words["adaptive"] == len(res.adaptive_indices) * (cl.m + 1)
+
+    def test_basis_matches_the_mapped_coefficients(self, protocol, branch):
+        cl, params, res = self._run(protocol, branch)
+        A = cl.materialize()
+        C = A[:, res.core_indices + res.adaptive_indices]
+        if branch == "sketch":
+            kernels = _KERNELS[protocol]
+            parts = [kernels.part(cl, i) for i in range(cl.s)]
+            sketch = kernels.finalize(cl, parts, res.xi,
+                                      derive_seed(params.seed, TAG_CSS_SUBSPACE))
+            A = sum(sketch(i, 0, res.xi) for i in range(cl.s))
+        # C^T A mapped into span(C) coordinates through W = S_r^-1 V_r^T
+        Uc, sigma, Vt = np.linalg.svd(C, full_matrices=False)
+        r = selected_rank(cl, res)
+        W = Vt[:r] / sigma[:r, None]
+        top = np.linalg.svd(W @ (C.T @ A), full_matrices=False)[0][:, :res.rank]
+        U = Uc[:, :r] @ top
+        assert np.linalg.norm(res.U @ res.U.T - U @ U.T, 2) <= 1e-10
+
+    def test_per_machine_finalize_is_bitwise(self, protocol, branch):
+        _, _, server = self._run(protocol, branch)
+        _, _, replicas = self._run(protocol, branch, per_machine_finalize=True)
+        assert replicas.U.tobytes() == server.U.tobytes()
+        assert replicas.phase_words["subspace-up"] == server.phase_words["subspace-up"]

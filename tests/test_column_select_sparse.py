@@ -9,6 +9,7 @@ from conftest import (
     lowrank_plus_noise,
     rand_matrix,
     rand_orthonormal,
+    selected_rank,
     sparse_columns_block,
 )
 from sketchpca.cluster import Cluster
@@ -679,7 +680,7 @@ class TestFastProtocol:
         s = 4
         assert res.phase_words["adaptive-meta"] == 2 * s
         assert res.finalize == "exact"
-        assert res.phase_words["subspace-up"] == res.c_actual * cl.n
+        assert res.phase_words["subspace-up"] == selected_rank(cl, res) * cl.n
         assert res.phase_words["u-down"] == s * 30 * res.rank
         assert res.total_words == sum(res.phase_words.values())
 
@@ -892,7 +893,8 @@ class TestFastProtocolBlockedFinalize:
         assert rs.U.tobytes() == rp.U.tobytes()
         assert rs.phase_words == rp.phase_words
         assert rs.total_words == rp.total_words
-        assert rs.phase_words["subspace-up"] == 4 * rs.c_actual * xi
+        cl = _sparse_cluster(14)
+        assert rs.phase_words["subspace-up"] == 4 * selected_rank(cl, rs) * xi
 
 
 class TestFastFinalizeTouches:
