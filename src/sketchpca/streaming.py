@@ -13,20 +13,26 @@ caller wants an explicit factorization.
 Accumulation is canonical: updates apply in arrival order with plain
 summation, except that consecutive updates to the same entry coalesce
 before their rank-1 contribution forms, each run summed left to right,
-and coalesced increments are folded in chunks of a fixed count.  Input is
-read in small validated record blocks (views of a _RECORD array); the
-open run and the partial chunk carry from one block to the next, so
-update() one at a time and consume() of the same sequence give the same
-increments, the same chunks and the same bits, and no array grows with
-the stream.  A fold scatters its chunk into a dense block dA on the
-chunk's distinct rows ur and columns uc, and every sketch updates through
-plain products with it: W = T_left[:, ur] dA and V = S[:, ur] dA, then
-M += W T_right[uc], L += V T_right[uc], N += W R[uc], C[:, uc] += V and
-D[ur] += dA R[uc].  A chunk on r distinct rows and c distinct columns
-thus costs about xi*r*c + xi*c*xi4 multiply-adds instead of xi*b*xi4 for
-its b increments.  Chunk boundaries depend on the coalesced increment
-sequence alone, and the block is a fixed function of each chunk, so equal
-sequences give equal bits.
+and coalesced increments are folded in chunks of a fixed count
+(_FOLD_CHUNK).  Input is read in small validated record blocks (views of
+a _RECORD array); the open run and the partial chunk carry from one block
+to the next, so update() one at a time and consume() of the same sequence
+give the same increments, the same chunks and the same bits, and no array
+grows with the stream.  A fold sorts its chunk stably by column, so each
+cell's increments keep their arrival order, and cuts it into product
+blocks: groups of at most _BLOCK_COLS distinct columns uc, on the chunk's
+distinct rows ur when there are at most _BLOCK_ROWS of them, else on each
+group's own rows in slices of _BLOCK_ROWS.  Each block is scattered into a
+dense dA, every cell summed in arrival order, and every sketch updates
+through plain products with it: W = T_left[:, ur] dA and V = S[:, ur] dA,
+then M += W T_right[uc], L += V T_right[uc], N += W R[uc],
+C[:, uc] += V and D[ur] += dA R[uc].  A chunk on r <= _BLOCK_ROWS
+distinct rows and c distinct columns thus folds each column once, for
+about xi*r*c + xi*c*xi4 multiply-adds instead of xi*b*xi4 for its b
+increments; on any shape, no fold temporary grows with m, n or the
+stream length.  Chunk boundaries depend on the coalesced increment
+sequence alone, and the blocks are a fixed function of each chunk, so
+equal sequences give equal bits.
 Coalescing is what makes the linearity contract exact: splitting an
 update in place into parts whose floating-point sum is exact (halves, or
 a cancellation pair like (2x, -x)) collapses to the identical increment
@@ -69,7 +75,11 @@ TAG_AFFINE_RIGHT = "stream-affine-right"
 
 # coalesced increments per fold chunk; boundaries are a function of the
 # increment sequence alone, so identical sequences give identical bits
-_FOLD_CHUNK = 256
+_FOLD_CHUNK = 4096
+# the most distinct columns and rows of one product block, so the gathered
+# sketch rows and the products stay small whatever the shape of a chunk
+_BLOCK_COLS = 32
+_BLOCK_ROWS = 256
 # raw updates read per ingest block; small, so no array grows with the stream
 _INGEST_BLOCK = 1024
 # one update (i, j, x), the format of a stream from the file to the fold;
@@ -227,16 +237,43 @@ class TurnstileSketchState:
         self._chunk = inc[full:].copy()
 
     def _fold(self, rows, cols, vals) -> None:
-        """Add one chunk of increments to every sketch: the chunk becomes a
-        dense block dA on its distinct rows ur and columns uc, and each
-        sketch updates through plain products with it."""
-        ur, uc = np.unique(rows), np.unique(cols)
-        dA = np.bincount(np.searchsorted(ur, rows) * len(uc) + np.searchsorted(uc, cols),
-                         weights=vals, minlength=len(ur) * len(uc)).reshape(len(ur), len(uc))
+        """Add one chunk of increments to every sketch.  The chunk is sorted
+        stably by column, so each cell's increments keep their arrival
+        order, and folded in groups of _BLOCK_COLS distinct columns.  A chunk
+        on at most _BLOCK_ROWS distinct rows folds every group on those
+        rows; otherwise each group takes its own rows, in slices of
+        _BLOCK_ROWS, so no product block is larger than
+        _BLOCK_ROWS x _BLOCK_COLS."""
+        order = np.argsort(cols, kind="stable")
+        rows, cols, vals = rows[order], cols[order], vals[order]
+        # each column's first increment, and each increment's column as a rank
+        cs, heads, rank = np.unique(cols, return_index=True, return_inverse=True)
+        ur, ri = np.unique(rows, return_inverse=True)
+        ends = np.append(heads[_BLOCK_COLS::_BLOCK_COLS], len(cols))
+        for g, e in zip(range(0, len(cs), _BLOCK_COLS), ends):
+            s = heads[g]
+            uc, ci, v = cs[g:g + _BLOCK_COLS], rank[s:e] - g, vals[s:e]
+            if len(ur) <= _BLOCK_ROWS:
+                # one row set for the whole chunk spares a unique per group
+                self._fold_block(ur, uc, ri[s:e], ci, v)
+                continue
+            gr, gi = np.unique(rows[s:e], return_inverse=True)
+            for r0 in range(0, len(gr), _BLOCK_ROWS):
+                part = (gi >= r0) & (gi < r0 + _BLOCK_ROWS)
+                self._fold_block(gr[r0:r0 + _BLOCK_ROWS], uc, gi[part] - r0, ci[part], v[part])
+
+    def _fold_block(self, ur, uc, ri, ci, vals) -> None:
+        """Add increments vals at cells (ur[ri], uc[ci]) to every sketch:
+        they become a dense block dA on rows ur and columns uc, each cell
+        summed in the order given, and each sketch updates through plain
+        products with it."""
+        dA = np.bincount(ri * len(uc) + ci, weights=vals,
+                         minlength=len(ur) * len(uc)).reshape(len(ur), len(uc))
         W = self.T_left[:, ur] @ dA
         V = self.S[:, ur] @ dA
-        self.D[ur] += dA @ self.R[uc]
-        self.N += W @ self.R[uc]
+        r = self.R[uc]
+        self.D[ur] += dA @ r
+        self.N += W @ r
         if self.C is not None:
             self.C[:, uc] += V
         # the widest products last, with the fewest temporaries alive

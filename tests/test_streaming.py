@@ -22,6 +22,8 @@ from sketchpca.errors import InputError, StreamReplayError
 from sketchpca.fileio import read_stream_file, write_stream_file
 from sketchpca.sketches import affine_dim, derive_seed, regression_dim, sign_sketch, srht_sketch
 from sketchpca.streaming import (
+    _BLOCK_COLS,
+    _BLOCK_ROWS,
     _FOLD_CHUNK,
     _INGEST_BLOCK,
     _RECORD,
@@ -134,6 +136,46 @@ def sketch_bytes(state):
         for name in SKETCH_NAMES
         if getattr(state, name) is not None
     )
+
+
+def shuffled_cells(seed, m, n):
+    """Every cell of an m x n matrix once, in random order."""
+    rng = np.random.default_rng(seed)
+    cells = rng.permutation(m * n)
+    return [(int(c // n), int(c % n), float(rng.standard_normal())) for c in cells]
+
+
+def coalesced(ups):
+    """The coalesced increments of ups, each run summed left to right."""
+    incs = []
+    for i, j, x in ups:
+        if incs and incs[-1][:2] == [i, j]:
+            incs[-1][2] += x
+        else:
+            incs.append([i, j, x])
+    return incs
+
+
+def column_folds(ups):
+    """Distinct columns per fold chunk, summed: the column count of the
+    product blocks when no chunk touches more than _BLOCK_ROWS rows, since
+    each column is then folded once per chunk that touches it."""
+    incs = coalesced(ups)
+    return sum(len({j for _, j, _ in incs[s:s + _FOLD_CHUNK]})
+               for s in range(0, len(incs), _FOLD_CHUNK))
+
+
+def assert_sketches_match(st_, A):
+    """Every maintained sketch equals its dense product to 1e-10."""
+    pairs = [
+        (st_.M, st_.T_left @ A @ st_.T_right),
+        (st_.L, st_.S @ A @ st_.T_right),
+        (st_.N, st_.T_left @ A @ st_.R),
+        (st_.D, A @ st_.R),
+        (st_.C, st_.S @ A),
+    ]
+    for got, want in pairs:
+        assert np.linalg.norm(got - want) / np.linalg.norm(want) < 1e-10
 
 
 class TestStateOracle:
@@ -249,7 +291,9 @@ class TestLinearity:
 class TestChunkedFold:
     """Column-local runs that cross fold-chunk boundaries."""
 
-    m, n = 24, 40
+    # enough cells for three chunk boundaries, whatever the chunk size
+    m = 24
+    n = 3 * _FOLD_CHUNK // m + 1
 
     def _stream(self):
         ups = column_order_stream(5, self.m, self.n)
@@ -260,16 +304,7 @@ class TestChunkedFold:
         ups = self._stream()
         st_ = TurnstileSketchState(self.m, self.n, 3, 0.5, 11,
                                    track_columns=True).consume(ups)
-        A = replay_dense(self.m, self.n, ups)
-        pairs = [
-            (st_.M, st_.T_left @ A @ st_.T_right),
-            (st_.L, st_.S @ A @ st_.T_right),
-            (st_.N, st_.T_left @ A @ st_.R),
-            (st_.D, A @ st_.R),
-            (st_.C, st_.S @ A),
-        ]
-        for got, want in pairs:
-            assert np.linalg.norm(got - want) / np.linalg.norm(want) < 1e-10
+        assert_sketches_match(st_, replay_dense(self.m, self.n, ups))
 
     @pytest.mark.parametrize("mode", ["half", "cancel"])
     def test_splitting_a_chunk_opener_is_bitwise_invariant(self, mode):
@@ -301,18 +336,110 @@ class TestChunkedFold:
         assert st_.R.flags.c_contiguous and st_.T_right.flags.c_contiguous
 
 
+# runs of run_stream for the ingest tests: three fold-chunk boundaries
+INGEST_RUNS = 4 * _FOLD_CHUNK
+
+
+class TestProductBlocks:
+    """A fold sorts its chunk stably by column and folds it in product
+    blocks of at most _BLOCK_ROWS distinct rows and _BLOCK_COLS distinct
+    columns, whatever the shape of the matrix."""
+
+    @staticmethod
+    def _consume(monkeypatch, m, n, ups):
+        """The state after ups, and the (rows, columns) of every product
+        block it folded, each a list of distinct indices."""
+        shapes = []
+        fold_block = TurnstileSketchState._fold_block
+
+        def recorded(self, ur, uc, ri, ci, vals):
+            assert np.array_equal(ur, np.unique(ur)) and np.array_equal(uc, np.unique(uc))
+            shapes.append((len(ur), len(uc)))
+            fold_block(self, ur, uc, ri, ci, vals)
+
+        monkeypatch.setattr(TurnstileSketchState, "_fold_block", recorded)
+        st_ = TurnstileSketchState(m, n, 1, 1.0, 11, track_columns=True).consume(ups)
+        assert_sketches_match(st_, replay_dense(m, n, ups))
+        assert all(r <= _BLOCK_ROWS and c <= _BLOCK_COLS for r, c in shapes)
+        return shapes
+
+    def test_tall_stream_splits_blocks_by_rows(self, monkeypatch):
+        ups = shuffled_cells(1, 4000, 4)
+        shapes = self._consume(monkeypatch, 4000, 4, ups)
+        assert max(r for r, _ in shapes) == _BLOCK_ROWS
+
+    def test_wide_stream_splits_blocks_by_columns(self, monkeypatch):
+        ups = shuffled_cells(2, 4, 4000)
+        shapes = self._consume(monkeypatch, 4, 4000, ups)
+        assert max(c for _, c in shapes) == _BLOCK_COLS
+        assert sum(c for _, c in shapes) == column_folds(ups)
+
+    def test_revisits_inside_a_chunk_sum_in_arrival_order(self, monkeypatch):
+        m, n = 40, 60
+        ups = random_stream(7, m, n, 2 * _FOLD_CHUNK)
+        chunk = coalesced(ups)[:_FOLD_CHUNK]
+        cells = [(i, j) for i, j, _ in chunk]
+        # a repeated cell among coalesced increments is a non-adjacent revisit
+        assert len(set(cells)) < len(cells)
+        shapes = self._consume(monkeypatch, m, n, ups)
+        assert max(c for _, c in shapes) == _BLOCK_COLS
+        assert sum(c for _, c in shapes) == column_folds(ups)
+        # folding the chunk equals folding each cell's arrival-order sum once
+        sums = {}
+        for i, j, x in chunk:
+            sums[i, j] = sums.get((i, j), 0.0) + x
+        folded = []
+        for pairs in (chunk, [(i, j, x) for (i, j), x in sums.items()]):
+            st_ = TurnstileSketchState(m, n, 1, 1.0, 11, track_columns=True)
+            st_._fold(*(np.array(v) for v in zip(*pairs)))
+            folded.append(sketch_bytes(st_))
+        assert folded[0] == folded[1]
+
+    def test_fold_peak_is_bounded_and_flat(self):
+        # a tall stream: a chunk touches about 3,700 of the 20,000 rows, so
+        # one unbounded block would gather an 80 x 3,700 slice of T_left
+        m, n = 20_000, 4
+        st_ = TurnstileSketchState(m, n, 1, 1.0, 3)
+        xi1, xi2, xi3, xi4 = st_.xi1, st_.xi2, st_.xi3, st_.xi4
+        br, bc = _BLOCK_ROWS, _BLOCK_COLS
+        rng = np.random.default_rng(0)
+
+        def peak(q):
+            ups = np.empty(q, _RECORD)
+            ups["i"], ups["j"] = rng.integers(m, size=q), rng.integers(n, size=q)
+            ups["x"] = rng.standard_normal(q)
+            st_ = TurnstileSketchState(m, n, 1, 1.0, 3)
+            tracemalloc.start()
+            try:
+                st_.consume(ups)
+                return tracemalloc.get_traced_memory()[1]
+            finally:
+                tracemalloc.stop()
+
+        peak(_FOLD_CHUNK)   # lazy imports inside numpy land outside the comparison
+        short, long = peak(3 * _FOLD_CHUNK), peak(12 * _FOLD_CHUNK)
+        assert long <= short + 64 * 1024
+        # one block's gathered sketches and products, plus 16 words for each
+        # update of one chunk and one ingest block (records, sort, indices);
+        # the 80 x 3,700 slice alone would take 2.4 MB
+        words = ((xi1 + xi3) * (br + bc + xi4) + (br + bc) * (bc + xi2)
+                 + xi3 * xi2 + bc * xi4)
+        assert long <= 8 * words + 128 * (_FOLD_CHUNK + _INGEST_BLOCK)
+
+
 def run_stream(seed, m, n, runs):
     """runs coalescing runs of 1-4 updates each, every 40th of 10-29,
     adjacent runs on different entries.  Run _FOLD_CHUNK - 1 closes the
     first fold chunk and run _FOLD_CHUNK opens the second; both are long,
-    and the run holding raw update _INGEST_BLOCK - 1 goes on past it,
-    across an ingest block."""
+    and the run holding raw update _INGEST_BLOCK - 2 goes on past update
+    _INGEST_BLOCK, across an ingest block."""
     rng = np.random.default_rng(seed)
     lengths = [int(rng.integers(10, 30) if r % 40 == 0 else rng.integers(1, 5))
                for r in range(runs)]
     lengths[_FOLD_CHUNK - 1], lengths[_FOLD_CHUNK] = 5, 3
     ends = np.cumsum(lengths)
-    lengths[int(np.searchsorted(ends, _INGEST_BLOCK))] += 2
+    r = int(np.searchsorted(ends, _INGEST_BLOCK - 2, side="right"))
+    lengths[r] = _INGEST_BLOCK + 2 - int(ends[r] - lengths[r])
     ups, prev = [], None
     for length in lengths:
         cell = prev
@@ -344,9 +471,10 @@ class TestArrayIngest:
         return TurnstileSketchState(self.m, self.n, 3, 0.5, 11, track_columns=True)
 
     def _stream(self):
-        ups = run_stream(3, self.m, self.n, 1200)
+        ups = run_stream(3, self.m, self.n, INGEST_RUNS)
         lo, hi = run_of(ups, _INGEST_BLOCK - 1)
         assert lo < _INGEST_BLOCK - 1 and hi > _INGEST_BLOCK
+        assert len(chunk_starts(ups)) >= 3
         opener = chunk_starts(ups)[0]
         assert ups[opener - 1][:2] == ups[opener - 2][:2]
         assert run_of(ups, opener)[1] - opener > 1
@@ -367,12 +495,7 @@ class TestArrayIngest:
         # the reference coalesces in a Python loop; the long runs are where a
         # pairwise or blocked sum would round differently
         ups = self._stream()
-        incs = []
-        for i, j, x in ups:
-            if incs and incs[-1][:2] == [i, j]:
-                incs[-1][2] += x
-            else:
-                incs.append([i, j, x])
+        incs = coalesced(ups)
         ref = self._state()
         for s in range(0, len(incs), _FOLD_CHUNK):
             r, c, v = zip(*incs[s:s + _FOLD_CHUNK])
@@ -454,9 +577,10 @@ class TestRecordArrays:
     m, n = 12, 16
 
     def _file(self, tmp_path):
-        ups = run_stream(3, self.m, self.n, 1200)
+        ups = run_stream(3, self.m, self.n, INGEST_RUNS)
         lo, hi = run_of(ups, _INGEST_BLOCK - 1)
         assert lo < _INGEST_BLOCK - 1 and hi > _INGEST_BLOCK
+        assert len(chunk_starts(ups)) >= 3
         # a transient +d on an entry, taken back 500 updates later
         ups[1800:1800] = [(5, 7, -0.375)]
         ups[1300:1300] = [(5, 7, 0.375)]
