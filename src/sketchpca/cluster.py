@@ -162,7 +162,8 @@ class Cluster:
         self.record_gather(phase, int(arrays[0].size))
         return reduce(np.add, arrays)
 
-    def gather_sum_blocks(self, phase: str, fn, n_cols: int, block: int) -> np.ndarray:
+    def gather_sum_blocks(self, phase: str, fn, n_cols: int, block: int,
+                          lift=None) -> np.ndarray:
         """gather_sum of per-machine r x n_cols arrays that machines compute
         and send in column blocks.
 
@@ -173,25 +174,47 @@ class Cluster:
         machine's whole array exists and the working set stays the size of
         one block per machine.  Every entry is ((a_0 + a_1) + a_2) + ... in
         machine order, the sum gather_sum forms.
+
+        A machine sends its r x (hi - lo) array at its size or, given lift,
+        a pair (words, raw): the block in an encoding of words < r * (hi - lo),
+        so its length alone tells it apart.  lift(raws) maps the raw blocks
+        of one column block, in machine order, to the r x (hi - lo) sum
+        they stand for, which is added after the arrays' sum.
         """
         if block < 1:
             raise InputError("column block width must be positive")
         bounds = [(lo, min(lo + block, n_cols)) for lo in range(0, n_cols, block)]
+        words = [0] * self.s
         total = None
         for lo, hi in bounds or [(0, 0)]:
-            for i, a in enumerate(self.map_machines(lambda i, p: fn(i, p, lo, hi))):
+            sent = self.map_machines(lambda i, p: fn(i, p, lo, hi))
+            raw = {i: a for i, a in enumerate(sent) if isinstance(a, tuple)}
+            terms = [(f"machine {i}", a) for i, a in enumerate(sent) if i not in raw]
+            if raw:
+                if lift is None:
+                    raise ProtocolError(f"gather_sum_blocks: machine {min(raw)} sent an "
+                                        "encoded block to a gather with no lift")
+                terms.append((f"the lift of machines {list(raw)}",
+                              lift([b for _, b in raw.values()])))
+            for who, a in terms:
                 if total is None:
                     total = np.empty((a.shape[0], n_cols), dtype=a.dtype)
                 if a.shape != (total.shape[0], hi - lo) or a.dtype != total.dtype:
                     raise ProtocolError(
-                        f"gather_sum_blocks: machine {i} sent a {a.dtype} block of shape "
+                        f"gather_sum_blocks: {who} sent a {a.dtype} block of shape "
                         f"{a.shape} for columns {lo}:{hi} of a {total.dtype} "
                         f"{total.shape[0]} x {n_cols} sum")
-                if i == 0:
-                    total[:, lo:hi] = a
-                else:
-                    np.add(total[:, lo:hi], a, out=total[:, lo:hi])
-        self.record_gather(phase, int(total.size))
+            full = total.shape[0] * (hi - lo)
+            for i, a in enumerate(sent):
+                if i in raw and not raw[i][0] < full:
+                    raise ProtocolError(
+                        f"gather_sum_blocks: machine {i} encoded columns {lo}:{hi} in "
+                        f"{raw[i][0]} words, not fewer than the {full} of its array")
+                words[i] += raw[i][0] if i in raw else a.size
+            total[:, lo:hi] = terms[0][1]
+            for _, a in terms[1:]:
+                np.add(total[:, lo:hi], a, out=total[:, lo:hi])
+        self.record_gather(phase, words)
         return total
 
     # -- whole-matrix views ---------------------------------------------

@@ -23,14 +23,21 @@ Four stages:
    rank-k projection-cost-preserving sketch T of the columns keeps them to
    within eps (Cohen, Elder, Musco, Musco and Persu, "Dimensionality
    reduction for k-means clustering and low rank approximation", STOC
-   2015).  Its width xi depends on k and eps alone, so machines ship
-   Y^T A_i T_i, r * xi words each, however wide A is.  A shared seeded T
-   turns one pass over the blocks into their sum, sent in blocks of sketch
-   rows, so no machine's whole product is ever built.  When the data is no
-   wider than that (n <= s * xi, with xi resolved by default), every
-   machine ships its block Y^T A_i exactly instead, r * n_i words and fewer
-   in all, and the basis is the exact optimum in span(C).  An explicit
-   xi_subspace always sketches.
+   2015).  Its width xi depends on k and eps alone, so a machine ships at
+   most r * xi words, however wide A is.  A shared seeded T turns one pass
+   over the blocks into their sum, sent in blocks of w sketch columns, so
+   no machine's whole product is ever built.  Each block goes as
+   Y^T A_i T_i, r * w words, or raw when smaller: A_i T_i itself, in the
+   column encoding above.  A CountSketch of sparse columns stays sparse
+   (Clarkson and Woodruff, "Low rank approximation and regression in input
+   sparsity time", STOC 2013), so on sparse data most blocks go raw.  Ties
+   go to the projection, so a raw block is always the shorter one and its
+   length alone marks it; the server sums the raw blocks in machine order
+   and projects that sum once.  When the data is no wider than the sketch
+   (n <= s * xi, with xi resolved by default), every machine ships its
+   block Y^T A_i exactly instead, r * n_i words and fewer in all, and the
+   basis is the exact optimum in span(C).  An explicit xi_subspace always
+   sketches.
 
 run_css_protocol is the one driver of these stages.  What differs between
 variants is a CssKernels bundle: this module's exact kernels (dense SVD,
@@ -54,6 +61,7 @@ from __future__ import annotations
 import math
 from collections.abc import Callable
 from dataclasses import dataclass
+from functools import reduce
 
 import numpy as np
 
@@ -139,6 +147,16 @@ def _cols_words(block: np.ndarray) -> int:
     return int(np.minimum(2 * nnz, block.shape[0]).sum()) + block.shape[1]
 
 
+def _sketch_payload(YT: np.ndarray, block: np.ndarray):
+    """A machine's stage-4 block A_i T_i in its cheaper encoding: the pair
+    (words, block), column-encoded, when that is strictly shorter than the
+    r x w projection YT @ block, else the projection.  Ties go to the
+    projection, so a raw payload is always the shorter one and its length
+    alone marks it."""
+    words = _cols_words(block)
+    return (words, block) if words < YT.shape[0] * block.shape[1] else YT @ block
+
+
 def _columns(P, idx) -> np.ndarray:
     """Columns idx of a machine's block, verbatim and dense."""
     if isinstance(P, SparseColMatrix):
@@ -160,6 +178,8 @@ class CssKernels:
     finalize(cluster, parts, xi, seed) -> fn(i, lo, hi), sketch columns
     lo..hi-1 of A_i T_i for the shared xi-column sketch T (a sign sketch
     here, a one-nonzero-per-column embedding in column_select_sparse).
+    The driver ships each such block in at most r * (hi - lo) words, raw
+    when smaller, so at most r * xi words per machine.
     """
 
     resolve: Callable
@@ -243,10 +263,11 @@ def run_css_protocol(cluster: Cluster, params, kernels: CssKernels) -> CssPcaRes
     # stage 4: the coefficients Y^T A, with Y the basis of span(C) every
     # machine forms from C_full, shipped exactly when the data is no wider
     # than the sketch, else through one pass of a shared seeded sketch: per
-    # shipped column, r = rank C words exact and s * r sketched.
+    # shipped column, r = rank C words exact and at most s * r sketched.
     c_actual = C_full.shape[1]
     Y = orthonormal_basis(C_full)
     r = Y.shape[1]
+    raw: list[tuple[int, int]] = []    # (words, width) of each raw block decoded
     if params.xi_subspace is None and cluster.n <= s * xi:
         finalize = "exact"
         coeffs = cluster.map_machines(lambda i, p: kernels.coefficients(Y.T, parts[i]))
@@ -256,9 +277,15 @@ def run_css_protocol(cluster: Cluster, params, kernels: CssKernels) -> CssPcaRes
     else:
         finalize = "sketch"
         sketch = kernels.finalize(cluster, parts, xi, derive_seed(params.seed, TAG_CSS_SUBSPACE))
+
+        def lift(blocks):
+            # the server sums the raw blocks in machine order, then projects once
+            raw.extend((_cols_words(b), b.shape[1]) for b in blocks)
+            return Y.T @ reduce(np.add, blocks)
+
         Xi = cluster.gather_sum_blocks(
-            "subspace-up", lambda i, p, lo, hi: Y.T @ sketch(i, lo, hi),
-            xi, _FINALIZE_BLOCK)
+            "subspace-up", lambda i, p, lo, hi: _sketch_payload(Y.T, sketch(i, lo, hi)),
+            xi, _FINALIZE_BLOCK, lift)
     kk = min(k, min(Xi.shape))
     Delta = truncated_svd(Xi, kk).U
     U = Y @ Delta
@@ -279,7 +306,7 @@ def run_css_protocol(cluster: Cluster, params, kernels: CssKernels) -> CssPcaRes
     result = CssPcaResult(
         U, kk, flags, core_gids, adaptive_gids, c_actual, xi, finalize, betas,
         cluster.ledger.phase_totals(), cluster.ledger.total(), params)
-    cluster.ledger.check(_expected_words(cluster, result, local_blocks, C, new_cols, r))
+    cluster.ledger.check(_expected_words(cluster, result, local_blocks, C, new_cols, r, raw))
     return result
 
 
@@ -329,16 +356,22 @@ def distributed_css_pca(cluster: Cluster, params: CssProtocolParams) -> CssPcaRe
 
 def _expected_words(cluster: Cluster, result: CssPcaResult,
                     local_blocks: list[np.ndarray], core: np.ndarray,
-                    adaptive: np.ndarray, r: int) -> dict[str, int]:
-    """Every phase recomputed from the shipped payloads (r = rank C)."""
+                    adaptive: np.ndarray, r: int,
+                    raw: list[tuple[int, int]]) -> dict[str, int]:
+    """Every phase recomputed from the shipped payloads (r = rank C); raw
+    holds the (words, width) of each stage-4 block the server decoded raw,
+    and every other sketch block ships r words per column."""
     s = cluster.s
+    raw_words = sum(words for words, _ in raw)
+    raw_cols = sum(width for _, width in raw)
     expected = {
         "local-up": sum(_cols_words(b) for b in local_blocks),
         "global-down": s * _cols_words(core),
         "adaptive-meta": 2 * s,
         "adaptive": _cols_words(adaptive),
         "span-down": s * _cols_words(adaptive),
-        "subspace-up": r * (cluster.n if result.finalize == "exact" else s * result.xi),
+        "subspace-up": (r * cluster.n if result.finalize == "exact"
+                        else raw_words + r * (s * result.xi - raw_cols)),
     }
     if result.params.per_machine_finalize:
         expected["delta-down"] = s * r * result.rank

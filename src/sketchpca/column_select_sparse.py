@@ -42,7 +42,7 @@ from .sketches import (
     jlt_sketch,
     sparse_embedding,
 )
-from .sparse import SparseColMatrix
+from .sparse import SparseColMatrix, scatter_add
 
 TAG_SVD_LEFT = "sparse-svd-left"
 TAG_SVD_RIGHT = "sparse-svd-right"
@@ -123,9 +123,9 @@ def embed_rows(emb: SparseEmbedding, A: SparseColMatrix) -> np.ndarray:
     """
     if emb.n_cols != A.n_rows:
         raise InputError("embedding width disagrees with the matrix rows")
-    out = np.zeros((emb.n_rows, A.n_cols))
     cols = np.repeat(np.arange(A.n_cols, dtype=np.int64), np.diff(A.indptr))
-    np.add.at(out, (emb.buckets[A.indices], cols), emb.signs[A.indices] * A.data)
+    out = scatter_add((emb.n_rows, A.n_cols), (emb.buckets[A.indices], cols),
+                      emb.signs[A.indices] * A.data)
     TOUCHES.add(A.nnz)
     return out
 
@@ -151,8 +151,7 @@ def embed_cols(emb: SparseEmbedding, A: SparseColMatrix, col_base: int = 0,
     if lo > 0 or hi < emb.n_rows:
         keep = (buckets >= lo) & (buckets < hi)
         rows, buckets, vals = rows[keep], buckets[keep] - lo, vals[keep]
-    out = np.zeros((A.n_rows, hi - lo))
-    np.add.at(out, (rows, buckets), vals)
+    out = scatter_add((A.n_rows, hi - lo), (rows, buckets), vals)
     TOUCHES.add(vals.size)
     return out
 
@@ -174,15 +173,14 @@ def dense_times_sparse(M: np.ndarray, A: SparseColMatrix) -> np.ndarray:
 def right_multiply(A: SparseColMatrix, M: np.ndarray) -> np.ndarray:
     """A @ M, accumulating column contributions in ascending column order.
 
-    np.add.at applies the entries in storage order, so every output row
+    scatter_add applies the entries in storage order, so every output row
     sums its terms in the order of a per-column loop, bit for bit.
     """
     M = np.asarray(M, dtype=np.float64)
     if M.shape[0] != A.n_cols:
         raise InputError("operand rows disagree with the matrix columns")
-    out = np.zeros((A.n_rows, M.shape[1]))
     cols = np.repeat(np.arange(A.n_cols, dtype=np.int64), np.diff(A.indptr))
-    np.add.at(out, A.indices, A.data[:, None] * M[cols])
+    out = scatter_add((A.n_rows, M.shape[1]), A.indices, A.data[:, None] * M[cols])
     TOUCHES.add(A.nnz)
     return out
 

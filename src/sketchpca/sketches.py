@@ -32,6 +32,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .errors import InputError
+from .sparse import scatter_add
 
 _MASK64 = (1 << 64) - 1
 _GOLDEN = 0x9E3779B97F4A7C15
@@ -314,9 +315,8 @@ class SparseEmbedding:
         A = np.asarray(A, dtype=np.float64)
         if A.shape[0] != self.n_cols:
             raise InputError("operand rows disagree with sketch width")
-        out = np.zeros((self.n_rows,) + A.shape[1:])
-        np.add.at(out, self.buckets, self.signs.reshape((-1,) + (1,) * (A.ndim - 1)) * A)
-        return out
+        return scatter_add((self.n_rows,) + A.shape[1:], self.buckets,
+                           self.signs.reshape((-1,) + (1,) * (A.ndim - 1)) * A)
 
     def apply_right(self, A: np.ndarray) -> np.ndarray:
         """A @ S.T with the same canonical accumulation order."""

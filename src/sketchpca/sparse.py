@@ -3,8 +3,10 @@
 The distributed column-partition protocols charge communication per column
 as min(2 * nnz, m) + 1 words (a length header plus index, value pairs, or
 all m values when that is fewer), so the container keeps exact per-column
-nonzero counts and supports verbatim column extraction with repeats.  Arithmetic should go through ``to_dense``; this
-class is storage and bookkeeping, not a BLAS replacement.
+nonzero counts and supports verbatim column extraction with repeats.  It is
+storage and bookkeeping, not a BLAS replacement: the entry-touch kernels in
+column_select_sparse read its arrays directly and accumulate through
+scatter_add, the one scatter kernel of the sparse paths.
 
 Invariants enforced at construction: row indices strictly increasing within
 each column, stored values nonzero and finite, indices in range.
@@ -12,9 +14,30 @@ each column, stored values nonzero and finite, indices in range.
 
 from __future__ import annotations
 
+import math
+
 import numpy as np
 
 from .errors import InputError
+
+
+def scatter_add(shape, index, values) -> np.ndarray:
+    """np.add.at(np.zeros(shape), index, values), bit for bit.
+
+    index addresses the leading axes of shape: one integer array, or a
+    tuple of equal-shape arrays; values has the index's shape followed by
+    the remaining axes of shape.  np.bincount adds each cell's terms in
+    index order from +0.0, as np.add.at does, but in one pass over a flat
+    index instead of one dispatch per element.  (With no terms at all,
+    bincount counts in integers, hence the cast.)
+    """
+    index = index if isinstance(index, tuple) else (index,)
+    flat = np.ravel_multi_index(index, shape[:len(index)])
+    inner = math.prod(shape[len(index):])
+    if inner != 1:
+        flat = flat[..., None] * inner + np.arange(inner)
+    out = np.bincount(flat.ravel(), np.ravel(values), math.prod(shape))
+    return out.astype(np.float64, copy=False).reshape(shape)
 
 
 class SparseColMatrix:

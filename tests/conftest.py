@@ -77,3 +77,23 @@ def split_rows(A: np.ndarray, s: int, seed: int) -> list[np.ndarray]:
         P[owner == i] = A[owner == i]
         parts.append(P)
     return parts
+
+
+def fast_sketch_uplink(cluster, res, seed: int) -> int:
+    """subspace-up of a distributed_css_pca_fast sketch finalize, recomputed
+    from its seeded CountSketch T: every block of columns of A_i T_i ships
+    in its cheaper encoding, min(r * w, _cols_words(block)) words, with
+    r = rank C and w the block's width."""
+    from sketchpca.column_partition import _FINALIZE_BLOCK, TAG_CSS_SUBSPACE, _cols_words
+    from sketchpca.sketches import derive_seed, sparse_embedding
+
+    r = selected_rank(cluster, res)
+    T = sparse_embedding(res.xi, cluster.n, derive_seed(seed, TAG_CSS_SUBSPACE)).materialize()
+    words = 0
+    for i in range(cluster.s):
+        a, b = cluster.col_offsets[i], cluster.col_offsets[i + 1]
+        AT = cluster.part_dense(i) @ T[:, a:b].T
+        for lo in range(0, res.xi, _FINALIZE_BLOCK):
+            block = AT[:, lo:lo + _FINALIZE_BLOCK]
+            words += min(r * block.shape[1], _cols_words(block))
+    return words

@@ -189,6 +189,40 @@ class TestGatherSumBlocks:
         with pytest.raises(InputError):
             Cluster(parts).gather_sum_blocks("up", lambda i, B, lo, hi: B, 3, 0)
 
+    @pytest.mark.parametrize("parallel", [False, True])
+    def test_raw_blocks_are_summed_then_lifted_once(self, parallel):
+        # machines 1 and 2 send raw blocks R in i < 3 * w words; the server
+        # sums them in machine order and lifts the sum with L
+        parts, W = self._setup(4, 5)
+        L = rand_matrix(13, 3, 9)
+        lifts = []
+
+        def fn(i, B, lo, hi):
+            R = (B @ W)[:, lo:hi]
+            return (i, R) if i in (1, 2) else L @ R
+
+        def lift(raws):
+            lifts.append(len(raws))
+            return L @ (raws[0] + raws[1])
+
+        cl = Cluster(parts, parallel=parallel)
+        got = cl.gather_sum_blocks("up", fn, 5, 2, lift)
+        P = [B @ W for B in parts]
+        ref = (L @ P[0] + L @ P[3]) + L @ (P[1] + P[2])
+        assert got.tobytes() == ref.tobytes()
+        assert lifts == [2, 2, 2]
+        # three blocks: the arrays at their size, the raw blocks at i words each
+        assert [m.words for m in cl.ledger.messages] == [3 * 5, 3 * 1, 3 * 2, 3 * 5]
+
+    def test_raw_block_must_be_shorter_than_its_array(self):
+        parts, W = self._setup(2, 4)
+        for lift in (None, lambda raws: raws[0][:2]):
+            cl = Cluster(parts)
+            with pytest.raises(ProtocolError):
+                cl.gather_sum_blocks(
+                    "up", lambda i, B, lo, hi: (2 * (hi - lo), (B @ W)[:2, lo:hi]), 4, 4, lift)
+            assert cl.ledger.messages == []
+
     def test_parallel_working_set_is_one_block_per_machine(self):
         r, n_cols, block, s = 50, 20000, 512, 4
         cl = Cluster([np.zeros((1, 1))] * s, kind="column", parallel=True)

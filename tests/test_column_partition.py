@@ -11,17 +11,20 @@ import pytest
 
 from conftest import (
     best_tail_sq,
+    fast_sketch_uplink,
     frob_sq,
     lowrank_plus_noise,
     selected_rank,
     sparse_columns_block,
 )
+from sketchpca import column_partition
 from sketchpca.cluster import Cluster
 from sketchpca.column_partition import (
     _EXACT_KERNELS,
     TAG_CSS_SUBSPACE,
     CssProtocolParams,
     _cols_words,
+    _sketch_payload,
     distributed_css_pca,
 )
 from sketchpca.column_select_sparse import (
@@ -252,6 +255,11 @@ class TestFinalizeBranches:
                 assert (res.finalize, res.xi) == (mode, xi)
                 r = selected_rank(cl, res)
                 words = r * (cl.n if mode == "exact" else s * xi)
+                if (protocol, mode) == ("fast", "sketch"):
+                    # each CountSketch block ships raw when that is shorter,
+                    # under the cap of r * xi words per machine
+                    assert res.phase_words["subspace-up"] <= words
+                    words = fast_sketch_uplink(cl, res, 170)
                 assert res.phase_words["subspace-up"] == words
                 assert "xi-down" not in res.phase_words
                 if per_machine:
@@ -269,7 +277,11 @@ class TestFinalizeBranches:
             cl = _sparse_cluster(17, widths=(xi, xi))
             res = run(cl, Params(seed=170, xi_subspace=explicit, **budgets))
             assert (res.finalize, res.xi) == ("sketch", explicit)
-            assert res.phase_words["subspace-up"] == s * selected_rank(cl, res) * explicit
+            words = s * selected_rank(cl, res) * explicit
+            if protocol == "fast":
+                assert res.phase_words["subspace-up"] <= words
+                words = fast_sketch_uplink(cl, res, 170)
+            assert res.phase_words["subspace-up"] == words
 
     def test_exact_branch_is_bitwise_across_modes(self, protocol):
         run, Params = _PROTOCOLS[protocol]
@@ -302,11 +314,19 @@ class TestDefaultSketchBranch:
                                      per_machine_finalize=per_machine))
                 assert (res.finalize, res.xi) == ("sketch", xi)
                 assert selected_rank(cl, res) == cl.m
-                assert res.phase_words["subspace-up"] == s * cl.m * xi
+                cap = s * cl.m * xi
+                if protocol == "fast":
+                    # a machine's CountSketch block holds at most its own
+                    # columns, so it ships raw when that is shorter than r * xi
+                    assert res.phase_words["subspace-up"] <= cap
+                    assert res.phase_words["subspace-up"] == fast_sketch_uplink(cl, res, 190)
+                else:
+                    assert res.phase_words["subspace-up"] == cap
                 up[width] = res.phase_words["subspace-up"]
                 if per_machine:
                     down[width] = res.phase_words["delta-down"]
-            assert up[40] == up[80]
+            if protocol == "exact":
+                assert up[40] == up[80]
             if per_machine:
                 assert down[40] == down[80] == s * cl.m * k
 
@@ -356,7 +376,12 @@ class TestSpanCoordinates:
         r = selected_rank(cl, res)
         assert r <= cl.m < res.c_actual
         width = cl.n if branch == "exact" else cl.s * res.xi
-        assert res.phase_words["subspace-up"] == r * width
+        if (protocol, branch) == ("fast", "sketch"):
+            # the CountSketch blocks ship raw when that is shorter
+            assert res.phase_words["subspace-up"] <= r * width
+            assert res.phase_words["subspace-up"] == fast_sketch_uplink(cl, res, 210)
+        else:
+            assert res.phase_words["subspace-up"] == r * width
         # every column of this input is dense, so each ships as m + 1 words
         assert res.phase_words["adaptive"] == len(res.adaptive_indices) * (cl.m + 1)
 
@@ -383,3 +408,77 @@ class TestSpanCoordinates:
         _, _, replicas = self._run(protocol, branch, per_machine_finalize=True)
         assert replicas.U.tobytes() == server.U.tobytes()
         assert replicas.phase_words["subspace-up"] == server.phase_words["subspace-up"]
+
+
+class TestSketchPayloads:
+    """Each stage-4 sketch block ships in its cheaper encoding: Y^T A_i T_i
+    at r * w words, or A_i T_i column-encoded when that is strictly
+    shorter.  The server sums the raw blocks and projects them once."""
+
+    @staticmethod
+    def _mixed_cluster(parallel=False):
+        # a dense machine fills every bucket and ships projected; sparse
+        # machines touch few buckets and ship raw
+        dense = lowrank_plus_noise(23, 30, 200, 2, 0.3)
+        blocks = [sparse_columns_block(230 + i, 30, 30, 3) for i in range(3)]
+        return Cluster([blocks[0], dense, blocks[1], blocks[2]], kind="column",
+                       parallel=parallel)
+
+    @staticmethod
+    def _uplinks(cl):
+        return [msg.words for msg in cl.ledger.messages if msg.phase == "subspace-up"]
+
+    _PARAMS = FastCssProtocolParams(k=2, eps=1.0, seed=230, xi_subspace=48)
+
+    def test_a_tie_ships_projected(self):
+        YT = np.ones((3, 5))
+        block = np.zeros((5, 1))
+        block[2, 0] = 1.5                       # one (row, value) pair: 3 words = r * w
+        assert _cols_words(block) == 3
+        payload = _sketch_payload(YT, block)
+        assert isinstance(payload, np.ndarray) and payload.shape == (3, 1)
+        words, raw = _sketch_payload(YT, np.zeros((5, 1)))   # 1 word < 3
+        assert words == 1 and not raw.any()
+
+    def test_mixed_run_is_bitwise_across_modes(self):
+        cl = self._mixed_cluster()
+        serial = distributed_css_pca_fast(cl, self._PARAMS)
+        r = selected_rank(cl, serial)
+        up = self._uplinks(cl)
+        assert up[1] == r * serial.xi and all(w < r * serial.xi for w in up[::2])
+        assert serial.phase_words["subspace-up"] == fast_sketch_uplink(cl, serial, 230)
+        cp = self._mixed_cluster(parallel=True)
+        parallel = distributed_css_pca_fast(cp, self._PARAMS)
+        assert parallel.U.tobytes() == serial.U.tobytes()
+        assert cp.ledger.messages == cl.ledger.messages
+
+    def test_forced_encodings_agree(self, monkeypatch):
+        # every block of this sparse input is shorter raw, so either
+        # encoding may be forced on every machine
+        def run(encode):
+            monkeypatch.setattr(column_partition, "_sketch_payload", encode)
+            cl = _sparse_cluster(24, phi=3)
+            return cl, distributed_css_pca_fast(cl, self._PARAMS)
+
+        cl_raw, raw = run(lambda YT, B: (_cols_words(B), B))
+        cl_proj, proj = run(lambda YT, B: YT @ B)
+        r = selected_rank(cl_raw, raw)
+        assert all(w < r * raw.xi for w in self._uplinks(cl_raw))
+        assert self._uplinks(cl_proj) == [r * proj.xi] * cl_proj.s
+        assert np.max(np.abs(raw.U - proj.U)) <= 1e-12
+
+    def test_ledger_is_the_decoded_payload_sizes(self, monkeypatch):
+        sent = []
+
+        def encode(YT, B):
+            payload = _sketch_payload(YT, B)
+            sent.append(payload)
+            return payload
+
+        monkeypatch.setattr(column_partition, "_sketch_payload", encode)
+        cl = self._mixed_cluster()
+        res = distributed_css_pca_fast(cl, self._PARAMS)
+        sizes = [_cols_words(p[1]) if isinstance(p, tuple) else p.size for p in sent]
+        assert {isinstance(p, tuple) for p in sent} == {True, False}
+        assert self._uplinks(cl) == sizes
+        assert res.phase_words["subspace-up"] == sum(sizes)

@@ -5,6 +5,7 @@ import pytest
 
 from conftest import (
     best_tail_sq,
+    fast_sketch_uplink,
     frob_sq,
     lowrank_plus_noise,
     rand_matrix,
@@ -894,7 +895,8 @@ class TestFastProtocolBlockedFinalize:
         assert rs.phase_words == rp.phase_words
         assert rs.total_words == rp.total_words
         cl = _sparse_cluster(14)
-        assert rs.phase_words["subspace-up"] == 4 * selected_rank(cl, rs) * xi
+        assert rs.phase_words["subspace-up"] <= 4 * selected_rank(cl, rs) * xi
+        assert rs.phase_words["subspace-up"] == fast_sketch_uplink(cl, rs, 500)
 
 
 class TestFastFinalizeTouches:

@@ -17,7 +17,7 @@ from hypothesis import strategies as st
 from conftest import rand_matrix
 from sketchpca.errors import InputError
 from sketchpca import fileio
-from sketchpca.sparse import SparseColMatrix
+from sketchpca.sparse import SparseColMatrix, scatter_add
 
 
 def _random_sparse(seed: int, m: int, n: int, density: float = 0.2) -> SparseColMatrix:
@@ -114,6 +114,44 @@ class TestSparseColMatrixBits:
             SparseColMatrix((5, 5), indptr, indices, np.ones(7))
         indices[6] = 4
         assert SparseColMatrix((5, 5), indptr, indices, np.ones(7)).nnz == 7
+
+
+class TestScatterAdd:
+    """scatter_add is np.add.at into zeros, bit for bit."""
+
+    @staticmethod
+    def _add_at(shape, index, values):
+        out = np.zeros(shape)
+        np.add.at(out, index, values)
+        return out
+
+    def _cases(self):
+        rng = np.random.default_rng(0)
+        vals = rng.standard_normal((60, 4))
+        vals[::3] = -0.0                           # -0.0 terms, and cells of only -0.0
+        vals[1::7] *= 1e300                        # sums that round
+        idx = rng.integers(0, 5, 60)
+        rows, cols = rng.integers(0, 6, 40), rng.integers(0, 3, 40)
+        pairs = np.where(rng.random(40) < 0.3, -0.0, rng.standard_normal(40))
+        empty = np.zeros(0, dtype=np.int64)
+        return [
+            ((5, 4), idx, vals),                   # rows of a 2-D operand
+            ((5,), idx, vals[:, 0]),               # a 1-D operand
+            ((5, 2, 2), idx, vals.reshape(60, 2, 2)),
+            ((6, 3), (rows, cols), pairs),         # one value per (row, col)
+            ((0, 4), empty, np.zeros((0, 4))),     # empty shapes
+            ((5, 0), empty, np.zeros((0, 0))),
+            ((3,), empty, np.zeros(0)),
+            ((0, 0), (empty, empty), np.zeros(0)),
+        ]
+
+    def test_matches_add_at_bitwise(self):
+        for shape, index, values in self._cases():
+            got = scatter_add(shape, index, values)
+            ref = self._add_at(shape, index, values)
+            assert got.shape == ref.shape == shape
+            assert got.dtype == ref.dtype
+            assert got.tobytes() == ref.tobytes(), shape
 
 
 class TestMatrixMarket:
