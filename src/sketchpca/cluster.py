@@ -119,12 +119,14 @@ class Cluster:
         p = self.parts[i]
         return p.to_dense() if isinstance(p, SparseColMatrix) else p
 
-    def map_machines(self, fn):
-        """fn(i, part) for every machine, results ordered by machine index."""
-        if self.parallel and self.s > 1:
-            with ThreadPoolExecutor(max_workers=self.s) as pool:
-                return list(pool.map(fn, range(self.s), self.parts))
-        return [fn(i, p) for i, p in enumerate(self.parts)]
+    def map_machines(self, fn, machines=None):
+        """fn(i, part) for every machine, or for the listed machines only,
+        results ordered by machine index."""
+        ids = range(self.s) if machines is None else sorted(machines)
+        if self.parallel and len(ids) > 1:
+            with ThreadPoolExecutor(max_workers=len(ids)) as pool:
+                return list(pool.map(fn, ids, [self.parts[i] for i in ids]))
+        return [fn(i, self.parts[i]) for i in ids]
 
     # -- accounting -----------------------------------------------------
 
@@ -137,12 +139,15 @@ class Cluster:
         for i in range(self.s):
             self.ledger.record(r, SERVER, i, words_each, phase)
 
-    def record_gather(self, phase: str, words) -> None:
+    def record_gather(self, phase: str, words, machines=None) -> None:
+        """One round in which every machine, or each listed machine, sends
+        the server words (one count for all, or one per sender)."""
+        ids = range(self.s) if machines is None else sorted(machines)
+        per = [words] * len(ids) if isinstance(words, int) else list(words)
+        if len(per) != len(ids):
+            raise InputError("need one word count per sending machine")
         r = self.next_round()
-        per = [words] * self.s if isinstance(words, int) else list(words)
-        if len(per) != self.s:
-            raise InputError("need one word count per machine")
-        for i, w in enumerate(per):
+        for i, w in zip(ids, per):
             self.ledger.record(r, i, SERVER, w, phase)
 
     def gather_sum(self, phase: str, arrays) -> np.ndarray:
@@ -163,9 +168,9 @@ class Cluster:
         return reduce(np.add, arrays)
 
     def gather_sum_blocks(self, phase: str, fn, n_cols: int, block: int,
-                          lift=None) -> np.ndarray:
-        """gather_sum of per-machine r x n_cols arrays that machines compute
-        and send in column blocks.
+                          lift=None, machines=None) -> np.ndarray:
+        """gather_sum of per-machine r x n_cols arrays that machines (every
+        machine, or the listed ones) compute and send in column blocks.
 
         fn(i, part, lo, hi) is machine i's columns lo..hi-1; block is the
         width of every block but the last.  The machines compute one block
@@ -183,13 +188,16 @@ class Cluster:
         """
         if block < 1:
             raise InputError("column block width must be positive")
+        ids = range(self.s) if machines is None else sorted(machines)
+        if not ids:
+            raise InputError("a gather needs at least one sending machine")
         bounds = [(lo, min(lo + block, n_cols)) for lo in range(0, n_cols, block)]
-        words = [0] * self.s
+        words = dict.fromkeys(ids, 0)
         total = None
         for lo, hi in bounds or [(0, 0)]:
-            sent = self.map_machines(lambda i, p: fn(i, p, lo, hi))
-            raw = {i: a for i, a in enumerate(sent) if isinstance(a, tuple)}
-            terms = [(f"machine {i}", a) for i, a in enumerate(sent) if i not in raw]
+            sent = dict(zip(ids, self.map_machines(lambda i, p: fn(i, p, lo, hi), ids)))
+            raw = {i: a for i, a in sent.items() if isinstance(a, tuple)}
+            terms = [(f"machine {i}", a) for i, a in sent.items() if i not in raw]
             if raw:
                 if lift is None:
                     raise ProtocolError(f"gather_sum_blocks: machine {min(raw)} sent an "
@@ -205,7 +213,7 @@ class Cluster:
                         f"{a.shape} for columns {lo}:{hi} of a {total.dtype} "
                         f"{total.shape[0]} x {n_cols} sum")
             full = total.shape[0] * (hi - lo)
-            for i, a in enumerate(sent):
+            for i, a in sent.items():
                 if i in raw and not raw[i][0] < full:
                     raise ProtocolError(
                         f"gather_sum_blocks: machine {i} encoded columns {lo}:{hi} in "
@@ -214,7 +222,7 @@ class Cluster:
             total[:, lo:hi] = terms[0][1]
             for _, a in terms[1:]:
                 np.add(total[:, lo:hi], a, out=total[:, lo:hi])
-        self.record_gather(phase, words)
+        self.record_gather(phase, list(words.values()), ids)
         return total
 
     # -- whole-matrix views ---------------------------------------------

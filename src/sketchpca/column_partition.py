@@ -19,25 +19,40 @@ Four stages:
 4. finalize: the server finds a rank-k basis inside the span of the
    collected columns C.  Every machine holds C, so each forms the same
    orthonormal basis Y of span(C), with r = rank C <= min(m, c) columns.
-   The server needs only the top-k left singular vectors of Y^T A, and a
-   rank-k projection-cost-preserving sketch T of the columns keeps them to
-   within eps (Cohen, Elder, Musco, Musco and Persu, "Dimensionality
-   reduction for k-means clustering and low rank approximation", STOC
-   2015).  Its width xi depends on k and eps alone, so a machine ships at
-   most r * xi words, however wide A is.  A shared seeded T turns one pass
-   over the blocks into their sum, sent in blocks of w sketch columns, so
-   no machine's whole product is ever built.  Each block goes as
-   Y^T A_i T_i, r * w words, or raw when smaller: A_i T_i itself, in the
-   column encoding above.  A CountSketch of sparse columns stays sparse
-   (Clarkson and Woodruff, "Low rank approximation and regression in input
-   sparsity time", STOC 2013), so on sparse data most blocks go raw.  Ties
-   go to the projection, so a raw block is always the shorter one and its
-   length alone marks it; the server sums the raw blocks in machine order
-   and projects that sum once.  When the data is no wider than the sketch
-   (n <= s * xi, with xi resolved by default), every machine ships its
-   block Y^T A_i exactly instead, r * n_i words and fewer in all, and the
-   basis is the exact optimum in span(C).  An explicit xi_subspace always
-   sketches.
+   The server needs only the top-k left singular vectors of Y^T A, and
+   each machine ships the shortest of three payloads that serve them:
+   - its R factor: the q x r upper trapezoid of the QR factorization of
+     (Y^T A_i)^T, q = min(n_i, r), so q * r - q (q - 1) / 2 words and at
+     most r (r + 1) / 2 however wide the block is.  R^T R = Y^T A_i A_i^T Y,
+     so the stacked R factors have the singular vectors of Y^T A (TSQR:
+     Demmel, Grigori, Hoemmen and Langou, arXiv:0808.2664);
+   - its raw columns, in the column encoding above; the server forms their
+     R factor itself, with the machine's own kernel;
+   - its sketch Y^T A_i T_i, for a shared seeded rank-k
+     projection-cost-preserving sketch T (Cohen, Elder, Musco, Musco and
+     Persu, "Dimensionality reduction for k-means clustering and low rank
+     approximation", STOC 2015) of width xi, set by k and eps alone.  It is
+     formed and sent in blocks of w sketch columns, so no machine's whole
+     product is ever built.  Each block goes as its r x w projection or,
+     when strictly shorter, raw: A_i T_i itself, column-encoded.  A
+     CountSketch of sparse columns stays sparse (Clarkson and Woodruff,
+     "Low rank approximation and regression in input sparsity time", STOC
+     2013), so on sparse data most blocks go raw.  The server sums the raw
+     blocks in machine order and projects that sum once.
+   A machine sizes its sketch before forming it, from its sparsity pattern
+   alone: a block costs at most min(r * w, w + sum_j min(2 z_j, m)) words,
+   where z_j bounds the nonzeros of sketch column j.  It sketches only when
+   that bound is strictly below both exact payloads and its block is wider
+   than xi; a sketch no narrower than the block merges only entries that
+   share a row and a bucket, and gives up exactness.  Ties go to an exact
+   payload, and between those to R.  An explicit xi_subspace sketches on
+   every machine.  The exact payloads go in one round, the sketches in the
+   next, and lengths tell the encodings within each apart.  The server
+   stacks the R factors (reduced to one r x r factor when they hold more
+   than r rows) with the transpose of the summed sketch, and the top-k
+   right singular vectors of that stack give the basis: exact in span(C)
+   when no machine sketched, and projection-cost preserving on the
+   sketched columns otherwise.
 
 run_css_protocol is the one driver of these stages.  What differs between
 variants is a CssKernels bundle: this module's exact kernels (dense SVD,
@@ -61,7 +76,6 @@ from __future__ import annotations
 import math
 from collections.abc import Callable
 from dataclasses import dataclass
-from functools import reduce
 
 import numpy as np
 
@@ -75,7 +89,7 @@ from .column_select import (
 from .errors import InputError, InternalError
 from .linalg import orthonormal_basis, truncated_svd
 from .sketches import dense_pca_dim, derive_seed, sign_sketch
-from .sparse import SparseColMatrix
+from .sparse import SparseColMatrix, scatter_add
 
 TAG_ADAPTIVE_MACHINES = "css-adaptive-machines"
 TAG_ADAPTIVE_COLS = "css-adaptive-cols"
@@ -134,27 +148,76 @@ class CssPcaResult:
     adaptive_indices: list[int]
     c_actual: int
     xi: int
-    finalize: str       # "exact" (Y^T A shipped) or "sketch"
+    finalize: str       # "exact" (no machine sketched), "sketch" (all did) or "mixed"
     betas: list[float]
     phase_words: dict[str, int]
     total_words: int
     params: CssProtocolParams
 
 
-def _cols_words(block: np.ndarray) -> int:
+def _cols_words(block) -> int:
     """A header per column, then its z (row, value) pairs or m values."""
-    nnz = np.count_nonzero(block, axis=0)
+    nnz = (block.col_nnz() if isinstance(block, SparseColMatrix)
+           else np.count_nonzero(block, axis=0))
     return int(np.minimum(2 * nnz, block.shape[0]).sum()) + block.shape[1]
 
 
 def _sketch_payload(YT: np.ndarray, block: np.ndarray):
     """A machine's stage-4 block A_i T_i in its cheaper encoding: the pair
-    (words, block), column-encoded, when that is strictly shorter than the
-    r x w projection YT @ block, else the projection.  Ties go to the
-    projection, so a raw payload is always the shorter one and its length
-    alone marks it."""
+    (words, block), column-encoded and stored sparse, when that is strictly
+    shorter than the r x w projection YT @ block, else the projection.  Ties
+    go to the projection, so a raw payload is always the shorter one and
+    its length alone marks it."""
     words = _cols_words(block)
-    return (words, block) if words < YT.shape[0] * block.shape[1] else YT @ block
+    if words < YT.shape[0] * block.shape[1]:
+        return words, SparseColMatrix.from_dense(block)
+    return YT @ block
+
+
+def _sketch_bound(support: np.ndarray, r: int, m: int) -> int:
+    """At least the words of a machine's sketch payload, from the support
+    z_j of each of its sketch columns alone: per block of w columns,
+    min(r * w, w + sum_j min(2 z_j, m))."""
+    cols = np.minimum(2 * support, m) + 1
+    return sum(min(r * b.size, int(b.sum()))
+               for b in np.split(cols, range(_FINALIZE_BLOCK, cols.size, _FINALIZE_BLOCK)))
+
+
+def _r_words(n_i: int, r: int) -> int:
+    """Words of the packed R factor of an n_i x r matrix: its q x r upper
+    trapezoid, q = min(n_i, r)."""
+    q = min(n_i, r)
+    return q * r - q * (q - 1) // 2
+
+
+def _payload_kind(raw_words: int, r_words: int, sketch_words: int | None) -> str:
+    """The stage-4 payload a machine ships: "sketch" when its words (None:
+    no sketch offered) are strictly the fewest, else "raw" when its columns
+    are strictly shorter than its R factor, else "R".  Ties go to an exact
+    payload, and between those to R, so a raw payload is always shorter
+    than R and its length alone marks it."""
+    if sketch_words is not None and sketch_words < min(raw_words, r_words):
+        return "sketch"
+    return "raw" if raw_words < r_words else "R"
+
+
+def _r_factor(coeffs: np.ndarray) -> np.ndarray:
+    """The q x r R factor of coeffs^T, q = min(shape): R^T R = coeffs
+    coeffs^T, so R^T has the left singular vectors of coeffs."""
+    return np.linalg.qr(coeffs.T, mode="r")
+
+
+def _packed_r(coeffs: np.ndarray) -> np.ndarray:
+    """The R factor of coeffs^T (coeffs = Y^T A_i, r x n_i), its upper
+    trapezoid packed row by row: _r_words(n_i, r) words."""
+    R = _r_factor(coeffs)
+    return R[np.triu_indices(R.shape[0], 0, R.shape[1])]
+
+
+def _unpack_r(packed: np.ndarray, n_i: int, r: int) -> np.ndarray:
+    R = np.zeros((min(n_i, r), r))
+    R[np.triu_indices(R.shape[0], 0, r)] = packed
+    return R
 
 
 def _columns(P, idx) -> np.ndarray:
@@ -174,12 +237,15 @@ class CssKernels:
     i, P, ell) -> ell column indices of a block wider than ell;
     core_select(params, G, c1) -> c1 positions in G;
     residual_masses(params, cluster, parts, C) -> each block's per-column
-    residual mass off span(C); coefficients(YT, P) -> YT @ P for a block P;
-    finalize(cluster, parts, xi, seed) -> fn(i, lo, hi), sketch columns
-    lo..hi-1 of A_i T_i for the shared xi-column sketch T (a sign sketch
-    here, a one-nonzero-per-column embedding in column_select_sparse).
-    The driver ships each such block in at most r * (hi - lo) words, raw
-    when smaller, so at most r * xi words per machine.
+    residual mass off span(C); coefficients(YT, P) -> YT @ P for a block P,
+    whose R factor an exact payload carries; sketch_support(cluster, parts,
+    xi, seed) -> fn(i), for each of the xi columns of A_i T_i a bound on its
+    nonzeros read from block i's sparsity pattern alone; finalize(cluster,
+    parts, xi, seed) -> fn(i, lo, hi), sketch columns lo..hi-1 of A_i T_i
+    for the shared xi-column sketch T (a sign sketch here, a
+    one-nonzero-per-column embedding in column_select_sparse).  The driver
+    ships each such block in at most r * (hi - lo) words, raw when smaller,
+    so at most r * xi words per sketching machine.
     """
 
     resolve: Callable
@@ -188,6 +254,7 @@ class CssKernels:
     core_select: Callable
     residual_masses: Callable
     coefficients: Callable
+    sketch_support: Callable
     finalize: Callable
 
 
@@ -260,32 +327,66 @@ def run_css_protocol(cluster: Cluster, params, kernels: CssKernels) -> CssPcaRes
     cluster.record_broadcast("span-down", _cols_words(new_cols))
     C_full = np.hstack([C, new_cols])
 
-    # stage 4: the coefficients Y^T A, with Y the basis of span(C) every
-    # machine forms from C_full, shipped exactly when the data is no wider
-    # than the sketch, else through one pass of a shared seeded sketch: per
-    # shipped column, r = rank C words exact and at most s * r sketched.
+    # stage 4: the top-k left singular vectors of Y^T A, with Y the basis
+    # of span(C) every machine forms from C_full.  Each machine ships the
+    # shortest payload that serves them: its raw columns or its R factor
+    # (exact), or its sketch, sized from its sparsity pattern alone
     c_actual = C_full.shape[1]
     Y = orthonormal_basis(C_full)
     r = Y.shape[1]
-    raw: list[tuple[int, int]] = []    # (words, width) of each raw block decoded
-    if params.xi_subspace is None and cluster.n <= s * xi:
-        finalize = "exact"
-        coeffs = cluster.map_machines(lambda i, p: kernels.coefficients(Y.T, parts[i]))
-        cluster.record_gather("subspace-up", [b.size for b in coeffs])
-        Xi = np.hstack(coeffs)
-        del coeffs
-    else:
-        finalize = "sketch"
-        sketch = kernels.finalize(cluster, parts, xi, derive_seed(params.seed, TAG_CSS_SUBSPACE))
+    seed4 = derive_seed(params.seed, TAG_CSS_SUBSPACE)
+    support = (None if params.xi_subspace is not None
+               else kernels.sketch_support(cluster, parts, xi, seed4))
+
+    def exact_payload(i, _):
+        # (words, columns) raw, the packed R factor, or None to sketch.  A
+        # sketch no narrower than the block merges only entries that share
+        # a bucket and a row, and loses exactness, so such a block ships
+        # exactly
+        n_i = parts[i].shape[1]
+        raw_words = _cols_words(parts[i])
+        kind = "sketch" if support is None else _payload_kind(
+            raw_words, _r_words(n_i, r),
+            _sketch_bound(support(i), r, m) if xi < n_i else None)
+        if kind == "sketch":
+            return None
+        if kind == "raw":
+            return raw_words, parts[i]
+        return _packed_r(kernels.coefficients(Y.T, parts[i]))
+
+    sent = cluster.map_machines(exact_payload)
+    sketchers = [i for i, p in enumerate(sent) if p is None]
+    exact = {i: p for i, p in enumerate(sent) if p is not None}
+    factors = []
+    if exact:
+        cluster.record_gather("subspace-up", [p[0] if isinstance(p, tuple) else p.size
+                                              for p in exact.values()], exact)
+        for i, p in exact.items():
+            # the server forms a raw machine's R factor with the same kernel
+            factors.append((_r_factor(kernels.coefficients(Y.T, p[1])) if isinstance(p, tuple)
+                            else _unpack_r(p, parts[i].shape[1], r)).T)
+        if sum(R.shape[1] for R in factors) > r:
+            # the last level of the TSQR tree: one r x r factor of the stack
+            factors = [_r_factor(np.hstack(factors)).T]
+    raw: list[tuple[int, int]] = []    # (words, width) of each raw sketch block decoded
+    if sketchers:
+        sketch = kernels.finalize(cluster, parts, xi, seed4)
 
         def lift(blocks):
-            # the server sums the raw blocks in machine order, then projects once
+            # the server scatters the raw blocks into one sum, in machine
+            # order, then projects it once
             raw.extend((_cols_words(b), b.shape[1]) for b in blocks)
-            return Y.T @ reduce(np.add, blocks)
+            cols = [np.repeat(np.arange(b.shape[1]), b.col_nnz()) for b in blocks]
+            total = scatter_add(blocks[0].shape,
+                                (np.concatenate([b.indices for b in blocks]), np.concatenate(cols)),
+                                np.concatenate([b.data for b in blocks]))
+            return Y.T @ total
 
-        Xi = cluster.gather_sum_blocks(
+        factors.append(cluster.gather_sum_blocks(
             "subspace-up", lambda i, p, lo, hi: _sketch_payload(Y.T, sketch(i, lo, hi)),
-            xi, _FINALIZE_BLOCK, lift)
+            xi, _FINALIZE_BLOCK, lift, sketchers))
+    finalize = "sketch" if not exact else "mixed" if sketchers else "exact"
+    Xi = np.hstack(factors)
     kk = min(k, min(Xi.shape))
     Delta = truncated_svd(Xi, kk).U
     U = Y @ Delta
@@ -306,7 +407,8 @@ def run_css_protocol(cluster: Cluster, params, kernels: CssKernels) -> CssPcaRes
     result = CssPcaResult(
         U, kk, flags, core_gids, adaptive_gids, c_actual, xi, finalize, betas,
         cluster.ledger.phase_totals(), cluster.ledger.total(), params)
-    cluster.ledger.check(_expected_words(cluster, result, local_blocks, C, new_cols, r, raw))
+    cluster.ledger.check(_expected_words(cluster, result, local_blocks, C, new_cols, r,
+                                         exact, len(sketchers), raw))
     return result
 
 
@@ -329,6 +431,11 @@ def _exact_residual_masses(params, cluster, parts, C):
     return masses
 
 
+def _exact_sketch_support(cluster, parts, xi, seed):
+    # a sign-sketch column of A_i is nonzero at most on A_i's nonzero rows
+    return lambda i: np.full(xi, np.count_nonzero(parts[i].any(axis=1)))
+
+
 def _exact_finalize(cluster, parts, xi, seed):
     W = sign_sketch(xi, cluster.n, seed, scale=1.0)
 
@@ -345,6 +452,7 @@ _EXACT_KERNELS = CssKernels(
     core_select=lambda params, G, c1: deterministic_css(G, params.k, c1).indices,
     residual_masses=_exact_residual_masses,
     coefficients=lambda YT, P: YT @ P,
+    sketch_support=_exact_sketch_support,
     finalize=_exact_finalize,
 )
 
@@ -356,12 +464,15 @@ def distributed_css_pca(cluster: Cluster, params: CssProtocolParams) -> CssPcaRe
 
 def _expected_words(cluster: Cluster, result: CssPcaResult,
                     local_blocks: list[np.ndarray], core: np.ndarray,
-                    adaptive: np.ndarray, r: int,
+                    adaptive: np.ndarray, r: int, exact: dict, sketchers: int,
                     raw: list[tuple[int, int]]) -> dict[str, int]:
-    """Every phase recomputed from the shipped payloads (r = rank C); raw
-    holds the (words, width) of each stage-4 block the server decoded raw,
-    and every other sketch block ships r words per column."""
+    """Every phase recomputed from the shipped payloads (r = rank C): exact
+    maps each machine that shipped exactly to its payload, raw columns or
+    an R factor; raw holds the (words, width) of each sketch block the
+    server decoded raw, and every other sketch block ships r words per
+    column."""
     s = cluster.s
+    widths = np.diff(cluster.col_offsets)
     raw_words = sum(words for words, _ in raw)
     raw_cols = sum(width for _, width in raw)
     expected = {
@@ -370,8 +481,9 @@ def _expected_words(cluster: Cluster, result: CssPcaResult,
         "adaptive-meta": 2 * s,
         "adaptive": _cols_words(adaptive),
         "span-down": s * _cols_words(adaptive),
-        "subspace-up": (r * cluster.n if result.finalize == "exact"
-                        else raw_words + r * (s * result.xi - raw_cols)),
+        "subspace-up": sum(_cols_words(p[1]) if isinstance(p, tuple)
+                           else _r_words(int(widths[i]), r) for i, p in exact.items())
+                       + raw_words + r * (sketchers * result.xi - raw_cols),
     }
     if result.params.per_machine_finalize:
         expected["delta-down"] = s * r * result.rank

@@ -79,21 +79,42 @@ def split_rows(A: np.ndarray, s: int, seed: int) -> list[np.ndarray]:
     return parts
 
 
-def fast_sketch_uplink(cluster, res, seed: int) -> int:
-    """subspace-up of a distributed_css_pca_fast sketch finalize, recomputed
-    from its seeded CountSketch T: every block of columns of A_i T_i ships
-    in its cheaper encoding, min(r * w, _cols_words(block)) words, with
-    r = rank C and w the block's width."""
-    from sketchpca.column_partition import _FINALIZE_BLOCK, TAG_CSS_SUBSPACE, _cols_words
-    from sketchpca.sketches import derive_seed, sparse_embedding
+def stage_four_words(cluster, res, seed: int, sketch: str) -> list[int]:
+    """Each machine's stage-4 uplink words, recomputed from the data.
 
-    r = selected_rank(cluster, res)
-    T = sparse_embedding(res.xi, cluster.n, derive_seed(seed, TAG_CSS_SUBSPACE)).materialize()
-    words = 0
+    Machine i's raw columns cost sum_j min(2 nnz_j, m) + 1 words, and its
+    packed R factor q * r - q * (q - 1) / 2, with q = min(n_i, r) and
+    r = rank C.  Its sketch A_i T_i, for the seeded xi-column T ("sign" for
+    distributed_css_pca, "count" for distributed_css_pca_fast), ships each
+    block of w columns in min(r * w, its column encoding) words.  An
+    explicit xi_subspace sketches on every machine.  Otherwise a machine
+    wider than xi ships the least of the three, ties going to the exact
+    payloads, and a machine no wider ships the lesser exact payload."""
+    from sketchpca.column_partition import _FINALIZE_BLOCK, TAG_CSS_SUBSPACE, _cols_words
+    from sketchpca.sketches import derive_seed, sign_sketch, sparse_embedding
+
+    r, xi = selected_rank(cluster, res), res.xi
+    seed = derive_seed(seed, TAG_CSS_SUBSPACE)
+    T = (sign_sketch(xi, cluster.n, seed, scale=1.0) if sketch == "sign"
+         else sparse_embedding(xi, cluster.n, seed)).materialize()
+    words = []
     for i in range(cluster.s):
         a, b = cluster.col_offsets[i], cluster.col_offsets[i + 1]
-        AT = cluster.part_dense(i) @ T[:, a:b].T
-        for lo in range(0, res.xi, _FINALIZE_BLOCK):
-            block = AT[:, lo:lo + _FINALIZE_BLOCK]
-            words += min(r * block.shape[1], _cols_words(block))
+        A_i = cluster.part_dense(i)
+        AT = A_i @ T[:, a:b].T
+        sketched = sum(min(r * B.shape[1], _cols_words(B))
+                       for B in (AT[:, lo:lo + _FINALIZE_BLOCK]
+                                 for lo in range(0, xi, _FINALIZE_BLOCK)))
+        q = min(b - a, r)
+        exact = min(_cols_words(A_i), q * r - q * (q - 1) // 2)
+        if res.params.xi_subspace is not None:
+            words.append(sketched)
+        else:
+            words.append(min(sketched, exact) if b - a > xi else exact)
     return words
+
+
+def fast_sketch_uplink(cluster, res, seed: int) -> int:
+    """subspace-up of a distributed_css_pca_fast run with an explicit
+    xi_subspace: every machine sketches (stage_four_words)."""
+    return sum(stage_four_words(cluster, res, seed, "count"))

@@ -52,11 +52,11 @@ NOISE_SCALE = _float(
          "gathered sketch; 0 disables it")
 
 XI_SUBSPACE_HELP = (
-    "width of the finalize sketch, which then always runs; default a rank-k "
-    "projection-cost-preserving sketch (Cohen et al., STOC 2015) whose width "
-    "depends on k and eps only, with Y^T A (Y an orthonormal basis of the "
-    "selected columns' span) shipped exactly when the input "
-    "has at most machines times that many columns")
+    "width of the finalize sketch, which every machine then ships; default a "
+    "rank-k projection-cost-preserving sketch (Cohen et al., STOC 2015) whose "
+    "width depends on k and eps only, shipped by a machine wider than it only "
+    "when shorter than both its raw columns and the R factor of (Y^T A_i)^T (Y "
+    "an orthonormal basis of the selected columns' span)")
 
 
 def _solver(*extra):

@@ -214,6 +214,23 @@ class TestGatherSumBlocks:
         # three blocks: the arrays at their size, the raw blocks at i words each
         assert [m.words for m in cl.ledger.messages] == [3 * 5, 3 * 1, 3 * 2, 3 * 5]
 
+    @pytest.mark.parametrize("parallel", [False, True])
+    def test_only_the_listed_machines_send(self, parallel):
+        parts, W = self._setup(4, 5)
+        asked = []
+
+        def fn(i, B, lo, hi):
+            asked.append(i)
+            return (B @ W)[:, lo:hi]
+
+        cl = Cluster(parts, parallel=parallel)
+        got = cl.gather_sum_blocks("up", fn, 5, 2, machines=[3, 1])
+        assert got.tobytes() == (parts[1] @ W + parts[3] @ W).tobytes()
+        assert sorted(set(asked)) == [1, 3]
+        assert [(m.sender, m.words) for m in cl.ledger.messages] == [(1, 45), (3, 45)]
+        with pytest.raises(InputError):
+            cl.gather_sum_blocks("up", fn, 5, 2, machines=[])
+
     def test_raw_block_must_be_shorter_than_its_array(self):
         parts, W = self._setup(2, 4)
         for lift in (None, lambda raws: raws[0][:2]):

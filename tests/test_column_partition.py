@@ -6,6 +6,9 @@ regime is exercised once by the acceptance suite.
 
 from __future__ import annotations
 
+import dataclasses
+import tracemalloc
+
 import numpy as np
 import pytest
 
@@ -16,16 +19,21 @@ from conftest import (
     lowrank_plus_noise,
     selected_rank,
     sparse_columns_block,
+    stage_four_words,
 )
 from sketchpca import column_partition
 from sketchpca.cluster import Cluster
 from sketchpca.column_partition import (
     _EXACT_KERNELS,
+    _FINALIZE_BLOCK,
     TAG_CSS_SUBSPACE,
     CssProtocolParams,
     _cols_words,
+    _r_words,
+    _sketch_bound,
     _sketch_payload,
     distributed_css_pca,
+    run_css_protocol,
 )
 from sketchpca.column_select_sparse import (
     _FAST_KERNELS,
@@ -33,8 +41,13 @@ from sketchpca.column_select_sparse import (
     distributed_css_pca_fast,
 )
 from sketchpca.errors import InputError
-from sketchpca.linalg import best_rank_k_in_colspan, residual_ratio, span_residual_sq
-from sketchpca.sketches import dense_pca_dim, derive_seed
+from sketchpca.linalg import (
+    best_rank_k_in_colspan,
+    colspan_residual_sq,
+    residual_ratio,
+    span_residual_sq,
+)
+from sketchpca.sketches import dense_pca_dim, derive_seed, sparse_embedding
 from sketchpca.sparse import SparseColMatrix
 
 
@@ -148,8 +161,10 @@ class TestAccounting:
         assert res.phase_words["adaptive-meta"] == 2 * cl.s
         assert res.phase_words["global-down"] == cl.s * sum(
             2 * nnz(j) + 1 for j in res.core_indices)
+        # 30-column machines, no wider than xi = 32: each ships exactly, its
+        # raw columns or its R factor, whichever is shorter
         assert res.finalize == "exact"
-        assert res.phase_words["subspace-up"] == selected_rank(cl, res) * cl.n
+        assert res.phase_words["subspace-up"] == sum(stage_four_words(cl, res, 88, "sign"))
         assert res.phase_words["u-down"] == cl.s * cl.m * res.rank
         assert res.total_words == sum(res.phase_words.values())
 
@@ -210,6 +225,7 @@ _PROTOCOLS = {
     "fast": (distributed_css_pca_fast, FastCssProtocolParams),
 }
 _KERNELS = {"exact": _EXACT_KERNELS, "fast": _FAST_KERNELS}
+_SKETCH = {"exact": "sign", "fast": "count"}
 
 
 def _dense_cluster(seed, m=30, widths=(30, 30, 30, 30), parallel=False):
@@ -221,10 +237,12 @@ def _dense_cluster(seed, m=30, widths=(30, 30, 30, 30), parallel=False):
 
 @pytest.mark.parametrize("protocol", sorted(_PROTOCOLS))
 class TestFinalizeBranches:
-    """Stage 4 ships C^T A exactly when n <= s * xi with xi resolved by
-    default, and sketches otherwise or when xi_subspace is given.  The rule
-    is the same with a per-machine finalize, whose downlink is the r x k
-    coefficient matrix at any width."""
+    """With xi resolved by default, a machine no wider than xi ships
+    exactly, its raw columns or the R factor of (Y^T A_i)^T, whichever is
+    shorter; a wider one ships the least of those and its sketch.  An
+    explicit xi_subspace sketches on every machine.  The rule is the same
+    with a per-machine finalize, whose downlink is the r x k coefficient
+    matrix at any width."""
 
     @pytest.mark.parametrize("data", ["dense", "sparse"])
     def test_exact_branch_is_the_restricted_optimum(self, protocol, data):
@@ -249,29 +267,27 @@ class TestFinalizeBranches:
         xi = Params(seed=0, **budgets).resolve()[3]
         for per_machine in (False, True):
             down = {}
-            for widths, mode in (((xi, xi), "exact"), ((xi, xi + 1), "sketch")):
+            for widths in ((xi, xi), (xi, xi + 1)):
                 cl = _sparse_cluster(17, widths=widths)
                 res = run(cl, Params(seed=170, per_machine_finalize=per_machine, **budgets))
-                assert (res.finalize, res.xi) == (mode, xi)
+                # r = rank C <= c1 + c2 <= 8, so an R factor of at most 36
+                # words undercuts the sketch of the machine wider than xi too
+                assert (res.finalize, res.xi) == ("exact", xi)
                 r = selected_rank(cl, res)
-                words = r * (cl.n if mode == "exact" else s * xi)
-                if (protocol, mode) == ("fast", "sketch"):
-                    # each CountSketch block ships raw when that is shorter,
-                    # under the cap of r * xi words per machine
-                    assert res.phase_words["subspace-up"] <= words
-                    words = fast_sketch_uplink(cl, res, 170)
-                assert res.phase_words["subspace-up"] == words
+                assert r <= 8
+                assert res.phase_words["subspace-up"] == sum(
+                    stage_four_words(cl, res, 170, _SKETCH[protocol]))
                 assert "xi-down" not in res.phase_words
                 if per_machine:
                     assert res.phase_words["delta-down"] == s * r * res.rank
                     assert "u-down" not in res.phase_words
-                    down[mode] = res.phase_words["delta-down"]
+                    down[widths] = res.phase_words["delta-down"]
                 else:
                     assert res.phase_words["u-down"] == s * cl.m * res.rank
                     assert "delta-down" not in res.phase_words
             if per_machine:
                 # the downlink does not grow with the width
-                assert down["exact"] == down["sketch"]
+                assert down[(xi, xi)] == down[(xi, xi + 1)]
         # an explicit sketch size sketches, however wide it is
         for explicit in (xi, s * xi):
             cl = _sparse_cluster(17, widths=(xi, xi))
@@ -298,30 +314,29 @@ class TestFinalizeBranches:
 
 @pytest.mark.parametrize("protocol", sorted(_PROTOCOLS))
 class TestDefaultSketchBranch:
-    """Past n = s * xi the default finalize ships the rank-k
-    projection-cost-preserving sketch, whose width is set by k and eps."""
+    """The default finalize ships the rank-k projection-cost-preserving
+    sketch, whose width is set by k and eps, from every machine for which
+    it is the shortest payload."""
 
     def test_stage_four_words_do_not_grow_with_n(self, protocol):
+        # a dense machine's R factor is r (r + 1) / 2 words once it holds r
+        # columns, and its sketch r * xi, so the sketch is shorter when
+        # r > 2 * xi - 1: here r = m = 40, with xi = 16 (sign) or 8 (count)
         run, Params = _PROTOCOLS[protocol]
-        s, k = 4, 2
+        s, k, m = 4, 1, 40
         xi = Params(k=k, eps=1.0, seed=0).resolve()[3]
+        assert m > 2 * xi - 1
         for per_machine in (False, True):
             up, down = {}, {}
-            for width in (40, 80):      # n = 160 and 320, both past s * xi = 128
-                cl = _dense_cluster(19, widths=(width,) * s)
-                assert cl.n > s * xi
+            for width in (40, 80):      # n = 160 and 320
+                cl = _dense_cluster(19, m=m, widths=(width,) * s)
                 res = run(cl, Params(k=k, eps=1.0, seed=190,
                                      per_machine_finalize=per_machine))
                 assert (res.finalize, res.xi) == ("sketch", xi)
                 assert selected_rank(cl, res) == cl.m
                 cap = s * cl.m * xi
-                if protocol == "fast":
-                    # a machine's CountSketch block holds at most its own
-                    # columns, so it ships raw when that is shorter than r * xi
-                    assert res.phase_words["subspace-up"] <= cap
-                    assert res.phase_words["subspace-up"] == fast_sketch_uplink(cl, res, 190)
-                else:
-                    assert res.phase_words["subspace-up"] == cap
+                assert res.phase_words["subspace-up"] == cap
+                assert cap == sum(stage_four_words(cl, res, 190, _SKETCH[protocol]))
                 up[width] = res.phase_words["subspace-up"]
                 if per_machine:
                     down[width] = res.phase_words["delta-down"]
@@ -334,13 +349,15 @@ class TestDefaultSketchBranch:
     def test_default_sketch_quality(self, protocol, data):
         run, Params = _PROTOCOLS[protocol]
         build = _dense_cluster if data == "dense" else _sparse_cluster
+        # the default width, given explicitly: at m = 30, rank C <= 30 is
+        # below 2 * xi - 1, so an exact payload would be shorter
         s, k, eps = 2, 2, 0.5
         xi = Params(k=k, eps=eps, seed=0).resolve()[3]
         ratios = []
         for seed in range(20):
             cl = build(200 + seed, widths=(2 * xi,) * s)     # n = 2 * s * xi
-            res = run(cl, Params(k=k, eps=eps, seed=2000 + seed))
-            assert res.finalize == "sketch"
+            res = run(cl, Params(k=k, eps=eps, seed=2000 + seed, xi_subspace=xi))
+            assert (res.finalize, res.xi) == ("sketch", xi)
             ratios.append(residual_ratio(cl.materialize(), res.U, k))
         assert float(np.median(ratios)) <= 1 + eps
 
@@ -360,8 +377,9 @@ class TestColumnPrice:
 @pytest.mark.parametrize("protocol", sorted(_PROTOCOLS))
 @pytest.mark.parametrize("branch", ["exact", "sketch"])
 class TestSpanCoordinates:
-    """Stage 4 ships Y^T A_i (T_i), r = rank C rows per machine, where C
-    holds more columns than A has rows."""
+    """Stage 4 works in span(C) coordinates, r = rank C, where C holds more
+    columns than A has rows: the R factor of (Y^T A_i)^T, r (r + 1) / 2
+    words once a machine holds r columns, or Y^T A_i T_i, r rows."""
 
     def _run(self, protocol, branch, **kw):
         run, Params = _PROTOCOLS[protocol]
@@ -375,13 +393,17 @@ class TestSpanCoordinates:
         assert res.finalize == branch
         r = selected_rank(cl, res)
         assert r <= cl.m < res.c_actual
-        width = cl.n if branch == "exact" else cl.s * res.xi
-        if (protocol, branch) == ("fast", "sketch"):
+        if branch == "exact":
+            # every machine holds 30 >= r columns, each dense: its R factor
+            # undercuts its 30 * (m + 1) raw words
+            assert res.phase_words["subspace-up"] == cl.s * r * (r + 1) // 2
+            assert r * (r + 1) // 2 < 30 * (cl.m + 1)
+        elif protocol == "fast":
             # the CountSketch blocks ship raw when that is shorter
-            assert res.phase_words["subspace-up"] <= r * width
+            assert res.phase_words["subspace-up"] <= r * cl.s * res.xi
             assert res.phase_words["subspace-up"] == fast_sketch_uplink(cl, res, 210)
         else:
-            assert res.phase_words["subspace-up"] == r * width
+            assert res.phase_words["subspace-up"] == r * cl.s * res.xi
         # every column of this input is dense, so each ships as m + 1 words
         assert res.phase_words["adaptive"] == len(res.adaptive_indices) * (cl.m + 1)
 
@@ -438,7 +460,7 @@ class TestSketchPayloads:
         payload = _sketch_payload(YT, block)
         assert isinstance(payload, np.ndarray) and payload.shape == (3, 1)
         words, raw = _sketch_payload(YT, np.zeros((5, 1)))   # 1 word < 3
-        assert words == 1 and not raw.any()
+        assert words == 1 and isinstance(raw, SparseColMatrix) and raw.nnz == 0
 
     def test_mixed_run_is_bitwise_across_modes(self):
         cl = self._mixed_cluster()
@@ -460,12 +482,42 @@ class TestSketchPayloads:
             cl = _sparse_cluster(24, phi=3)
             return cl, distributed_css_pca_fast(cl, self._PARAMS)
 
-        cl_raw, raw = run(lambda YT, B: (_cols_words(B), B))
+        cl_raw, raw = run(lambda YT, B: (_cols_words(B), SparseColMatrix.from_dense(B)))
         cl_proj, proj = run(lambda YT, B: YT @ B)
         r = selected_rank(cl_raw, raw)
         assert all(w < r * raw.xi for w in self._uplinks(cl_raw))
         assert self._uplinks(cl_proj) == [r * proj.xi] * cl_proj.s
         assert np.max(np.abs(raw.U - proj.U)) <= 1e-12
+
+    def test_raw_blocks_stay_entry_sized_until_the_lift(self, monkeypatch):
+        # every machine's 1000 x 256 block A_i T_i ships raw; the server
+        # keeps each in its column encoding and scatters them into one sum,
+        # so the stage-4 peak is about one dense block at any s
+        m, xi = 1000, 256
+        gather, peaks = Cluster.gather_sum_blocks, []
+
+        def traced(self, *args, **kw):
+            tracemalloc.reset_peak()
+            base = tracemalloc.get_traced_memory()[0]
+            out = gather(self, *args, **kw)
+            peaks.append(tracemalloc.get_traced_memory()[1] - base)
+            return out
+
+        monkeypatch.setattr(Cluster, "gather_sum_blocks", traced)
+        for s in (2, 8):
+            cl = Cluster([sparse_columns_block(280 + i, m, 40, 2) for i in range(s)],
+                         kind="column")
+            tracemalloc.start()
+            try:
+                res = distributed_css_pca_fast(cl, FastCssProtocolParams(
+                    k=1, eps=1.0, seed=280, xi_subspace=xi))
+            finally:
+                tracemalloc.stop()
+            r = selected_rank(cl, res)
+            assert all(w < r * xi for w in self._uplinks(cl))
+        block = m * xi * 8
+        assert peaks[1] <= 1.1 * peaks[0]
+        assert peaks[1] < 2 * block
 
     def test_ledger_is_the_decoded_payload_sizes(self, monkeypatch):
         sent = []
@@ -482,3 +534,146 @@ class TestSketchPayloads:
         assert {isinstance(p, tuple) for p in sent} == {True, False}
         assert self._uplinks(cl) == sizes
         assert res.phase_words["subspace-up"] == sum(sizes)
+
+
+@pytest.mark.parametrize("protocol", sorted(_PROTOCOLS))
+class TestStageFourPayloads:
+    """Each machine ships the shortest stage-4 payload that serves the
+    finalize: its raw columns or the R factor of (Y^T A_i)^T, both exact,
+    or its sketch, sized from its sparsity pattern before it is formed."""
+
+    @staticmethod
+    def _uplinks(cl):
+        return {msg.sender: msg.words for msg in cl.ledger.messages
+                if msg.phase == "subspace-up"}
+
+    @staticmethod
+    def _exact_cluster(parallel=False):
+        # no machine is wider than xi = 32; the sparse ones ship raw, the
+        # dense one its R factor
+        dense = lowrank_plus_noise(26, 30, 30, 2, 0.3)
+        blocks = [sparse_columns_block(260 + i, 30, 30, 3) for i in range(2)]
+        return Cluster([blocks[0], dense, blocks[1]], kind="column", parallel=parallel)
+
+    @staticmethod
+    def _mixed_cluster(parallel=False):
+        # at k = 1, eps = 1 and r = m = 40 > 2 * xi - 1, the 60-column dense
+        # machine sketches; the 8-column sparse one is no wider than xi and
+        # ships raw; the 20-column dense one ships its R factor (610 words)
+        # against a 640-word sign sketch, or sketches at 320 words
+        m = 40
+        dense = lowrank_plus_noise(25, m, 80, 1, 0.3)
+        return Cluster([dense[:, :60], sparse_columns_block(250, m, 8, 3), dense[:, 60:]],
+                       kind="column", parallel=parallel)
+
+    def test_all_exact_is_the_span_optimum(self, protocol):
+        run, Params = _PROTOCOLS[protocol]
+        cl = self._exact_cluster()
+        res = run(cl, Params(k=2, eps=1.0, seed=260))
+        assert res.finalize == "exact"
+        r = selected_rank(cl, res)
+        up = self._uplinks(cl)
+        assert up == {0: _cols_words(cl.part_dense(0)), 1: _r_words(30, r),
+                      2: _cols_words(cl.part_dense(2))}
+        assert up[0] < _r_words(30, r) < _cols_words(cl.part_dense(1))
+        A = cl.materialize()
+        proj = best_rank_k_in_colspan(A, A[:, res.core_indices + res.adaptive_indices], 2)
+        U = proj.basis @ proj.top
+        assert np.linalg.norm(res.U @ res.U.T - U @ U.T, 2) <= 1e-10
+
+    def test_forced_raw_and_forced_r_agree_bitwise(self, protocol, monkeypatch):
+        # the server forms a raw machine's R factor with the machine's kernel
+        run, Params = _PROTOCOLS[protocol]
+
+        def forced(kind):
+            monkeypatch.setattr(column_partition, "_payload_kind", lambda *words: kind)
+            cl = self._exact_cluster()
+            return cl, run(cl, Params(k=2, eps=1.0, seed=260))
+
+        cl_raw, raw = forced("raw")
+        cl_r, r_res = forced("R")
+        assert raw.finalize == r_res.finalize == "exact"
+        assert raw.U.tobytes() == r_res.U.tobytes()
+        r = selected_rank(cl_r, r_res)
+        assert self._uplinks(cl_raw) == {i: _cols_words(cl_raw.part_dense(i)) for i in range(3)}
+        assert self._uplinks(cl_r) == {i: _r_words(30, r) for i in range(3)}
+
+    def test_mixed_run_is_bitwise_across_modes(self, protocol):
+        run, Params = _PROTOCOLS[protocol]
+        params = Params(k=1, eps=1.0, seed=250)
+        cl = self._mixed_cluster()
+        serial = run(cl, params)
+        assert serial.finalize == "mixed"
+        up = self._uplinks(cl)
+        assert [up[i] for i in range(3)] == stage_four_words(cl, serial, 250,
+                                                             _SKETCH[protocol])
+        assert up[1] == _cols_words(cl.part_dense(1))
+        cp = self._mixed_cluster(parallel=True)
+        parallel = run(cp, params)
+        assert parallel.U.tobytes() == serial.U.tobytes()
+        assert cp.ledger.messages == cl.ledger.messages
+        A = cl.materialize()
+        C = A[:, serial.core_indices + serial.adaptive_indices]
+        err = span_residual_sq(A, serial.U)
+        assert err <= (1 + params.eps) * colspan_residual_sq(A, C, 1)
+
+    def test_exact_machines_never_form_their_sketch(self, protocol):
+        _, Params = _PROTOCOLS[protocol]
+        kernels = _KERNELS[protocol]
+        asked = set()
+
+        def finalize(cluster, parts, xi, seed):
+            block = kernels.finalize(cluster, parts, xi, seed)
+
+            def counted(i, lo, hi):
+                asked.add(i)
+                return block(i, lo, hi)
+            return counted
+
+        cl = self._mixed_cluster()
+        res = run_css_protocol(cl, Params(k=1, eps=1.0, seed=250),
+                               dataclasses.replace(kernels, finalize=finalize))
+        assert res.finalize == "mixed"
+        # the exact payloads go in one round, the sketch blocks in the next
+        rounds: dict[int, set[int]] = {}
+        for msg in cl.ledger.messages:
+            if msg.phase == "subspace-up":
+                rounds.setdefault(msg.round_no, set()).add(msg.sender)
+        exact_round, sketch_round = sorted(rounds)
+        assert asked == rounds[sketch_round] and not asked & rounds[exact_round]
+        assert 1 in rounds[exact_round]
+
+    def test_bound_covers_the_sketch_words(self, protocol):
+        kernels = _KERNELS[protocol]
+        m, xi, seed = 20, 600, 7
+        assert _FINALIZE_BLOCK < xi      # two blocks
+        # cancelling columns: two entries in row 3 whose sketched terms sum
+        # to zero in some sketch column, so the block holds fewer nonzeros
+        # than its support
+        cancel = np.zeros((m, 100))
+        if protocol == "fast":
+            # two columns hashed into one bucket, with opposite sketched terms
+            emb = sparse_embedding(xi, 100, seed)
+            j1, j2 = next((a, b) for b in range(100) for a in range(b)
+                          if emb.buckets[a] == emb.buckets[b])
+            cancel[3, [j1, j2]] = 1.0, -emb.signs[j1] * emb.signs[j2]
+        else:
+            # a sign-sketch column sums the two terms with opposite signs
+            # about half the time
+            cancel[3, :2] = 1.0
+        clusters = [_sparse_cluster(27, m=m, widths=(700, 40), phi=3),
+                    Cluster([cancel], kind="column")]
+        cancelled = False
+        for cl in clusters:
+            parts = [kernels.part(cl, i) for i in range(cl.s)]
+            support = kernels.sketch_support(cl, parts, xi, seed)
+            sketch = kernels.finalize(cl, parts, xi, seed)
+            for r in (1, 5, m):
+                for i in range(cl.s):
+                    blocks = [sketch(i, lo, min(lo + _FINALIZE_BLOCK, xi))
+                              for lo in range(0, xi, _FINALIZE_BLOCK)]
+                    actual = sum(min(r * B.shape[1], _cols_words(B)) for B in blocks)
+                    bound = _sketch_bound(support(i), r, m)
+                    assert bound >= actual
+                    cancelled |= bound > actual
+        assert cancelled

@@ -12,6 +12,7 @@ from conftest import (
     rand_orthonormal,
     selected_rank,
     sparse_columns_block,
+    stage_four_words,
 )
 from sketchpca.cluster import Cluster
 from sketchpca.column_select import bss_sampling, sample_proportional
@@ -598,10 +599,12 @@ class TestApproxSubspaceSvdSparse:
 
     def test_xi_default_is_the_pcp_width(self):
         # a rank-1 projection-cost-preserving CountSketch at eps / 2 = 1/4:
-        # 32 buckets at any width; sketched past n = s * 32 = 64, exact below
-        res, _ = self._run(sparse_random(4, 12, 100), k=1, eps=0.5, seed=1, c2=0)
+        # 32 buckets at any width.  With c2 = 0, rank C <= c1 = 4, so an R
+        # factor of at most 10 words undercuts the sketch, wide or narrow
+        res, cl = self._run(sparse_random(4, 12, 100), k=1, eps=0.5, seed=1, c2=0)
         assert res.xi == embedding_dim(1, 0.25) == 32
-        assert res.finalize == "sketch"
+        assert res.finalize == "exact"
+        assert res.phase_words["subspace-up"] == sum(stage_four_words(cl, res, 1, "count"))
         small, _ = self._run(sparse_random(6, 12, 20), k=1, eps=0.5, seed=1, c2=0)
         assert (small.xi, small.finalize) == (32, "exact")
 
@@ -680,8 +683,10 @@ class TestFastProtocol:
         res = distributed_css_pca_fast(cl, _params(k=2, seed=200))
         s = 4
         assert res.phase_words["adaptive-meta"] == 2 * s
+        # 30-column machines, no wider than xi = 32: each ships exactly, its
+        # raw columns or its R factor, whichever is shorter
         assert res.finalize == "exact"
-        assert res.phase_words["subspace-up"] == selected_rank(cl, res) * cl.n
+        assert res.phase_words["subspace-up"] == sum(stage_four_words(cl, res, 200, "count"))
         assert res.phase_words["u-down"] == s * 30 * res.rank
         assert res.total_words == sum(res.phase_words.values())
 
