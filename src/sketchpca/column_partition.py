@@ -31,9 +31,10 @@ Four stages:
    - its sketch Y^T A_i T_i, for a shared seeded rank-k
      projection-cost-preserving sketch T (Cohen, Elder, Musco, Musco and
      Persu, "Dimensionality reduction for k-means clustering and low rank
-     approximation", STOC 2015) of width xi, set by k and eps alone.  It is
-     formed and sent in blocks of w sketch columns, so no machine's whole
-     product is ever built.  Each block goes as its r x w projection or,
+     approximation", STOC 2015) of width xi, set by k and eps alone, and
+     scaled so that E[T T^T] = I: sketched columns then weigh in the
+     finalize what exact ones do.  It is formed and sent in blocks of w
+     sketch columns, so no machine's whole product is ever built.  Each block goes as its r x w projection or,
      when strictly shorter, raw: A_i T_i itself, column-encoded.  A
      CountSketch of sparse columns stays sparse (Clarkson and Woodruff,
      "Low rank approximation and regression in input sparsity time", STOC
@@ -238,14 +239,15 @@ class CssKernels:
     core_select(params, G, c1) -> c1 positions in G;
     residual_masses(params, cluster, parts, C) -> each block's per-column
     residual mass off span(C); coefficients(YT, P) -> YT @ P for a block P,
-    whose R factor an exact payload carries; sketch_support(cluster, parts,
-    xi, seed) -> fn(i), for each of the xi columns of A_i T_i a bound on its
-    nonzeros read from block i's sparsity pattern alone; finalize(cluster,
-    parts, xi, seed) -> fn(i, lo, hi), sketch columns lo..hi-1 of A_i T_i
-    for the shared xi-column sketch T (a sign sketch here, a
-    one-nonzero-per-column embedding in column_select_sparse).  The driver
-    ships each such block in at most r * (hi - lo) words, raw when smaller,
-    so at most r * xi words per sketching machine.
+    whose R factor an exact payload carries; finalize(cluster, parts, xi,
+    seed) -> (support, block), both over one shared xi-column sketch T with
+    E[T T^T] = I (a 1 / sqrt(xi)-scaled sign sketch here, a
+    one-nonzero-per-column embedding in column_select_sparse), so sketched
+    columns weigh what exact ones do in the stacked finalize: support(i)
+    bounds the nonzeros of each column of A_i T_i from block i's sparsity
+    pattern alone, and block(i, lo, hi) forms sketch columns lo..hi-1 of
+    A_i T_i.  The driver ships each such block in at most r * (hi - lo)
+    words, raw when smaller, so at most r * xi words per sketching machine.
     """
 
     resolve: Callable
@@ -254,7 +256,6 @@ class CssKernels:
     core_select: Callable
     residual_masses: Callable
     coefficients: Callable
-    sketch_support: Callable
     finalize: Callable
 
 
@@ -334,9 +335,8 @@ def run_css_protocol(cluster: Cluster, params, kernels: CssKernels) -> CssPcaRes
     c_actual = C_full.shape[1]
     Y = orthonormal_basis(C_full)
     r = Y.shape[1]
-    seed4 = derive_seed(params.seed, TAG_CSS_SUBSPACE)
-    support = (None if params.xi_subspace is not None
-               else kernels.sketch_support(cluster, parts, xi, seed4))
+    support, sketch = kernels.finalize(cluster, parts, xi,
+                                       derive_seed(params.seed, TAG_CSS_SUBSPACE))
 
     def exact_payload(i, _):
         # (words, columns) raw, the packed R factor, or None to sketch.  A
@@ -345,7 +345,7 @@ def run_css_protocol(cluster: Cluster, params, kernels: CssKernels) -> CssPcaRes
         # exactly
         n_i = parts[i].shape[1]
         raw_words = _cols_words(parts[i])
-        kind = "sketch" if support is None else _payload_kind(
+        kind = "sketch" if params.xi_subspace is not None else _payload_kind(
             raw_words, _r_words(n_i, r),
             _sketch_bound(support(i), r, m) if xi < n_i else None)
         if kind == "sketch":
@@ -370,8 +370,6 @@ def run_css_protocol(cluster: Cluster, params, kernels: CssKernels) -> CssPcaRes
             factors = [_r_factor(np.hstack(factors)).T]
     raw: list[tuple[int, int]] = []    # (words, width) of each raw sketch block decoded
     if sketchers:
-        sketch = kernels.finalize(cluster, parts, xi, seed4)
-
         def lift(blocks):
             # the server scatters the raw blocks into one sum, in machine
             # order, then projects it once
@@ -431,18 +429,17 @@ def _exact_residual_masses(params, cluster, parts, C):
     return masses
 
 
-def _exact_sketch_support(cluster, parts, xi, seed):
-    # a sign-sketch column of A_i is nonzero at most on A_i's nonzero rows
-    return lambda i: np.full(xi, np.count_nonzero(parts[i].any(axis=1)))
-
-
 def _exact_finalize(cluster, parts, xi, seed):
-    W = sign_sketch(xi, cluster.n, seed, scale=1.0)
+    W = sign_sketch(xi, cluster.n, seed)
+
+    def support(i):
+        # a sign-sketch column of A_i is nonzero at most on A_i's nonzero rows
+        return np.full(xi, np.count_nonzero(parts[i].any(axis=1)))
 
     def block(i, lo, hi):
         a, b = cluster.col_offsets[i], cluster.col_offsets[i + 1]
         return parts[i] @ W.materialize_cols(np.arange(a, b), lo, hi).T
-    return block
+    return support, block
 
 
 _EXACT_KERNELS = CssKernels(
@@ -452,7 +449,6 @@ _EXACT_KERNELS = CssKernels(
     core_select=lambda params, G, c1: deterministic_css(G, params.k, c1).indices,
     residual_masses=_exact_residual_masses,
     coefficients=lambda YT, P: YT @ P,
-    sketch_support=_exact_sketch_support,
     finalize=_exact_finalize,
 )
 

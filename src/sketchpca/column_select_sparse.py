@@ -457,22 +457,17 @@ def _fast_residual_masses(params, cluster, parts, C):
     return masses
 
 
-def _fast_sketch_support(cluster, parts, xi, seed):
-    # a CountSketch column of A_i is nonzero at most on the rows of the
-    # entries hashed into its bucket: count the distinct (bucket, row) pairs
-    buckets = sparse_embedding(xi, cluster.n, seed).buckets
-
-    def support(i):
-        P = parts[i]
-        cols = cluster.col_offsets[i] + np.repeat(np.arange(P.n_cols), P.col_nnz())
-        pairs = np.unique(buckets[cols] * P.n_rows + P.indices)
-        return np.bincount(pairs // P.n_rows, minlength=xi)
-    return support
-
-
 def _fast_finalize(cluster, parts, xi, seed):
     emb = sparse_embedding(xi, cluster.n, seed)
-    return lambda i, lo, hi: embed_cols(emb, parts[i], cluster.col_offsets[i], lo, hi)
+
+    def support(i):
+        # a CountSketch column of A_i is nonzero at most on the rows of the
+        # entries hashed into its bucket: count the distinct (bucket, row) pairs
+        P = parts[i]
+        cols = cluster.col_offsets[i] + np.repeat(np.arange(P.n_cols), P.col_nnz())
+        pairs = np.unique(emb.buckets[cols] * P.n_rows + P.indices)
+        return np.bincount(pairs // P.n_rows, minlength=xi)
+    return support, lambda i, lo, hi: embed_cols(emb, parts[i], cluster.col_offsets[i], lo, hi)
 
 
 _FAST_KERNELS = CssKernels(
@@ -483,7 +478,6 @@ _FAST_KERNELS = CssKernels(
         G, params.k, derive_seed(params.seed, TAG_FAST_CORE)).indices,
     residual_masses=_fast_residual_masses,
     coefficients=dense_times_sparse,
-    sketch_support=_fast_sketch_support,
     finalize=_fast_finalize,
 )
 

@@ -95,7 +95,7 @@ def stage_four_words(cluster, res, seed: int, sketch: str) -> list[int]:
 
     r, xi = selected_rank(cluster, res), res.xi
     seed = derive_seed(seed, TAG_CSS_SUBSPACE)
-    T = (sign_sketch(xi, cluster.n, seed, scale=1.0) if sketch == "sign"
+    T = (sign_sketch(xi, cluster.n, seed) if sketch == "sign"
          else sparse_embedding(xi, cluster.n, seed)).materialize()
     words = []
     for i in range(cluster.s):

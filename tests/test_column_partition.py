@@ -414,8 +414,8 @@ class TestSpanCoordinates:
         if branch == "sketch":
             kernels = _KERNELS[protocol]
             parts = [kernels.part(cl, i) for i in range(cl.s)]
-            sketch = kernels.finalize(cl, parts, res.xi,
-                                      derive_seed(params.seed, TAG_CSS_SUBSPACE))
+            _, sketch = kernels.finalize(cl, parts, res.xi,
+                                         derive_seed(params.seed, TAG_CSS_SUBSPACE))
             A = sum(sketch(i, 0, res.xi) for i in range(cl.s))
         # C^T A mapped into span(C) coordinates through W = S_r^-1 V_r^T
         Uc, sigma, Vt = np.linalg.svd(C, full_matrices=False)
@@ -617,18 +617,42 @@ class TestStageFourPayloads:
         err = span_residual_sq(A, serial.U)
         assert err <= (1 + params.eps) * colspan_residual_sq(A, C, 1)
 
+    def test_mixed_run_weighs_sketched_and_exact_columns_alike(self, protocol):
+        # the sketched machine's 160 columns lie along u, Frobenius norm 1;
+        # the exact machine's 8 lie along e_0, norm 3.  A sketch that
+        # counted its columns xi times over would pick u, at about six
+        # times the optimum
+        run, Params = _PROTOCOLS[protocol]
+        m = 40
+        rng = np.random.default_rng(31)
+        u = rng.standard_normal(m)
+        u[0] = 0.0
+        v = rng.standard_normal(160)
+        sketched = np.outer(u / np.linalg.norm(u), v / np.linalg.norm(v))
+        exact = np.zeros((m, 8))
+        exact[0] = 3.0 * rng.choice([-1.0, 1.0], 8) / np.sqrt(8)
+        cl = Cluster([sketched + 0.01 * rng.standard_normal((m, 160)), exact], kind="column")
+        res = run(cl, Params(k=1, eps=1.0, seed=251, c2=100))
+        assert res.finalize == "mixed"
+        up = self._uplinks(cl)
+        assert up[1] == _cols_words(exact)
+        assert up[0] <= selected_rank(cl, res) * res.xi
+        A = cl.materialize()
+        C = A[:, res.core_indices + res.adaptive_indices]
+        assert span_residual_sq(A, res.U) <= 1.01 * colspan_residual_sq(A, C, 1)
+
     def test_exact_machines_never_form_their_sketch(self, protocol):
         _, Params = _PROTOCOLS[protocol]
         kernels = _KERNELS[protocol]
         asked = set()
 
         def finalize(cluster, parts, xi, seed):
-            block = kernels.finalize(cluster, parts, xi, seed)
+            support, block = kernels.finalize(cluster, parts, xi, seed)
 
             def counted(i, lo, hi):
                 asked.add(i)
                 return block(i, lo, hi)
-            return counted
+            return support, counted
 
         cl = self._mixed_cluster()
         res = run_css_protocol(cl, Params(k=1, eps=1.0, seed=250),
@@ -666,8 +690,7 @@ class TestStageFourPayloads:
         cancelled = False
         for cl in clusters:
             parts = [kernels.part(cl, i) for i in range(cl.s)]
-            support = kernels.sketch_support(cl, parts, xi, seed)
-            sketch = kernels.finalize(cl, parts, xi, seed)
+            support, sketch = kernels.finalize(cl, parts, xi, seed)
             for r in (1, 5, m):
                 for i in range(cl.s):
                     blocks = [sketch(i, lo, min(lo + _FINALIZE_BLOCK, xi))

@@ -622,7 +622,7 @@ class TestApproxSubspaceSvdSparse:
             _FAST_KERNELS.coefficients(CT, P)
             assert TOUCHES.count == P.nnz
         TOUCHES.reset()
-        block = _FAST_KERNELS.finalize(cl, cl.parts, 7, 3)
+        _, block = _FAST_KERNELS.finalize(cl, cl.parts, 7, 3)
         for i in range(cl.s):
             for lo in range(0, 7, 3):
                 block(i, lo, min(lo + 3, 7))
