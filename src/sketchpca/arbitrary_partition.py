@@ -15,6 +15,14 @@ A cheap 2k x 2k probe decides between two branches:
   default scale comes from the gathered sketch, so no data moves off the
   ledger.
 
+Each machine multiplies only its nonzero row range: the smallest contiguous
+rows holding every nonzero of its summand, found once when the Cluster is
+built (Cluster.row_ranges).  Its two-sided products take the matching
+columns of the left factor and run through batch.sketch_two_sided, and its
+m-row products (the span and the lift) fill those rows of a zero block.  A
+row-block summand so costs its own rows only, and an all-zero summand
+contributes exact zeros.
+
 Every phase has a closed-form word count that is independent of n:
 doubling the width of the input leaves the ledger unchanged.  The protocol
 asserts its own ledger against those forms.
@@ -30,6 +38,7 @@ import numpy as np
 from .batch import (
     TAG_NOISE,
     basis_from_lift,
+    in_rows,
     lift_through_right,
     pca_sketches,
     sketch_two_sided,
@@ -100,6 +109,23 @@ class ArbResult:
     params: ArbProtocolParams
 
 
+def _gather_two_sided(cluster: Cluster, phase: str, L: np.ndarray,
+                      R: np.ndarray) -> np.ndarray:
+    """gather_sum of L @ B_i @ R, machine i multiplying only its nonzero
+    row range rs: sketch_two_sided(B_i[rs], L[:, rs], R)."""
+    rows = cluster.row_ranges
+    return cluster.gather_sum(phase, cluster.map_machines(
+        lambda i, B: sketch_two_sided(B[rows[i]], L[:, rows[i]], R)))
+
+
+def _gather_rows(cluster: Cluster, phase: str, fn) -> np.ndarray:
+    """gather_sum of m-row products: machine i forms fn(B_i[rs]) on its
+    nonzero row range rs and ships it in rows rs of an m-row zero block."""
+    rows = cluster.row_ranges
+    return cluster.gather_sum(phase, cluster.map_machines(
+        lambda i, B: in_rows(cluster.m, rows[i], fn(B[rows[i]]))))
+
+
 @dataclass(frozen=True)
 class _Probe:
     full: bool
@@ -120,7 +146,7 @@ def _run_probe(cluster: Cluster, k: int, probe_seed: int) -> _Probe:
     Hl = rng.standard_normal((2 * k, m))
     Hrt = rng.standard_normal((n, 2 * k))
     cluster.record_broadcast("rank-test-seed", 2)
-    G = cluster.gather_sum("rank-test-up", cluster.map_machines(lambda i, B: (Hl @ B) @ Hrt))
+    G = _gather_two_sided(cluster, "rank-test-up", Hl, Hrt)
     r = numeric_rank(G)
     return _Probe(r == 2 * k, r, Hrt)
 
@@ -157,7 +183,7 @@ def low_rank_protocol(cluster: Cluster, params: ArbProtocolParams,
             tag = TAG_RANK_TEST if attempt == 0 else TAG_RANK_TEST_RETRY
             cur = _run_probe(cluster, k, derive_seed(params.seed, tag))
         Hrt = cur.Hrt
-        C = cluster.gather_sum("span-up", cluster.map_machines(lambda i, B: B @ Hrt))
+        C = _gather_rows(cluster, "span-up", lambda B: B @ Hrt)
         if numeric_rank(C) == cur.probe_rank:
             break
         if attempt == 1:
@@ -170,8 +196,8 @@ def low_rank_protocol(cluster: Cluster, params: ArbProtocolParams,
     xi_a = params.xi_affine if params.xi_affine is not None else affine_dim(k, params.eps)
     Tl = sign_sketch(xi_a, m, derive_seed(params.seed, TAG_AFFINE_LEFT)).materialize()
     Trr = sign_sketch(xi_a, cluster.n, derive_seed(params.seed, TAG_AFFINE_RIGHT)).materialize().T
-    Msum = cluster.gather_sum("affine-up", cluster.map_machines(lambda i, B: (Tl @ B) @ Trr))
-    Lsum = cluster.gather_sum("regress-up", cluster.map_machines(lambda i, B: (C.T @ B) @ Trr))
+    Msum = _gather_two_sided(cluster, "affine-up", Tl, Trr)
+    Lsum = _gather_two_sided(cluster, "regress-up", C.T, Trr)
 
     N = Tl @ C
     X = rank_constrained_affine_solve(Msum, N, Lsum, k)
@@ -198,6 +224,10 @@ def smoothed_protocol(cluster: Cluster, params: ArbProtocolParams) -> ArbResult:
 
     Runs the batch pipeline with partition-summed sketches; with zero noise
     and the trivial partition it reproduces batch_low_rank bit for bit.
+    Machine i sketches S[:, rs] @ B_i[rs] @ Tr and lifts B_i[rs] @ (Tr @ V)
+    over its nonzero row range rs only, into rows rs of its m x k payload;
+    batch_low_rank trims A by the same rule and calls the same helpers, so
+    the bits agree even when A has zero rows.
 
     The perturbation is the seeded sign grid N = eta * (+-1), m x n.  It is
     public (seed and eta), so the server adds its terms itself and no
@@ -215,8 +245,7 @@ def smoothed_protocol(cluster: Cluster, params: ArbProtocolParams) -> ArbResult:
     xi = params.xi_sketch if params.xi_sketch is not None else dense_pca_dim(k, params.eps)
     S, Tr = pca_sketches(m, n, k, params.eps, params.seed, xi, xi)
 
-    small = cluster.gather_sum(
-        "sketch-up", cluster.map_machines(lambda i, B: sketch_two_sided(B, S, Tr)))
+    small = _gather_two_sided(cluster, "sketch-up", S, Tr)
     eta = params.noise_scale
     if eta is None:
         eta = DEFAULT_NOISE_REL * float(np.linalg.norm(small, "fro")) / math.sqrt(max(m * n, 1))
@@ -231,8 +260,7 @@ def smoothed_protocol(cluster: Cluster, params: ArbProtocolParams) -> ArbResult:
     V = truncated_svd(small, kk).V
     V = round_to_multiple(V, params.rounding)
     cluster.record_broadcast("V-down", V.size)
-    Xsum = cluster.gather_sum(
-        "X-up", cluster.map_machines(lambda i, B: lift_through_right(B, Tr, V)))
+    Xsum = _gather_rows(cluster, "X-up", lambda B: lift_through_right(B, Tr, V))
     if NTr is not None:
         Xsum = Xsum + NTr @ V
     U, r, deficient = basis_from_lift(Xsum)

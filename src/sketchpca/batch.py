@@ -9,10 +9,13 @@ them back through the right sketch, and orthonormalizes:
     X  = A @ (Tr @ V)        lifted m x k factor
     U  = orthonormal basis of X
 
-The association order of the products is part of the contract: distributed
-callers compute the same products per partition and sum, so the batch path
-must combine factors in exactly the same order for the trivial partition to
-reproduce identical bits.
+Both products run over the nonzero row range of the input only (the
+smallest contiguous rows holding every nonzero, nonzero_row_range), so the
+rows a summand does not hold cost nothing.  Distributed callers compute the
+same products per partition and sum, so the batch path calls the same two
+helpers on the same trimmed operands: sketch_two_sided picks its
+association order from the operand shapes alone, and the trivial partition
+reproduces identical bits.
 """
 
 from __future__ import annotations
@@ -22,7 +25,13 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import InputError
-from .linalg import as_matrix, finalize_basis, round_to_multiple, truncated_svd
+from .linalg import (
+    as_matrix,
+    finalize_basis,
+    nonzero_row_range,
+    round_to_multiple,
+    truncated_svd,
+)
 from .sketches import dense_pca_dim, derive_seed, sign_sketch
 
 TAG_SKETCH_LEFT = "pca-sketch-left"
@@ -60,9 +69,26 @@ def pca_sketches(m: int, n: int, k: int, eps: float, seed: int,
     return S, Tr
 
 
+def in_rows(m: int, rows: slice, Y: np.ndarray) -> np.ndarray:
+    """Y placed in rows `rows` of an m-row zero block: the full-height form
+    of a product B[rows] @ W whose other rows of B are zero."""
+    X = np.zeros((m, Y.shape[1]))
+    X[rows] = Y
+    return X
+
+
 def sketch_two_sided(B: np.ndarray, S: np.ndarray, Tr: np.ndarray) -> np.ndarray:
-    """(S @ B) @ Tr in this association order, shared across call sites."""
-    return (S @ B) @ Tr
+    """S @ B @ Tr in the association order with fewer multiply-adds.
+
+    For S a x b, B b x c and Tr c x d, (S @ B) @ Tr costs abc + acd and
+    S @ (B @ Tr) costs bcd + abd; ties keep (S @ B) @ Tr.  The choice reads
+    only the shapes, so every call site with the same operands gets the
+    same bits."""
+    a, b = S.shape
+    c, d = Tr.shape
+    if a * b * c + a * c * d <= b * c * d + a * b * d:
+        return (S @ B) @ Tr
+    return S @ (B @ Tr)
 
 
 def lift_through_right(B: np.ndarray, Tr: np.ndarray, V: np.ndarray) -> np.ndarray:
@@ -95,9 +121,10 @@ def batch_low_rank(A, k: int, eps: float, seed: int, *,
         raise InputError("eps must be positive")
     m, n = A.shape
     S, Tr = pca_sketches(m, n, k, eps, seed, xi_left, xi_right)
-    small = sketch_two_sided(A, S, Tr)
+    rows = nonzero_row_range(A)
+    small = sketch_two_sided(A[rows], S[:, rows], Tr)
     V = truncated_svd(small, min(k, min(small.shape))).V
     V = round_to_multiple(V, rounding)
-    X = lift_through_right(A, Tr, V)
+    X = in_rows(m, rows, lift_through_right(A[rows], Tr, V))
     U, r, deficient = basis_from_lift(X)
     return BatchResult(U, r, deficient, S.shape[0], Tr.shape[1], seed)

@@ -22,6 +22,7 @@ from functools import reduce
 import numpy as np
 
 from .errors import InputError, InternalError, ProtocolError
+from .linalg import nonzero_row_range
 from .sparse import SparseColMatrix
 
 SERVER = -1
@@ -75,7 +76,10 @@ class CommLedger:
 class Cluster:
     """s machines holding a partitioned matrix, plus a coordinating server.
 
-    kind "arbitrary": each part is a dense m x n summand of A.
+    kind "arbitrary": each part is a dense m x n summand of A, and
+                      row_ranges[i] is the nonzero row range of part i
+                      (linalg.nonzero_row_range), found once here: the
+                      machine's products run over those rows only.
     kind "column":    part i holds a contiguous block of columns, dense or
                       column-sparse; global column l belongs to the machine
                       whose offset range contains l.
@@ -97,6 +101,7 @@ class Cluster:
             if len(shapes) != 1 or self.parts[0].ndim != 2:
                 raise InputError("arbitrary partition needs equal-shape dense parts")
             self.m, self.n = self.parts[0].shape
+            self.row_ranges = [nonzero_row_range(p) for p in self.parts]
             self.col_offsets = None
         else:
             self.parts = [p if isinstance(p, SparseColMatrix)
@@ -105,6 +110,7 @@ class Cluster:
             if len(heights) != 1:
                 raise InputError("column partition needs a common row count")
             self.m = self.parts[0].shape[0]
+            self.row_ranges = None
             widths = [p.shape[1] for p in self.parts]
             self.col_offsets = [0]
             for w in widths:

@@ -257,8 +257,12 @@ def sparse_svd_boosting(A, k: int, eps: float, delta: float, seed: int) -> np.nd
 
     Generates repeats = ceil(log2(1/delta)) + 1 candidates on sub-seeds
     derive(derive(seed, TAG_BOOST), i) and keeps the one minimizing
-    ||S A - (S A Z) Z^T||_F^2 for one shared sign JL map S; the dense
-    residual is never formed.  Ties keep the lowest candidate index.
+    ||S A - (S A Z) Z^T||_F^2 for one shared sign JL map S.  Each Z has
+    orthonormal columns, so that residual is ||S A||_F^2 - ||S A Z||_F^2,
+    and the kept candidate is the one maximizing ||S A Z||_F^2: one pass
+    over A multiplies every candidate at once, S is applied to that m x
+    (repeats k) product in row blocks, and neither S A nor S itself is
+    formed.  Ties keep the lowest candidate index.
     """
     A = _as_sparse(A)
     params = FastParams(k, eps, delta)
@@ -267,9 +271,10 @@ def sparse_svd_boosting(A, k: int, eps: float, delta: float, seed: int) -> np.nd
         for i in range(params.repeats)
     ]
     S = jlt_sketch(max(A.n_cols, 1), A.n_rows, derive_seed(seed, TAG_BOOST_SCORE))
-    SA = dense_times_sparse(S.materialize(), A)
-    scores = [float(np.sum((SA - (SA @ Z) @ Z.T) ** 2)) for Z in cands]
-    return cands[int(np.argmin(scores))]
+    SAZ = S.apply_left(right_multiply(A, np.hstack(cands)))
+    ends = np.cumsum([Z.shape[1] for Z in cands])
+    scores = [float(np.sum(SAZ[:, hi - Z.shape[1]:hi] ** 2)) for Z, hi in zip(cands, ends)]
+    return cands[int(np.argmax(scores))]
 
 
 # -- repeated barrier sampling ------------------------------------------

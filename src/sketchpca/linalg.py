@@ -36,6 +36,13 @@ def as_matrix(a, name: str = "matrix") -> np.ndarray:
     return arr
 
 
+def nonzero_row_range(B: np.ndarray) -> slice:
+    """The smallest contiguous row range holding every nonzero of B; empty
+    when B is all zero."""
+    rows = np.flatnonzero(np.any(B, axis=1))
+    return slice(int(rows[0]), int(rows[-1]) + 1) if rows.size else slice(0, 0)
+
+
 def _rank(sigma: np.ndarray, shape: tuple[int, int]) -> int:
     """Numeric rank from the singular values of a matrix of this shape."""
     return int(np.sum(sigma > DEFAULT_RANK_TOL * max(shape) * sigma.max(initial=0.0)))

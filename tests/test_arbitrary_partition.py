@@ -357,3 +357,78 @@ class TestServerSideNoise:
             tracemalloc.stop()
         assert res.branch == "smoothed" and "perturbed" in res.flags
         assert peak < 8 * m * n
+
+
+class TestRowRanges:
+    """Each machine multiplies only its nonzero row range."""
+
+    @staticmethod
+    def _row_blocks(A, blocks):
+        parts = []
+        for lo, hi in blocks:
+            P = np.zeros_like(A)
+            P[lo:hi] = A[lo:hi]
+            parts.append(P)
+        return parts + [np.zeros_like(A)]
+
+    def test_ranges_found_once_per_part(self):
+        A = rand_matrix(0, 12, 5)
+        cl = Cluster(self._row_blocks(A, [(1, 4), (6, 11)]))
+        assert cl.row_ranges == [slice(1, 4), slice(6, 11), slice(0, 0)]
+        assert Cluster([A], kind="column").row_ranges is None
+
+    @pytest.mark.parametrize("low_rank", [False, True])
+    def test_products_never_read_outside_a_machine_row_range(self, monkeypatch, low_rank):
+        # machines hold rows 2..6 and 9..14 of 20, plus a zero part; every
+        # column of S, Hl, Tl and C^T outside those rows turns NaN before the
+        # machines see it, and every payload must stay finite and unchanged
+        m, n, k = 20, 30, 3 if low_rank else 2
+        A = rank_exactly(3, m, n, 3) if low_rank else rand_matrix(3, m, n)
+        parts = self._row_blocks(A, [(2, 7), (9, 15)])
+        held = np.zeros(m, dtype=bool)
+        held[2:7] = held[9:15] = True
+        real = ap._gather_two_sided
+        poisoned = []
+
+        def poison(cluster, phase, L, R):
+            L = np.array(L)
+            L[:, ~held] = np.nan
+            poisoned.append(phase)
+            return real(cluster, phase, L, R)
+
+        clean = ap.distributed_pca_arbitrary(Cluster(parts), _params(k=k, seed=41))
+        payloads = []
+        gather = Cluster.gather_sum
+
+        def recording(self, phase, arrays):
+            arrays = list(arrays)
+            payloads.extend((phase, a) for a in arrays)
+            return gather(self, phase, arrays)
+
+        monkeypatch.setattr(ap, "_gather_two_sided", poison)
+        monkeypatch.setattr(Cluster, "gather_sum", recording)
+        res = ap.distributed_pca_arbitrary(Cluster(parts), _params(k=k, seed=41))
+        assert res.branch == clean.branch == ("low-rank" if low_rank else "smoothed")
+        want = ({"rank-test-up", "affine-up", "regress-up"} if low_rank
+                else {"rank-test-up", "sketch-up"})
+        assert set(poisoned) == want
+        assert {p for p, _ in payloads} == want | {"span-up" if low_rank else "X-up"}
+        for phase, a in payloads:
+            assert np.all(np.isfinite(a)), phase
+        assert res.U.tobytes() == clean.U.tobytes()
+
+    def test_zero_noise_matches_batch_bitwise_with_zero_edge_rows(self):
+        # 40 x 30 with rows 0..5 and 34..39 zero: the full sketch takes
+        # (S A) Tr (n <= m), the trimmed 28 rows take S (A Tr), so a batch
+        # path and a protocol that disagreed on trimming would differ in bits
+        for seed in range(6):
+            A = lowrank_plus_noise(seed, 40, 30, 3, 0.05)
+            A[:6] = 0.0
+            A[-6:] = 0.0
+            cl = Cluster([np.zeros_like(A), A, np.zeros_like(A)])
+            res = ap.distributed_pca_arbitrary(
+                cl, _params(k=3, seed=seed + 60, noise_scale=0.0))
+            ref = batch_low_rank(A, 3, 0.5, seed=seed + 60)
+            assert cl.row_ranges[1] == slice(6, 34)
+            assert res.branch == "smoothed"
+            assert res.U.tobytes() == ref.U.tobytes()

@@ -6,9 +6,9 @@ import numpy as np
 import pytest
 
 from conftest import lowrank_plus_noise, rand_matrix, rank_exactly
-from sketchpca.batch import batch_low_rank, pca_sketches
+from sketchpca.batch import batch_low_rank, pca_sketches, sketch_two_sided
 from sketchpca.errors import InputError
-from sketchpca.linalg import residual_ratio
+from sketchpca.linalg import nonzero_row_range, residual_ratio
 
 
 class TestBatchLowRank:
@@ -67,3 +67,26 @@ class TestSketchPair:
         S2, T2 = pca_sketches(10, 20, 2, 0.5, seed=99)
         assert S1.tobytes() == S2.tobytes() and T1.tobytes() == T2.tobytes()
         assert S1.shape == (32, 10) and T1.shape == (20, 32)
+
+
+class TestTwoSidedOrder:
+    # S is a x b, B b x c, Tr c x d: (S B) Tr costs abc + acd multiply-adds,
+    # S (B Tr) costs bcd + abd; with a = d that is S B first iff c <= b
+    @pytest.mark.parametrize("b,c,left_first", [(40, 10, True), (10, 40, False)])
+    def test_takes_the_cheaper_association_bitwise(self, b, c, left_first):
+        rng = np.random.default_rng(b * c)
+        S = rng.standard_normal((8, b))
+        B = rng.standard_normal((b, c))
+        Tr = rng.standard_normal((c, 8))
+        assert (8 * b * c + 8 * c * 8 <= b * c * 8 + 8 * b * 8) == left_first
+        want = (S @ B) @ Tr if left_first else S @ (B @ Tr)
+        assert sketch_two_sided(B, S, Tr).tobytes() == want.tobytes()
+
+    def test_zero_rows_are_trimmed_from_the_products(self):
+        A = lowrank_plus_noise(3, 30, 40, 3, 0.05)
+        A[:4] = 0.0
+        A[-3:] = 0.0
+        assert nonzero_row_range(A) == slice(4, 27)
+        assert nonzero_row_range(np.zeros((5, 3))) == slice(0, 0)
+        res = batch_low_rank(A, 3, 0.5, seed=6)
+        assert residual_ratio(A, res.U, 3) <= 1.5
