@@ -665,7 +665,7 @@ def main(argv=None) -> int:
         if rep is not None:
             _emit(rep, args)
         return code
-    except (InputError, OSError) as exc:
+    except (InputError, OSError, MemoryError) as exc:
         sys.stderr.write(f"error: {exc}\n")
         return 2
     except (ProtocolError, InternalError) as exc:

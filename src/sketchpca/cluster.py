@@ -2,9 +2,9 @@
 
 One server talks to s machines; machines never talk to each other.  Every
 transfer is recorded in an append-only ledger as (round, from, to, words,
-phase), where a word is one scalar.  Shipping a column of height m costs
-min(2 * nnz, m) + 1 words: a header plus (row index, value) pairs, or all m
-values when that is fewer.
+phase), where a word is one scalar.  The ledger records the words a protocol
+says it passes; how a payload is encoded, and so what it costs, is the
+protocol's business (column_partition prices a column, for one).
 
 The simulator runs machine steps sequentially by default.  Parallel mode
 uses a thread pool but collects results by machine index before anything
@@ -172,64 +172,6 @@ class Cluster:
             raise ProtocolError(f"gather_sum shape mismatch: {sorted(shapes)}")
         self.record_gather(phase, int(arrays[0].size))
         return reduce(np.add, arrays)
-
-    def gather_sum_blocks(self, phase: str, fn, n_cols: int, block: int,
-                          lift=None, machines=None) -> np.ndarray:
-        """gather_sum of per-machine r x n_cols arrays that machines (every
-        machine, or the listed ones) compute and send in column blocks.
-
-        fn(i, part, lo, hi) is machine i's columns lo..hi-1; block is the
-        width of every block but the last.  The machines compute one block
-        (through map_machines, so in parallel when the cluster is) and its
-        pieces are summed into the result before the next block, so no
-        machine's whole array exists and the working set stays the size of
-        one block per machine.  Every entry is ((a_0 + a_1) + a_2) + ... in
-        machine order, the sum gather_sum forms.
-
-        A machine sends its r x (hi - lo) array at its size or, given lift,
-        a pair (words, raw): the block in an encoding of words < r * (hi - lo),
-        so its length alone tells it apart.  lift(raws) maps the raw blocks
-        of one column block, in machine order, to the r x (hi - lo) sum
-        they stand for, which is added after the arrays' sum.
-        """
-        if block < 1:
-            raise InputError("column block width must be positive")
-        ids = range(self.s) if machines is None else sorted(machines)
-        if not ids:
-            raise InputError("a gather needs at least one sending machine")
-        bounds = [(lo, min(lo + block, n_cols)) for lo in range(0, n_cols, block)]
-        words = dict.fromkeys(ids, 0)
-        total = None
-        for lo, hi in bounds or [(0, 0)]:
-            sent = dict(zip(ids, self.map_machines(lambda i, p: fn(i, p, lo, hi), ids)))
-            raw = {i: a for i, a in sent.items() if isinstance(a, tuple)}
-            terms = [(f"machine {i}", a) for i, a in sent.items() if i not in raw]
-            if raw:
-                if lift is None:
-                    raise ProtocolError(f"gather_sum_blocks: machine {min(raw)} sent an "
-                                        "encoded block to a gather with no lift")
-                terms.append((f"the lift of machines {list(raw)}",
-                              lift([b for _, b in raw.values()])))
-            for who, a in terms:
-                if total is None:
-                    total = np.empty((a.shape[0], n_cols), dtype=a.dtype)
-                if a.shape != (total.shape[0], hi - lo) or a.dtype != total.dtype:
-                    raise ProtocolError(
-                        f"gather_sum_blocks: {who} sent a {a.dtype} block of shape "
-                        f"{a.shape} for columns {lo}:{hi} of a {total.dtype} "
-                        f"{total.shape[0]} x {n_cols} sum")
-            full = total.shape[0] * (hi - lo)
-            for i, a in sent.items():
-                if i in raw and not raw[i][0] < full:
-                    raise ProtocolError(
-                        f"gather_sum_blocks: machine {i} encoded columns {lo}:{hi} in "
-                        f"{raw[i][0]} words, not fewer than the {full} of its array")
-                words[i] += raw[i][0] if i in raw else a.size
-            total[:, lo:hi] = terms[0][1]
-            for _, a in terms[1:]:
-                np.add(total[:, lo:hi], a, out=total[:, lo:hi])
-        self.record_gather(phase, list(words.values()), ids)
-        return total
 
     # -- whole-matrix views ---------------------------------------------
 

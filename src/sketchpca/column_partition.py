@@ -33,13 +33,12 @@ Four stages:
      Persu, "Dimensionality reduction for k-means clustering and low rank
      approximation", STOC 2015) of width xi, set by k and eps alone, and
      scaled so that E[T T^T] = I: sketched columns then weigh in the
-     finalize what exact ones do.  It is formed and sent in blocks of w
-     sketch columns, so no machine's whole product is ever built.  Each block goes as its r x w projection or,
-     when strictly shorter, raw: A_i T_i itself, column-encoded.  A
-     CountSketch of sparse columns stays sparse (Clarkson and Woodruff,
-     "Low rank approximation and regression in input sparsity time", STOC
-     2013), so on sparse data most blocks go raw.  The server sums the raw
-     blocks in machine order and projects that sum once.
+     finalize what exact ones do.  It goes in blocks of w sketch columns,
+     each as its r x w projection or, when strictly shorter, raw: A_i T_i
+     itself, column-encoded.  A CountSketch of sparse columns stays sparse
+     (Clarkson and Woodruff, "Low rank approximation and regression in
+     input sparsity time", STOC 2013), so on sparse data most blocks go
+     raw, and the server projects their sum once (_gather_sketches).
    A machine sizes its sketch before forming it, from its sparsity pattern
    alone: a block costs at most min(r * w, w + sum_j min(2 z_j, m)) words,
    where z_j bounds the nonzeros of sketch column j.  It sketches only when
@@ -87,7 +86,7 @@ from .column_select import (
     residual_beta,
     sample_proportional,
 )
-from .errors import InputError, InternalError
+from .errors import InputError, InternalError, ProtocolError
 from .linalg import orthonormal_basis, truncated_svd
 from .sketches import dense_pca_dim, derive_seed, sign_sketch
 from .sparse import SparseColMatrix, scatter_add
@@ -95,8 +94,8 @@ from .sparse import SparseColMatrix, scatter_add
 TAG_ADAPTIVE_MACHINES = "css-adaptive-machines"
 TAG_ADAPTIVE_COLS = "css-adaptive-cols"
 TAG_CSS_SUBSPACE = "css-subspace"
-# Sketch rows per stage-4 block.  One block's sign-grid piece and products
-# take about 3 MB, and no machine's whole c x xi product is ever built.
+# Sketch columns per stage-4 block.  One block's sign-grid piece and
+# products take about 3 MB, and no machine's whole m x xi product is built.
 _FINALIZE_BLOCK = 512
 
 
@@ -184,6 +183,44 @@ def _sketch_bound(support: np.ndarray, r: int, m: int) -> int:
                for b in np.split(cols, range(_FINALIZE_BLOCK, cols.size, _FINALIZE_BLOCK)))
 
 
+def _gather_sketches(cluster: Cluster, YT: np.ndarray, sketch, sketchers: list[int],
+                     xi: int) -> tuple[np.ndarray, list[tuple[int, int]]]:
+    """Stage 4's sketch round: the r x xi sum of Y^T A_i T_i over the
+    sketchers (in machine order), sent in blocks of _FINALIZE_BLOCK columns
+    in their cheaper encoding; sketch(i, lo, hi) is columns lo..hi-1 of
+    A_i T_i.  Per block, the server adds the projections in machine order,
+    then scatters the raw blocks into one sum, in machine order, and adds
+    its projection.  Also returns each raw block's (words, width)."""
+    r, m = YT.shape
+    total = np.empty((r, xi))
+    words = [0] * len(sketchers)
+    raw: list[tuple[int, int]] = []
+    for lo in range(0, xi, _FINALIZE_BLOCK):
+        hi = min(lo + _FINALIZE_BLOCK, xi)
+        sent = cluster.map_machines(lambda i, _: _sketch_payload(YT, sketch(i, lo, hi)),
+                                    sketchers)
+        for i, p in zip(sketchers, sent):
+            a, rows = (p[1], m) if isinstance(p, tuple) else (p, r)
+            if a.shape != (rows, hi - lo):
+                raise ProtocolError(f"machine {i} sent a {a.shape} block for sketch "
+                                    f"columns {lo}:{hi}, not {rows} x {hi - lo}")
+        blocks = [p[1] for p in sent if isinstance(p, tuple)]
+        terms = [p for p in sent if not isinstance(p, tuple)]
+        if blocks:
+            raw.extend((_cols_words(b), b.shape[1]) for b in blocks)
+            cols = [np.repeat(np.arange(b.shape[1]), b.col_nnz()) for b in blocks]
+            terms.append(YT @ scatter_add(
+                (m, hi - lo), (np.concatenate([b.indices for b in blocks]), np.concatenate(cols)),
+                np.concatenate([b.data for b in blocks])))
+        out = total[:, lo:hi]
+        out[...] = terms[0]
+        for a in terms[1:]:
+            np.add(out, a, out=out)
+        words = [w + (p[0] if isinstance(p, tuple) else p.size) for w, p in zip(words, sent)]
+    cluster.record_gather("subspace-up", words, sketchers)
+    return total, raw
+
+
 def _r_words(n_i: int, r: int) -> int:
     """Words of the packed R factor of an n_i x r matrix: its q x r upper
     trapezoid, q = min(n_i, r)."""
@@ -246,8 +283,8 @@ class CssKernels:
     columns weigh what exact ones do in the stacked finalize: support(i)
     bounds the nonzeros of each column of A_i T_i from block i's sparsity
     pattern alone, and block(i, lo, hi) forms sketch columns lo..hi-1 of
-    A_i T_i.  The driver ships each such block in at most r * (hi - lo)
-    words, raw when smaller, so at most r * xi words per sketching machine.
+    A_i T_i.  _gather_sketches ships each block projected, or raw when
+    that is shorter, so at most r * xi words per sketching machine.
     """
 
     resolve: Callable
@@ -368,21 +405,10 @@ def run_css_protocol(cluster: Cluster, params, kernels: CssKernels) -> CssPcaRes
         if sum(R.shape[1] for R in factors) > r:
             # the last level of the TSQR tree: one r x r factor of the stack
             factors = [_r_factor(np.hstack(factors)).T]
-    raw: list[tuple[int, int]] = []    # (words, width) of each raw sketch block decoded
+    raw: list[tuple[int, int]] = []
     if sketchers:
-        def lift(blocks):
-            # the server scatters the raw blocks into one sum, in machine
-            # order, then projects it once
-            raw.extend((_cols_words(b), b.shape[1]) for b in blocks)
-            cols = [np.repeat(np.arange(b.shape[1]), b.col_nnz()) for b in blocks]
-            total = scatter_add(blocks[0].shape,
-                                (np.concatenate([b.indices for b in blocks]), np.concatenate(cols)),
-                                np.concatenate([b.data for b in blocks]))
-            return Y.T @ total
-
-        factors.append(cluster.gather_sum_blocks(
-            "subspace-up", lambda i, p, lo, hi: _sketch_payload(Y.T, sketch(i, lo, hi)),
-            xi, _FINALIZE_BLOCK, lift, sketchers))
+        total, raw = _gather_sketches(cluster, Y.T, sketch, sketchers, xi)
+        factors.append(total)
     finalize = "sketch" if not exact else "mixed" if sketchers else "exact"
     Xi = np.hstack(factors)
     kk = min(k, min(Xi.shape))

@@ -402,6 +402,20 @@ class TestMalformedInput:
         self._expect_input_error(capsys, ["batch", "--input", str(p), "-k", "1",
                                           "--eps", "0.5"], str(p))
 
+    def test_huge_declared_coordinate_width(self, capsys, tmp_path):
+        # numpy refuses the 10^15-wide arrays before touching memory
+        p = tmp_path / "wide.mtx"
+        p.write_text("%%MatrixMarket matrix coordinate real general\n"
+                     "2 1000000000000000 1\n1 1 1.0\n")
+        self._expect_input_error(capsys, ["dist-css-fast", "--input", str(p), "-k", "1",
+                                          "--eps", "1", "--machines", "2"], "allocate")
+
+    def test_huge_declared_stream_width(self, capsys, tmp_path):
+        p = tmp_path / "wide.stream"
+        p.write_text("2 1000000000000000 1\n1 1 1.0\n")
+        self._expect_input_error(capsys, ["stream-1p", "--input", str(p), "-k", "1",
+                                          "--eps", "1"], "allocate")
+
     def test_boolean_widths_are_rejected(self, capsys, tmp_path, dense_mtx):
         man = tmp_path / "w.json"
         man.write_text('{"widths": [true, 29]}\n')

@@ -15,10 +15,11 @@ from sketchpca.arbitrary_partition import (
     smoothed_protocol,
 )
 from sketchpca.cluster import SERVER, Cluster, CommLedger
-from sketchpca.column_partition import CssProtocolParams, distributed_css_pca
+from sketchpca import column_partition
+from sketchpca.column_partition import CssProtocolParams, _gather_sketches, distributed_css_pca
 from sketchpca.column_select_sparse import FastCssProtocolParams, distributed_css_pca_fast
 from sketchpca.errors import InputError, InternalError, ProtocolError
-from sketchpca.sparse import SparseColMatrix
+from sketchpca.sparse import SparseColMatrix, scatter_add
 
 
 class TestLedger:
@@ -140,113 +141,116 @@ class TestParallelMode:
 
 
 class TestGatherSumBlocks:
-    """Column-block gathers sum to the bits gather_sum gives on whole arrays."""
+    """Stage 4's sketch round (column_partition._gather_sketches) gathers
+    column blocks and sums them to the bits gather_sum gives on whole
+    arrays.  Y^T is the identity here, so each projection is its block
+    exactly, and only the order of the sums shows in the bits."""
 
-    @staticmethod
-    def _setup(s, n_cols):
-        parts = split_rows(rand_matrix(11, 9, 6), s, seed=4)
-        W = rand_matrix(12, 6, n_cols)
-        return parts, W
+    M = 9
+
+    @classmethod
+    def _arrays(cls, s, n_cols):
+        return [rand_matrix(12 + i, cls.M, n_cols) for i in range(s)]
+
+    @classmethod
+    def _sparse(cls, seed, n_cols):
+        # one nonzero per column, on a shared row pattern: 3 words a column,
+        # against 9 for its projection, so every block ships raw
+        X = np.zeros((cls.M, n_cols))
+        X[np.arange(n_cols) % cls.M, np.arange(n_cols)] = rand_matrix(seed, 1, n_cols)[0]
+        return X
+
+    @classmethod
+    def _gather(cls, cl, sketch, sketchers, n_cols):
+        return _gather_sketches(cl, np.eye(cls.M), sketch, sketchers, n_cols)
+
+    @classmethod
+    def _cluster(cls, s, parallel=False):
+        return Cluster([np.zeros((cls.M, 1))] * s, kind="column", parallel=parallel)
 
     @pytest.mark.parametrize("parallel", [False, True])
     @pytest.mark.parametrize("s", [1, 2, 4])
     @pytest.mark.parametrize("block", [1, 3, 7, 50])
-    def test_matches_gather_sum(self, s, block, parallel):
-        parts, W = self._setup(s, 7)
-        whole = Cluster(parts)
-        ref = whole.gather_sum("up", whole.map_machines(lambda i, B: B @ W))
-        cl = Cluster(parts, parallel=parallel)
-        got = cl.gather_sum_blocks("up", lambda i, B, lo, hi: (B @ W)[:, lo:hi], 7, block)
+    def test_matches_gather_sum(self, s, block, parallel, monkeypatch):
+        monkeypatch.setattr(column_partition, "_FINALIZE_BLOCK", block)
+        Xs = self._arrays(s, 7)
+        whole = self._cluster(s)
+        ref = whole.gather_sum("subspace-up", Xs)
+        cl = self._cluster(s, parallel)
+        got, raw = self._gather(cl, lambda i, lo, hi: Xs[i][:, lo:hi], list(range(s)), 7)
         assert got.tobytes() == ref.tobytes()
+        assert raw == []
         assert cl.ledger.messages == whole.ledger.messages
 
-    def test_each_block_asked_once_in_machine_order(self):
-        parts, W = self._setup(3, 5)
+    def test_each_block_asked_once_in_machine_order(self, monkeypatch):
+        monkeypatch.setattr(column_partition, "_FINALIZE_BLOCK", 2)
+        Xs = self._arrays(3, 5)
         calls = []
 
-        def fn(i, B, lo, hi):
+        def sketch(i, lo, hi):
             calls.append((lo, hi, i))
-            return (B @ W)[:, lo:hi]
+            return Xs[i][:, lo:hi]
 
-        Cluster(parts).gather_sum_blocks("up", fn, 5, 2)
+        self._gather(self._cluster(3), sketch, [0, 1, 2], 5)
         assert calls == [(lo, min(lo + 2, 5), i) for lo in (0, 2, 4) for i in range(3)]
 
-    def test_zero_columns(self):
-        parts, W = self._setup(2, 0)
-        cl = Cluster(parts)
-        out = cl.gather_sum_blocks("up", lambda i, B, lo, hi: (B @ W)[:, lo:hi], 0, 4)
-        assert out.shape == (9, 0) and cl.ledger.total() == 0
-
-    def test_wrong_block_shape_rejected_before_recording(self):
-        parts, W = self._setup(2, 6)
-        cl = Cluster(parts)
-        with pytest.raises(ProtocolError):
-            cl.gather_sum_blocks("up", lambda i, B, lo, hi: (B @ W)[:, lo:hi + i], 6, 4)
-        assert cl.ledger.messages == []
-
-    def test_block_width_must_be_positive(self):
-        parts, _ = self._setup(2, 3)
-        with pytest.raises(InputError):
-            Cluster(parts).gather_sum_blocks("up", lambda i, B, lo, hi: B, 3, 0)
-
-    @pytest.mark.parametrize("parallel", [False, True])
-    def test_raw_blocks_are_summed_then_lifted_once(self, parallel):
-        # machines 1 and 2 send raw blocks R in i < 3 * w words; the server
-        # sums them in machine order and lifts the sum with L
-        parts, W = self._setup(4, 5)
-        L = rand_matrix(13, 3, 9)
-        lifts = []
-
-        def fn(i, B, lo, hi):
-            R = (B @ W)[:, lo:hi]
-            return (i, R) if i in (1, 2) else L @ R
-
-        def lift(raws):
-            lifts.append(len(raws))
-            return L @ (raws[0] + raws[1])
-
-        cl = Cluster(parts, parallel=parallel)
-        got = cl.gather_sum_blocks("up", fn, 5, 2, lift)
-        P = [B @ W for B in parts]
-        ref = (L @ P[0] + L @ P[3]) + L @ (P[1] + P[2])
-        assert got.tobytes() == ref.tobytes()
-        assert lifts == [2, 2, 2]
-        # three blocks: the arrays at their size, the raw blocks at i words each
-        assert [m.words for m in cl.ledger.messages] == [3 * 5, 3 * 1, 3 * 2, 3 * 5]
-
-    @pytest.mark.parametrize("parallel", [False, True])
-    def test_only_the_listed_machines_send(self, parallel):
-        parts, W = self._setup(4, 5)
-        asked = []
-
-        def fn(i, B, lo, hi):
-            asked.append(i)
-            return (B @ W)[:, lo:hi]
-
-        cl = Cluster(parts, parallel=parallel)
-        got = cl.gather_sum_blocks("up", fn, 5, 2, machines=[3, 1])
-        assert got.tobytes() == (parts[1] @ W + parts[3] @ W).tobytes()
-        assert sorted(set(asked)) == [1, 3]
-        assert [(m.sender, m.words) for m in cl.ledger.messages] == [(1, 45), (3, 45)]
-        with pytest.raises(InputError):
-            cl.gather_sum_blocks("up", fn, 5, 2, machines=[])
-
-    def test_raw_block_must_be_shorter_than_its_array(self):
-        parts, W = self._setup(2, 4)
-        for lift in (None, lambda raws: raws[0][:2]):
-            cl = Cluster(parts)
+    def test_wrong_block_shape_rejected_before_recording(self, monkeypatch):
+        # machine 1 sends one column too many, projected or raw
+        monkeypatch.setattr(column_partition, "_FINALIZE_BLOCK", 4)
+        for Xs in (self._arrays(2, 7), [self._sparse(20 + i, 7) for i in range(2)]):
+            cl = self._cluster(2)
             with pytest.raises(ProtocolError):
-                cl.gather_sum_blocks(
-                    "up", lambda i, B, lo, hi: (2 * (hi - lo), (B @ W)[:2, lo:hi]), 4, 4, lift)
+                self._gather(cl, lambda i, lo, hi: Xs[i][:, lo:hi + i], [0, 1], 6)
             assert cl.ledger.messages == []
 
+    @pytest.mark.parametrize("parallel", [False, True])
+    def test_raw_blocks_are_summed_then_lifted_once(self, parallel, monkeypatch):
+        # machines 1, 2 and 4 ship raw; the server adds the projections of
+        # machines 0 and 3, then the lift of the raw blocks' machine-order sum
+        monkeypatch.setattr(column_partition, "_FINALIZE_BLOCK", 2)
+        lifts = []
+
+        def scatter(shape, index, values):
+            lifts.append((shape, values.size))
+            return scatter_add(shape, index, values)
+
+        monkeypatch.setattr(column_partition, "scatter_add", scatter)
+        X = self._arrays(5, 5)
+        for i in (1, 2, 4):
+            X[i] = self._sparse(30 + i, 5)
+        cl = self._cluster(5, parallel)
+        got, raw = self._gather(cl, lambda i, lo, hi: X[i][:, lo:hi], list(range(5)), 5)
+        ref = (X[0] + X[3]) + ((X[1] + X[2]) + X[4])
+        assert got.tobytes() == ref.tobytes()
+        assert lifts == [((9, 2), 6), ((9, 2), 6), ((9, 1), 3)]
+        assert raw == [(6, 2)] * 6 + [(3, 1)] * 3
+        # projections at r * xi = 45 words, raw columns at 3 words each
+        assert [m.words for m in cl.ledger.messages] == [45, 15, 15, 45, 15]
+
+    @pytest.mark.parametrize("parallel", [False, True])
+    def test_only_the_listed_machines_send(self, parallel, monkeypatch):
+        monkeypatch.setattr(column_partition, "_FINALIZE_BLOCK", 2)
+        Xs = self._arrays(4, 5)
+        asked = []
+
+        def sketch(i, lo, hi):
+            asked.append(i)
+            return Xs[i][:, lo:hi]
+
+        cl = self._cluster(4, parallel)
+        got, _ = self._gather(cl, sketch, [1, 3], 5)
+        assert got.tobytes() == (Xs[1] + Xs[3]).tobytes()
+        assert sorted(set(asked)) == [1, 3]
+        assert [(m.sender, m.words) for m in cl.ledger.messages] == [(1, 45), (3, 45)]
+
     def test_parallel_working_set_is_one_block_per_machine(self):
-        r, n_cols, block, s = 50, 20000, 512, 4
-        cl = Cluster([np.zeros((1, 1))] * s, kind="column", parallel=True)
+        r, n_cols, s = 50, 20000, 4
+        cl = Cluster([np.zeros((r, 1))] * s, kind="column", parallel=True)
+        YT = np.eye(r)
         tracemalloc.start()
         try:
-            out = cl.gather_sum_blocks(
-                "up", lambda i, B, lo, hi: np.full((r, hi - lo), i + 1.0), n_cols, block)
+            out, _ = _gather_sketches(cl, YT, lambda i, lo, hi: np.full((r, hi - lo), i + 1.0),
+                                      list(range(s)), n_cols)
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()

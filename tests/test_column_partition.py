@@ -17,6 +17,7 @@ from conftest import (
     fast_sketch_uplink,
     frob_sq,
     lowrank_plus_noise,
+    rand_matrix,
     selected_rank,
     sparse_columns_block,
     stage_four_words,
@@ -494,16 +495,16 @@ class TestSketchPayloads:
         # keeps each in its column encoding and scatters them into one sum,
         # so the stage-4 peak is about one dense block at any s
         m, xi = 1000, 256
-        gather, peaks = Cluster.gather_sum_blocks, []
+        gather, peaks = column_partition._gather_sketches, []
 
-        def traced(self, *args, **kw):
+        def traced(*args, **kw):
             tracemalloc.reset_peak()
             base = tracemalloc.get_traced_memory()[0]
-            out = gather(self, *args, **kw)
+            out = gather(*args, **kw)
             peaks.append(tracemalloc.get_traced_memory()[1] - base)
             return out
 
-        monkeypatch.setattr(Cluster, "gather_sum_blocks", traced)
+        monkeypatch.setattr(column_partition, "_gather_sketches", traced)
         for s in (2, 8):
             cl = Cluster([sparse_columns_block(280 + i, m, 40, 2) for i in range(s)],
                          kind="column")
@@ -534,6 +535,38 @@ class TestSketchPayloads:
         assert {isinstance(p, tuple) for p in sent} == {True, False}
         assert self._uplinks(cl) == sizes
         assert res.phase_words["subspace-up"] == sum(sizes)
+
+    def test_two_blocks_carry_both_encodings(self, monkeypatch):
+        # at xi = 600 the sign sketch goes in two blocks; the dense machine
+        # projects both, and the one with nonzeros in rows 4 and 17 ships
+        # both raw, 5 words a column against r = 30
+        def cluster(parallel):
+            sparse = np.zeros((30, 150))
+            sparse[[4, 17]] = rand_matrix(241, 2, 150)
+            return Cluster([lowrank_plus_noise(240, 30, 200, 3, 0.3), sparse],
+                           kind="column", parallel=parallel)
+
+        raw = []
+
+        def encode(YT, B):
+            payload = _sketch_payload(YT, B)
+            raw.append(isinstance(payload, tuple))
+            return payload
+
+        monkeypatch.setattr(column_partition, "_sketch_payload", encode)
+        params = CssProtocolParams(k=2, eps=1.0, seed=11, xi_subspace=600)
+        assert _FINALIZE_BLOCK < 600 <= 2 * _FINALIZE_BLOCK
+        cl = cluster(False)
+        serial = distributed_css_pca(cl, params)
+        assert raw == [False, True, False, True]
+        assert serial.phase_words["subspace-up"] == sum(stage_four_words(cl, serial, 11, "sign"))
+        cp = cluster(True)
+        parallel = distributed_css_pca(cp, params)
+        assert parallel.U.tobytes() == serial.U.tobytes()
+        assert cp.ledger.messages == cl.ledger.messages
+        A = cl.materialize()
+        C = A[:, serial.core_indices + serial.adaptive_indices]
+        assert span_residual_sq(A, serial.U) <= (1 + params.eps) * colspan_residual_sq(A, C, 2)
 
 
 @pytest.mark.parametrize("protocol", sorted(_PROTOCOLS))
