@@ -197,7 +197,7 @@ def _read_widths(path: str, n: int, machines: int | None) -> list[int]:
     widths = manifest.get("widths") if isinstance(manifest, dict) else manifest
     # type() rather than isinstance(): JSON true and false are bools, and
     # bool is a subclass of int
-    if not isinstance(widths, list) or not all(type(w) is int for w in widths):
+    if not isinstance(widths, list) or not widths or not all(type(w) is int for w in widths):
         raise InputError(f"{path}: expected a JSON widths list")
     return widths
 
@@ -335,16 +335,14 @@ def _css_fields(loaded, args, seed, res) -> dict:
 def _solve_dist_css(loaded, args, seed) -> dict:
     res = distributed_css_pca(Cluster(loaded[2], kind="column"), CssProtocolParams(
         k=args.k, eps=args.eps, seed=seed, ell=args.const_ell, c1=args.const_c1,
-        c2=args.const_c2, xi_subspace=args.const_xi_subspace,
-        per_machine_finalize=args.per_machine_finalize))
+        c2=args.const_c2, xi_subspace=args.const_xi_subspace))
     return _css_fields(loaded, args, seed, res)
 
 
 def _solve_dist_css_fast(loaded, args, seed) -> dict:
     res = distributed_css_pca_fast(Cluster(loaded[2], kind="column"), FastCssProtocolParams(
         k=args.k, eps=args.eps, seed=seed, delta=args.delta, ell=args.const_ell,
-        c2=args.const_c2, xi_subspace=args.const_xi_subspace,
-        per_machine_finalize=args.per_machine_finalize))
+        c2=args.const_c2, xi_subspace=args.const_xi_subspace))
     return _css_fields(loaded, args, seed, res)
 
 
@@ -423,7 +421,6 @@ def _css_flags(variant: tuple) -> tuple:
         ("--machines", {"type": int, "default": None}),
         ("--widths", {"metavar": "PATH",
                       "help": "JSON widths manifest overriding --machines"}),
-        ("--per-machine-finalize", {"action": "store_true"}),
         _const("ell"), variant, _const("c2"), _XI_SUBSPACE,
     )
 

@@ -61,11 +61,9 @@ back distributed_css_pca, and column_select_sparse supplies entry-touch
 kernels for distributed_css_pca_fast.  Flags, draws, ledger records and
 the finalize are shared.
 
-The server does the finalize once and downlinks U, m * k words per
-machine.  Behind a flag it broadcasts instead the r x k coefficients Delta
-of U in an orthonormal basis Y of span(C) (r = rank C): every machine
-already holds C, so it forms U = Y Delta itself, and no downlink grows
-with n.
+The server does the finalize once and broadcasts the r x k coefficients
+Delta of U in the basis Y of span(C) (r = rank C): every machine already
+holds C, so it forms U = Y Delta itself, and no phase grows with m or n.
 
 Every phase total is recomputed from first principles after the run and
 compared with the ledger, so the accounting is double-entry checked.
@@ -103,7 +101,9 @@ _FINALIZE_BLOCK = 512
 class CssProtocolParams:
     """Budgets for the column-partition protocol; None picks defaults
     derivable from (k, eps) alone, so machines can resolve them without
-    communication."""
+    communication.  per_machine_finalize has every machine form its own
+    U = Y Delta from the C it holds, and checks each against the server's U
+    byte for byte; it changes no word and no bit of U."""
 
     k: int
     eps: float
@@ -417,16 +417,14 @@ def run_css_protocol(cluster: Cluster, params, kernels: CssKernels) -> CssPcaRes
     if kk < k:
         flags.add("rank-deficient")
 
+    # every machine holds C_full (global-down, span-down), so its own basis
+    # Y and the server's r x kk Delta give it U
+    cluster.record_broadcast("delta-down", Delta.size)
     if params.per_machine_finalize:
-        # every machine holds C_full (global-down, span-down), so its own
-        # basis Y and the server's r x kk Delta give it U
-        cluster.record_broadcast("delta-down", Delta.size)
         replicas = cluster.map_machines(lambda i, p: orthonormal_basis(C_full) @ Delta)
         for R in replicas:
             if R.tobytes() != U.tobytes():
                 raise InternalError("per-machine finalize diverged from the server")
-    else:
-        cluster.record_broadcast("u-down", U.size)
 
     result = CssPcaResult(
         U, kk, flags, core_gids, adaptive_gids, c_actual, xi, finalize, betas,
@@ -497,7 +495,7 @@ def _expected_words(cluster: Cluster, result: CssPcaResult,
     widths = np.diff(cluster.col_offsets)
     raw_words = sum(words for words, _ in raw)
     raw_cols = sum(width for _, width in raw)
-    expected = {
+    return {
         "local-up": sum(_cols_words(b) for b in local_blocks),
         "global-down": s * _cols_words(core),
         "adaptive-meta": 2 * s,
@@ -506,9 +504,5 @@ def _expected_words(cluster: Cluster, result: CssPcaResult,
         "subspace-up": sum(_cols_words(p[1]) if isinstance(p, tuple)
                            else _r_words(int(widths[i]), r) for i, p in exact.items())
                        + raw_words + r * (sketchers * result.xi - raw_cols),
+        "delta-down": s * r * result.rank,
     }
-    if result.params.per_machine_finalize:
-        expected["delta-down"] = s * r * result.rank
-    else:
-        expected["u-down"] = s * result.U.shape[0] * result.rank
-    return expected

@@ -392,8 +392,8 @@ class FastCssProtocolParams:
 
     c1 is pinned at 4k because the global selector's constant-factor
     guarantee is tuned to exactly that budget; everything else mirrors the
-    exact protocol.  delta is the total failure budget split across the
-    per-machine kernels.
+    exact protocol, per_machine_finalize's replica check included.  delta is
+    the total failure budget split across the per-machine kernels.
     """
 
     k: int

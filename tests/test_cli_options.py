@@ -67,7 +67,6 @@ def _css(variant):
     return _solver(
         _int("--machines"),
         _path("--widths", "JSON widths manifest overriding --machines"),
-        _switch("--per-machine-finalize"),
         _int("--const-ell"), variant, _int("--const-c2"),
         _int("--const-xi-subspace", help=XI_SUBSPACE_HELP))
 

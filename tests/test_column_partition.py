@@ -166,7 +166,8 @@ class TestAccounting:
         # raw columns or its R factor, whichever is shorter
         assert res.finalize == "exact"
         assert res.phase_words["subspace-up"] == sum(stage_four_words(cl, res, 88, "sign"))
-        assert res.phase_words["u-down"] == cl.s * cl.m * res.rank
+        assert res.phase_words["delta-down"] == cl.s * selected_rank(cl, res) * res.rank
+        assert "u-down" not in res.phase_words
         assert res.total_words == sum(res.phase_words.values())
 
     def test_xi_default_follows_budgets(self):
@@ -179,19 +180,12 @@ class TestAccounting:
 
 class TestVariantsAndDeterminism:
     def test_per_machine_finalize_matches_server(self):
-        cl1 = _sparse_cluster(10)
-        cl2 = _sparse_cluster(10)
-        base = distributed_css_pca(cl1, _params(k=2, seed=111))
+        base = distributed_css_pca(_sparse_cluster(10), _params(k=2, seed=111))
         var = distributed_css_pca(
-            cl2, _params(k=2, seed=111, per_machine_finalize=True))
+            _sparse_cluster(10), _params(k=2, seed=111, per_machine_finalize=True))
+        # the replicas change no word and no bit
         assert base.U.tobytes() == var.U.tobytes()
-        A = cl2.materialize()
-        r = np.linalg.matrix_rank(A[:, var.core_indices + var.adaptive_indices])
-        assert var.phase_words["delta-down"] == cl2.s * r * var.rank
-        assert "xi-down" not in var.phase_words and "u-down" not in var.phase_words
-        # only the downlink differs
-        down = {p: w for p, w in base.phase_words.items() if p != "u-down"}
-        assert var.total_words == sum(down.values()) + var.phase_words["delta-down"]
+        assert base.phase_words == var.phase_words
 
     def test_deterministic(self):
         r1 = distributed_css_pca(_sparse_cluster(11), _params(k=2, seed=121))
@@ -266,29 +260,22 @@ class TestFinalizeBranches:
                    else dict(k=2, eps=1.0, c2=0))
         s = 2
         xi = Params(seed=0, **budgets).resolve()[3]
-        for per_machine in (False, True):
-            down = {}
-            for widths in ((xi, xi), (xi, xi + 1)):
-                cl = _sparse_cluster(17, widths=widths)
-                res = run(cl, Params(seed=170, per_machine_finalize=per_machine, **budgets))
-                # r = rank C <= c1 + c2 <= 8, so an R factor of at most 36
-                # words undercuts the sketch of the machine wider than xi too
-                assert (res.finalize, res.xi) == ("exact", xi)
-                r = selected_rank(cl, res)
-                assert r <= 8
-                assert res.phase_words["subspace-up"] == sum(
-                    stage_four_words(cl, res, 170, _SKETCH[protocol]))
-                assert "xi-down" not in res.phase_words
-                if per_machine:
-                    assert res.phase_words["delta-down"] == s * r * res.rank
-                    assert "u-down" not in res.phase_words
-                    down[widths] = res.phase_words["delta-down"]
-                else:
-                    assert res.phase_words["u-down"] == s * cl.m * res.rank
-                    assert "delta-down" not in res.phase_words
-            if per_machine:
-                # the downlink does not grow with the width
-                assert down[(xi, xi)] == down[(xi, xi + 1)]
+        down = {}
+        for widths in ((xi, xi), (xi, xi + 1)):
+            cl = _sparse_cluster(17, widths=widths)
+            res = run(cl, Params(seed=170, **budgets))
+            # r = rank C <= c1 + c2 <= 8, so an R factor of at most 36
+            # words undercuts the sketch of the machine wider than xi too
+            assert (res.finalize, res.xi) == ("exact", xi)
+            r = selected_rank(cl, res)
+            assert r <= 8
+            assert res.phase_words["subspace-up"] == sum(
+                stage_four_words(cl, res, 170, _SKETCH[protocol]))
+            assert res.phase_words["delta-down"] == s * r * res.rank
+            assert "u-down" not in res.phase_words and "xi-down" not in res.phase_words
+            down[widths] = res.phase_words["delta-down"]
+        # the downlink does not grow with the width
+        assert down[(xi, xi)] == down[(xi, xi + 1)]
         # an explicit sketch size sketches, however wide it is
         for explicit in (xi, s * xi):
             cl = _sparse_cluster(17, widths=(xi, xi))
@@ -309,8 +296,7 @@ class TestFinalizeBranches:
                                                    per_machine_finalize=True))
         assert serial.finalize == parallel.finalize == replicas.finalize == "exact"
         assert serial.U.tobytes() == parallel.U.tobytes() == replicas.U.tobytes()
-        assert serial.phase_words == parallel.phase_words
-        assert replicas.phase_words["subspace-up"] == serial.phase_words["subspace-up"]
+        assert serial.phase_words == parallel.phase_words == replicas.phase_words
 
 
 @pytest.mark.parametrize("protocol", sorted(_PROTOCOLS))
@@ -327,24 +313,36 @@ class TestDefaultSketchBranch:
         s, k, m = 4, 1, 40
         xi = Params(k=k, eps=1.0, seed=0).resolve()[3]
         assert m > 2 * xi - 1
-        for per_machine in (False, True):
-            up, down = {}, {}
-            for width in (40, 80):      # n = 160 and 320
-                cl = _dense_cluster(19, m=m, widths=(width,) * s)
-                res = run(cl, Params(k=k, eps=1.0, seed=190,
-                                     per_machine_finalize=per_machine))
-                assert (res.finalize, res.xi) == ("sketch", xi)
-                assert selected_rank(cl, res) == cl.m
-                cap = s * cl.m * xi
-                assert res.phase_words["subspace-up"] == cap
-                assert cap == sum(stage_four_words(cl, res, 190, _SKETCH[protocol]))
-                up[width] = res.phase_words["subspace-up"]
-                if per_machine:
-                    down[width] = res.phase_words["delta-down"]
-            if protocol == "exact":
-                assert up[40] == up[80]
-            if per_machine:
-                assert down[40] == down[80] == s * cl.m * k
+        up, down = {}, {}
+        for width in (40, 80):      # n = 160 and 320
+            cl = _dense_cluster(19, m=m, widths=(width,) * s)
+            res = run(cl, Params(k=k, eps=1.0, seed=190))
+            assert (res.finalize, res.xi) == ("sketch", xi)
+            assert selected_rank(cl, res) == cl.m
+            cap = s * cl.m * xi
+            assert res.phase_words["subspace-up"] == cap
+            assert cap == sum(stage_four_words(cl, res, 190, _SKETCH[protocol]))
+            up[width] = res.phase_words["subspace-up"]
+            down[width] = res.phase_words["delta-down"]
+        if protocol == "exact":
+            assert up[40] == up[80]
+        assert down[40] == down[80] == s * cl.m * k
+
+    def test_no_phase_grows_with_m(self, protocol):
+        # the acceptance shape, then the same columns under m zero rows: a
+        # column costs its nonzeros, stage 4 works in rank C coordinates
+        # and the downlink is U's coefficients in span(C)
+        run, Params = _PROTOCOLS[protocol]
+        m, n, s, k, phi = 40, 120, 4, 3, 8
+        for seed in range(3):
+            parts = [sparse_columns_block(seed * s + i + 1, m, n // s, phi) for i in range(s)]
+            padded = [SparseColMatrix((2 * m, P.n_cols), P.indptr, P.indices, P.data)
+                      for P in parts]
+            params = Params(k=k, eps=0.5, seed=seed)
+            base = run(Cluster(parts, kind="column"), params)
+            tall = run(Cluster(padded, kind="column"), params)
+            assert tall.U.shape == (2 * m, base.rank)
+            assert tall.phase_words == base.phase_words
 
     @pytest.mark.parametrize("data", ["dense", "sparse"])
     def test_default_sketch_quality(self, protocol, data):
@@ -430,7 +428,7 @@ class TestSpanCoordinates:
         _, _, server = self._run(protocol, branch)
         _, _, replicas = self._run(protocol, branch, per_machine_finalize=True)
         assert replicas.U.tobytes() == server.U.tobytes()
-        assert replicas.phase_words["subspace-up"] == server.phase_words["subspace-up"]
+        assert replicas.phase_words == server.phase_words
 
 
 class TestSketchPayloads:

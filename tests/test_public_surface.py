@@ -28,7 +28,7 @@ KEPT = {
     "sparse.SparseColMatrix.col_sqnorms":
         "kept with its loop by a ROADMAP decision (vectorizing it changes the bits)",
     "cluster.CommLedger.to_json_lines":
-        "the planned --trace output builds on it (ROADMAP item 7)",
+        "the planned --trace output builds on it (ROADMAP item 8)",
     "cluster.Cluster.machine_of_column":
         "test reference: locates a shipped column's source for the verbatim-copy checks",
     "column_select_sparse.TouchCounter.reset":
