@@ -208,9 +208,9 @@ def _gather_sketches(cluster: Cluster, YT: np.ndarray, sketch, sketchers: list[i
         terms = [p for p in sent if not isinstance(p, tuple)]
         if blocks:
             raw.extend((_cols_words(b), b.shape[1]) for b in blocks)
-            cols = [np.repeat(np.arange(b.shape[1]), b.col_nnz()) for b in blocks]
             terms.append(YT @ scatter_add(
-                (m, hi - lo), (np.concatenate([b.indices for b in blocks]), np.concatenate(cols)),
+                (m, hi - lo), (np.concatenate([b.indices for b in blocks]),
+                               np.concatenate([b.entry_cols() for b in blocks])),
                 np.concatenate([b.data for b in blocks])))
         out = total[:, lo:hi]
         out[...] = terms[0]

@@ -123,8 +123,7 @@ def embed_rows(emb: SparseEmbedding, A: SparseColMatrix) -> np.ndarray:
     """
     if emb.n_cols != A.n_rows:
         raise InputError("embedding width disagrees with the matrix rows")
-    cols = np.repeat(np.arange(A.n_cols, dtype=np.int64), np.diff(A.indptr))
-    out = scatter_add((emb.n_rows, A.n_cols), (emb.buckets[A.indices], cols),
+    out = scatter_add((emb.n_rows, A.n_cols), (emb.buckets[A.indices], A.entry_cols()),
                       emb.signs[A.indices] * A.data)
     TOUCHES.add(A.nnz)
     return out
@@ -146,7 +145,7 @@ def embed_cols(emb: SparseEmbedding, A: SparseColMatrix, col_base: int = 0,
     hi = emb.n_rows if hi is None else hi
     if not 0 <= lo <= hi <= emb.n_rows:
         raise InputError(f"bucket range {lo}:{hi} outside an embedding of {emb.n_rows} rows")
-    cols = col_base + np.repeat(np.arange(A.n_cols, dtype=np.int64), np.diff(A.indptr))
+    cols = col_base + A.entry_cols()
     rows, buckets, vals = A.indices, emb.buckets[cols], emb.signs[cols] * A.data
     if lo > 0 or hi < emb.n_rows:
         keep = (buckets >= lo) & (buckets < hi)
@@ -179,8 +178,7 @@ def right_multiply(A: SparseColMatrix, M: np.ndarray) -> np.ndarray:
     M = np.asarray(M, dtype=np.float64)
     if M.shape[0] != A.n_cols:
         raise InputError("operand rows disagree with the matrix columns")
-    cols = np.repeat(np.arange(A.n_cols, dtype=np.int64), np.diff(A.indptr))
-    out = scatter_add((A.n_rows, M.shape[1]), A.indices, A.data[:, None] * M[cols])
+    out = scatter_add((A.n_rows, M.shape[1]), A.indices, A.data[:, None] * M[A.entry_cols()])
     TOUCHES.add(A.nnz)
     return out
 
@@ -469,7 +467,7 @@ def _fast_finalize(cluster, parts, xi, seed):
         # a CountSketch column of A_i is nonzero at most on the rows of the
         # entries hashed into its bucket: count the distinct (bucket, row) pairs
         P = parts[i]
-        cols = cluster.col_offsets[i] + np.repeat(np.arange(P.n_cols), P.col_nnz())
+        cols = cluster.col_offsets[i] + P.entry_cols()
         pairs = np.unique(emb.buckets[cols] * P.n_rows + P.indices)
         return np.bincount(pairs // P.n_rows, minlength=xi)
     return support, lambda i, lo, hi: embed_cols(emb, parts[i], cluster.col_offsets[i], lo, hi)

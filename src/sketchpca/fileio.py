@@ -126,10 +126,9 @@ def _write(path, head: list[str], fmt: str, cols) -> None:
 def write_matrix_market(path, A) -> None:
     """Write a dense ndarray or SparseColMatrix in MatrixMarket format."""
     if isinstance(A, SparseColMatrix):
-        cols = np.repeat(np.arange(A.n_cols), np.diff(A.indptr))
         _write(path, ["%%MatrixMarket matrix coordinate real general",
                       f"{A.n_rows} {A.n_cols} {A.nnz}"],
-               f"%d %d {_FMT}", (A.indices + 1, cols + 1, A.data))
+               f"%d %d {_FMT}", (A.indices + 1, A.entry_cols() + 1, A.data))
         return
     A = np.asarray(A, dtype=np.float64)
     if A.ndim != 2:

@@ -119,18 +119,12 @@ class SparseColMatrix:
     def nnz(self) -> int:
         return int(self.indptr[-1])
 
-    def col(self, j: int) -> tuple[np.ndarray, np.ndarray]:
-        if not 0 <= j < self.n_cols:
-            raise InputError(f"column {j} out of range")
-        lo, hi = self.indptr[j], self.indptr[j + 1]
-        return self.indices[lo:hi], self.data[lo:hi]
+    def col_nnz(self) -> np.ndarray:
+        return np.diff(self.indptr)
 
-    def col_nnz(self, j: int | None = None):
-        if j is None:
-            return np.diff(self.indptr)
-        if not 0 <= j < self.n_cols:
-            raise InputError(f"column {j} out of range")
-        return int(self.indptr[j + 1] - self.indptr[j])
+    def entry_cols(self) -> np.ndarray:
+        """The column of each stored entry, in storage order."""
+        return np.repeat(np.arange(self.n_cols), np.diff(self.indptr))
 
     def col_sqnorms(self) -> np.ndarray:
         out = np.zeros(self.n_cols)
@@ -146,7 +140,7 @@ class SparseColMatrix:
 
     def to_dense(self) -> np.ndarray:
         A = np.zeros((self.n_rows, self.n_cols))
-        A[self.indices, np.repeat(np.arange(self.n_cols), np.diff(self.indptr))] = self.data
+        A[self.indices, self.entry_cols()] = self.data
         return A
 
     def take_columns(self, idx) -> "SparseColMatrix":

@@ -14,15 +14,16 @@ Accumulation is canonical: updates apply in arrival order with plain
 summation, except that consecutive updates to the same entry coalesce
 before their rank-1 contribution forms, each run summed left to right,
 and coalesced increments are folded in chunks of a fixed count
-(_FOLD_CHUNK).  Input is read in small validated record blocks (views of
-a _RECORD array); the open run and the partial chunk carry from one block
-to the next, so update() one at a time and consume() of the same sequence
-give the same increments, the same chunks and the same bits, and no array
-grows with the stream.  A fold sorts its chunk stably by column, so each
-cell's increments keep their arrival order, and cuts it into product
-blocks: groups of at most _BLOCK_COLS distinct columns uc, on the chunk's
-distinct rows ur when there are at most _BLOCK_ROWS of them, else on each
-group's own rows in slices of _BLOCK_ROWS.  Each block is scattered into a
+(_FOLD_CHUNK).  consume() reads its input in small validated record
+blocks (views of a _RECORD array, or blocks read from any other iterable,
+a generator included); the open run and the partial chunk carry from one
+block to the next, so any block boundaries give the same increments, the
+same chunks and the same bits, and no array grows with the stream.  A
+fold sorts its chunk stably by column, so each cell's increments keep
+their arrival order, and cuts it into product blocks: groups of at most
+_BLOCK_COLS distinct columns uc, on the chunk's distinct rows ur when there
+are at most _BLOCK_ROWS of them, else on each group's own rows in slices of
+_BLOCK_ROWS.  Each block is scattered into a
 dense dA, every cell summed in arrival order, and every sketch updates
 through plain products with it: W = T_left[:, ur] dA and V = S[:, ur] dA,
 then M += W T_right[uc], L += V T_right[uc], N += W R[uc],
@@ -86,20 +87,36 @@ _INGEST_BLOCK = 1024
 # _walk fingerprints its bytes, those of struct.pack("<qqd", i, j, x)
 _RECORD = np.dtype([("i", "<i8"), ("j", "<i8"), ("x", "<f8")])
 _FIELDS = itemgetter("i", "j", "x")
+# an update read with float indices, to tell an integral index from one
+# that reading it into an int64 field truncates
+_REAL = np.dtype([("i", "<f8"), ("j", "<f8"), ("x", "<f8")])
 # an empty chunk of coalesced increments
 _EMPTY = np.empty(0, _RECORD)
+
+
+def _index(v) -> int | None:
+    """v as an int when its value is an integer, else None.  Like
+    _validated, it compares v read as a float with v read as an int, so
+    both accept the same values."""
+    try:
+        k = int(v)
+        return k if k == v or float(k) == float(v) else None
+    except (TypeError, ValueError, OverflowError):
+        return None
 
 
 def _check(i, j, x, m: int, n: int) -> tuple[int, int, float]:
     """One raw update as (int, int, float), or InputError naming the first
     rule it breaks."""
-    i, j = int(i), int(j)
-    if not (0 <= i < m and 0 <= j < n):
-        raise InputError(f"update index ({i}, {j}) out of range for {m} x {n}")
+    ii, jj = _index(i), _index(j)
+    if ii is None or jj is None:
+        raise InputError(f"update ({i}, {j}, {x}) has an index that is not an integer")
+    if not (0 <= ii < m and 0 <= jj < n):
+        raise InputError(f"update index ({ii}, {jj}) out of range for {m} x {n}")
     x = float(x)
     if not math.isfinite(x):
         raise InputError("update increment must be finite")
-    return i, j, x
+    return ii, jj, x
 
 
 def _blocks(updates, m: int, n: int):
@@ -117,16 +134,24 @@ def _blocks(updates, m: int, n: int):
 
 
 def _validated(block, m: int, n: int) -> np.ndarray:
-    """A block of raw updates as a _RECORD array, checked as arrays."""
+    """A block of raw updates as a _RECORD array, checked as arrays.  A
+    block read from tuples is read a second time with float indices, which
+    must equal the int64 ones, so no index is truncated."""
     try:
         rec = block if isinstance(block, np.ndarray) else np.fromiter(block, _RECORD, len(block))
         i, j, x = _FIELDS(rec)
-        if ((0 <= i) & (i < m) & (0 <= j) & (j < n)).all() and np.isfinite(x).all():
+        if (((0 <= i) & (i < m) & (0 <= j) & (j < n)).all() and np.isfinite(x).all()
+                and (rec is block or _integral(block, i, j))):
             return rec
     except (TypeError, ValueError, OverflowError):
         pass
-    # re-read update by update, so the first bad one raises as update() would
+    # re-read update by update, so the first bad one raises _check's message
     return np.fromiter([_check(i, j, x, m, n) for i, j, x in block], _RECORD, len(block))
+
+
+def _integral(block, i, j) -> bool:
+    real = np.fromiter(block, _REAL, len(block))
+    return bool(((real["i"] == i) & (real["j"] == j)).all())
 
 
 def _coalesce(run, block):
@@ -158,7 +183,7 @@ def _coalesce(run, block):
 class TurnstileSketchState:
     """Linear sketches of a matrix defined by a turnstile update stream.
 
-    After any update sequence (and a flush), M = T_left A T_right,
+    After consume() of any update sequence, M = T_left A T_right,
     L = S A T_right, N = T_left A R, D = A R, and C = S A when tracked,
     where A is the implied matrix; equality is up to floating accumulation
     against the dense products.  S and R are sign sketches of width
@@ -196,10 +221,9 @@ class TurnstileSketchState:
         self.D = np.zeros((m, self.xi2))
         self.C = np.zeros((self.xi1, n)) if track_columns else None
         self.updates_applied = 0
-        # update() calls not yet ingested, fewer than _INGEST_BLOCK; the open
-        # coalescing run as one (row, col, running sum) record, or None; the
-        # coalesced increments not yet folded, fewer than _FOLD_CHUNK records
-        self._raw: list[tuple[int, int, float]] = []
+        # while consume() reads: the open coalescing run as one (row, col,
+        # running sum) record, or None, and the coalesced increments not yet
+        # folded, fewer than _FOLD_CHUNK records
         self._run: np.ndarray | None = None
         self._chunk = _EMPTY
 
@@ -210,20 +234,6 @@ class TurnstileSketchState:
         if self.C is not None:
             words += self.xi1 * self.n
         return words
-
-    def update(self, i: int, j: int, x: float) -> None:
-        """Absorb one additive increment to entry (i, j)."""
-        self._raw.append(_check(i, j, x, self.m, self.n))
-        self.updates_applied += 1
-        if len(self._raw) == _INGEST_BLOCK:
-            self._drain()
-
-    def _drain(self) -> None:
-        """Ingest the buffered update() calls as one block."""
-        if self._raw:
-            block = np.fromiter(self._raw, _RECORD, len(self._raw))
-            self._raw.clear()
-            self._ingest(block)
 
     def _ingest(self, block) -> None:
         """Coalesce a validated block after the open run and fold every
@@ -281,23 +291,17 @@ class TurnstileSketchState:
         self.M += W @ tr
         self.L += V @ tr
 
-    def flush(self) -> None:
-        """Fold the open run and the partial chunk into the sketches."""
-        self._drain()
-        if self._run is not None:
-            self._chunk = np.concatenate((self._chunk, self._run))
-            self._run = None
-        chunk, self._chunk = self._chunk, _EMPTY
-        if len(chunk):
-            self._fold(*_FIELDS(chunk))
-
     def consume(self, updates) -> "TurnstileSketchState":
-        """Apply a whole update sequence, read in validated blocks, and flush."""
-        self._drain()
+        """Apply an update sequence, any iterable of (i, j, x) or a _RECORD
+        array, read in validated blocks; then fold the last run and the
+        partial chunk."""
         for block in _blocks(updates, self.m, self.n):
             self.updates_applied += len(block)
             self._ingest(block)
-        self.flush()
+        chunk = self._chunk if self._run is None else np.concatenate((self._chunk, self._run))
+        self._run, self._chunk = None, _EMPTY
+        if len(chunk):
+            self._fold(*_FIELDS(chunk))
         return self
 
 

@@ -147,7 +147,8 @@ class TestRightMultiplyBits:
     def _column_loop(A, M):
         out = np.zeros((A.n_rows, M.shape[1]))
         for j in range(A.n_cols):
-            rows, vals = A.col(j)
+            lo, hi = A.indptr[j], A.indptr[j + 1]
+            rows, vals = A.indices[lo:hi], A.data[lo:hi]
             if rows.size:
                 out[rows, :] += vals[:, None] * M[j, :]
         return out

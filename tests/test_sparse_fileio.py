@@ -37,10 +37,13 @@ class TestSparseColMatrix:
     def test_column_access_and_counts(self):
         S = _random_sparse(1, 8, 5)
         D = S.to_dense()
+        cols = S.entry_cols()
+        assert cols.shape == (S.nnz,)
         for j in range(5):
-            rows, vals = S.col(j)
-            assert np.array_equal(D[rows, j], vals)
-            assert S.col_nnz(j) == np.count_nonzero(D[:, j])
+            lo, hi = S.indptr[j], S.indptr[j + 1]
+            assert np.array_equal(D[S.indices[lo:hi], j], S.data[lo:hi])
+            assert S.col_nnz()[j] == np.count_nonzero(D[:, j])
+            assert np.all(cols[lo:hi] == j)
 
     def test_take_columns_verbatim_with_repeats(self):
         S = _random_sparse(2, 7, 6)
@@ -96,7 +99,9 @@ class TestSparseColMatrixBits:
         S = SparseColMatrix.from_dense(self._dense(7))
         idx = [8, 2, 2, 0, 5, 1]
         T = S.take_columns(idx)
-        ref = SparseColMatrix.from_columns((S.n_rows, len(idx)), [S.col(j) for j in idx])
+        spans = [slice(S.indptr[j], S.indptr[j + 1]) for j in idx]
+        ref = SparseColMatrix.from_columns((S.n_rows, len(idx)),
+                                           [(S.indices[c], S.data[c]) for c in spans])
         assert T.indptr.tobytes() == ref.indptr.tobytes()
         assert T.indices.tobytes() == ref.indices.tobytes()
         assert T.data.tobytes() == ref.data.tobytes()

@@ -196,16 +196,13 @@ class TestStateOracle:
             assert np.linalg.norm(got - want) / denom < 1e-10
 
     def test_empty_stream_gives_zero_state(self):
-        st_ = TurnstileSketchState(5, 6, 2, 0.5, 3, track_columns=True)
-        st_.flush()
+        st_ = TurnstileSketchState(5, 6, 2, 0.5, 3, track_columns=True).consume([])
         for name in SKETCH_NAMES:
             assert not np.any(getattr(st_, name))
         assert st_.updates_applied == 0
 
     def test_single_update_is_the_expected_rank_one_term(self):
-        st_ = TurnstileSketchState(5, 6, 2, 0.5, 3, track_columns=True)
-        st_.update(0, 0, 1.0)
-        st_.flush()
+        st_ = TurnstileSketchState(5, 6, 2, 0.5, 3, track_columns=True).consume([(0, 0, 1.0)])
         assert st_.M.tobytes() == np.outer(st_.T_left[:, 0], st_.T_right[0, :]).tobytes()
         assert st_.L.tobytes() == np.outer(st_.S[:, 0], st_.T_right[0, :]).tobytes()
         assert st_.N.tobytes() == np.outer(st_.T_left[:, 0], st_.R[0, :]).tobytes()
@@ -461,9 +458,9 @@ def run_of(ups, idx):
 
 
 class TestArrayIngest:
-    """consume() reads raw updates in blocks of arrays and update() buffers
-    its calls into blocks; the open run and the partial fold chunk carry
-    across blocks, so any block boundaries give the same bits."""
+    """consume() reads raw updates from any iterable in blocks of arrays;
+    the open run and the partial fold chunk carry across blocks, so any
+    block boundaries give the same bits."""
 
     m, n = 12, 16
 
@@ -481,16 +478,6 @@ class TestArrayIngest:
         assert len(ups) > 2 * _INGEST_BLOCK
         return ups
 
-    def test_update_by_update_equals_consume(self):
-        ups = self._stream()
-        one = self._state()
-        for u in ups:
-            one.update(*u)
-        one.flush()
-        block = self._state().consume(ups)
-        assert sketch_bytes(one) == sketch_bytes(block)
-        assert one.updates_applied == block.updates_applied == len(ups)
-
     def test_runs_sum_like_one_running_float(self):
         # the reference coalesces in a Python loop; the long runs are where a
         # pairwise or blocked sum would round differently
@@ -507,28 +494,18 @@ class TestArrayIngest:
         gen = self._state().consume(u for u in ups)
         assert sketch_bytes(gen) == sketch_bytes(self._state().consume(ups))
 
-    def test_open_run_carries_into_consume(self):
-        ups = self._stream()
-        lo, hi = run_of(ups, 10)
-        while hi - lo < 2:
-            lo, hi = run_of(ups, hi)
-        st_ = self._state()
-        for u in ups[:lo + 1]:
-            st_.update(*u)
-        st_.consume(ups[lo + 1:])
-        assert sketch_bytes(st_) == sketch_bytes(self._state().consume(ups))
-
     @pytest.mark.parametrize("bad,later", [
         ((12, 0, 1.0), (0, 0, float("nan"))),
         ((0, -1, 1.0), (0, 16, 1.0)),
         ((0, 0, float("nan")), (99, 0, 1.0)),
         ((3, 4, float("-inf")), (12, 3, 1.0)),
+        ((1.5, 0, 1.0), (0, 16, 1.0)),
     ])
     @pytest.mark.parametrize("at", [5, _INGEST_BLOCK + 300])
     def test_first_bad_update_raises_the_update_message(self, bad, later, at):
         ups = self._stream()
         with pytest.raises(InputError) as want:
-            self._state().update(*bad)
+            self._state().consume([bad])
         seq = ups[:at] + [bad] + ups[at:at + 50] + [later] + ups[at + 50:]
         with pytest.raises(InputError) as got:
             self._state().consume(seq)
@@ -624,18 +601,38 @@ class TestValidation:
     def test_out_of_range_indices_rejected(self):
         st_ = TurnstileSketchState(4, 5, 1, 0.5, 0)
         with pytest.raises(InputError):
-            st_.update(4, 0, 1.0)
+            st_.consume([(4, 0, 1.0)])
         with pytest.raises(InputError):
-            st_.update(0, 5, 1.0)
+            st_.consume([(0, 5, 1.0)])
         with pytest.raises(InputError):
-            st_.update(-1, 0, 1.0)
+            st_.consume([(-1, 0, 1.0)])
 
     def test_non_finite_increment_rejected(self):
         st_ = TurnstileSketchState(4, 5, 1, 0.5, 0)
         with pytest.raises(InputError):
-            st_.update(0, 0, float("nan"))
+            st_.consume([(0, 0, float("nan"))])
         with pytest.raises(InputError):
-            st_.update(0, 0, float("inf"))
+            st_.consume([(0, 0, float("inf"))])
+
+    @pytest.mark.parametrize("bad", [(1.5, 0, 1.0), (0, 2.25, 1.0), (float("nan"), 0, 1.0)])
+    def test_non_integral_index_rejected_by_every_reader(self, bad, tmp_path):
+        # an int64 record field would truncate 1.5 to row 1
+        readers = [
+            lambda ups: TurnstileSketchState(4, 4, 1, 0.5, 0).consume(ups),
+            lambda ups: stream_matrix(ups, 4, 4),
+            lambda ups: two_pass_pca(ups, 4, 4, 1, 0.5, 0),
+            lambda ups: write_stream_file(tmp_path / "s.stream", (4, 4), ups),
+        ]
+        for read in readers:
+            with pytest.raises(InputError) as err:
+                read([(0, 0, 1.0), bad])
+            assert str(err.value) == (f"update ({bad[0]}, {bad[1]}, {bad[2]}) "
+                                      "has an index that is not an integer")
+
+    def test_integral_float_index_is_the_integer(self):
+        a = TurnstileSketchState(4, 4, 1, 0.5, 0).consume([(2.0, np.float64(3), 1.0)])
+        b = TurnstileSketchState(4, 4, 1, 0.5, 0).consume([(2, 3, 1.0)])
+        assert sketch_bytes(a) == sketch_bytes(b)
 
     def test_constructor_validation(self):
         with pytest.raises(InputError):
