@@ -1,12 +1,14 @@
 """Entry-touch kernels for the column-partition protocol.
 
 The exact kernels in column_select form dense residual matrices; here every
-pass over the data goes through a one-nonzero-per-column embedding or a sign
-JL map, so the work per operation is proportional to the number of stored
-entries plus sketch-sized dense algebra.  The price is randomness: each
-kernel fails with some probability, and the repeated-candidate wrappers
-(boosted SVD, repeated barrier sampling) drive that probability down by
-scoring candidates against sketched costs and keeping a certified winner.
+pass over the data goes through a one-nonzero-per-column embedding, a sign
+JL map or a product with a thin dense factor, so the work per operation is
+proportional to the number of stored entries plus sketch-sized dense
+algebra.  The top-k factors of a sketch core come from a PRF-seeded range
+finder, not a full SVD.  The price is randomness: each kernel fails with
+some probability, and the repeated-candidate wrappers (boosted SVD,
+repeated barrier sampling) drive that probability down by scoring
+candidates against sketched costs and keeping a certified winner.
 
 The barrier sampler reads its residual through one type, ResidualOperator
 (A - A Z Z^T held implicitly); a plain matrix is that operator with an
@@ -40,12 +42,14 @@ from .sketches import (
     derive_seed,
     embedding_dim,
     jlt_sketch,
+    sign_sketch,
     sparse_embedding,
 )
 from .sparse import SparseColMatrix, scatter_add
 
 TAG_SVD_LEFT = "sparse-svd-left"
 TAG_SVD_RIGHT = "sparse-svd-right"
+TAG_SVD_START = "sparse-svd-start"
 TAG_BOOST = "svd-boost"
 TAG_BOOST_SCORE = "svd-boost-score"
 TAG_BSS_EMBED = "bss-embed"
@@ -228,13 +232,29 @@ class ResidualOperator:
 # -- approximate SVD ----------------------------------------------------
 
 
+def _range_finder_top(core: np.ndarray, k: int, seed: int) -> np.ndarray:
+    """k orthonormal columns spanning nearly the top-k left factors of core.
+
+    A range finder on p = k + 5 columns (fewer when core is smaller): a PRF
+    sign start block, two power steps with a QR after every product, and
+    the exact SVD of the p-row projection.  No Gram matrix is formed, so
+    the condition number is never squared.
+    """
+    p = min(k + 5, min(core.shape))
+    Q, _ = qr(core @ sign_sketch(p, core.shape[1], seed, 1.0).materialize().T)
+    for _ in range(2):
+        Q, _ = qr(core.T @ Q)
+        Q, _ = qr(core @ Q)
+    return Q @ truncated_svd(Q.T @ core, k).U
+
+
 def sparse_svd(A, k: int, eps: float, seed: int) -> np.ndarray:
     """Orthonormal right factors Z (n x k) with near-best projection error.
 
     Two-sided embedding pipeline run against the transpose: compress the
-    rows, then the columns, take the top-k left factors of the small core,
-    and lift back through the row sketch.  One touch per stored entry; the
-    dense work is on xi-sized sketches only.
+    rows, then the columns, take near-top-k left factors of the small core
+    from a seeded range finder, and lift back through the row sketch.  One
+    touch per stored entry; the dense work is on xi-sized sketches only.
     """
     A = _as_sparse(A)
     m, n = A.shape
@@ -245,7 +265,7 @@ def sparse_svd(A, k: int, eps: float, seed: int) -> np.ndarray:
     right = sparse_embedding(xi, n, derive_seed(seed, TAG_SVD_RIGHT))
     Y = embed_rows(left, A)
     core = right.apply_right(Y)
-    top = truncated_svd(core, k).U
+    top = _range_finder_top(core, k, derive_seed(seed, TAG_SVD_START))
     Q, _ = qr(Y.T @ top)
     return Q
 
@@ -448,14 +468,18 @@ def _fast_local_select(params, s, i, Ai, ell):
 
 
 def _fast_residual_masses(params, cluster, parts, C):
-    # residual magnitudes read off a JL sketch every machine builds from
-    # the shared seed
+    # residual magnitudes ||J (I - Yc Yc^T) a_j||^2 read off a JL sketch J
+    # every machine builds from the shared seed.  The projection is folded
+    # into J once, so each machine makes one product.  It stays inside the
+    # product: a column in span(C) maps to ~1e-15 entries and reads ~1e-30,
+    # where the identity ||a_j||^2 - ||Yc^T a_j||^2 leaves ~1e-15 of
+    # rounding in the mass itself, enough to draw the column
     Jmat = jlt_sketch(cluster.n, cluster.m, derive_seed(params.seed, TAG_FAST_JLT)).materialize()
     Yc = orthonormal_basis(C)
-    JY = Jmat @ Yc
+    Jmat -= (Jmat @ Yc) @ Yc.T
     masses = []
     for Ai in parts:
-        sketched = dense_times_sparse(Jmat, Ai) - JY @ dense_times_sparse(Yc.T, Ai)
+        sketched = dense_times_sparse(Jmat, Ai)
         masses.append(np.sum(sketched * sketched, axis=0))
     return masses
 
@@ -489,9 +513,10 @@ def distributed_css_pca_fast(cluster: Cluster, params: FastCssProtocolParams) ->
     """Sketched variant of the four-stage column-selection protocol.
 
     The column-partition driver with entry-touch kernels: local selection
-    runs boosted sparse SVDs plus sketched barrier sampling, the global
-    core selector and the finalize sketch work in entry-touch time, and the
-    adaptive stage reads residual magnitudes off a JL sketch.  Ledger
+    runs boosted sparse SVDs (each core's top-k from a range finder) plus
+    sketched barrier sampling, the global core selector and the finalize
+    sketch work in entry-touch time, and the adaptive stage reads residual
+    magnitudes off a JL sketch with one product per machine.  Ledger
     phases, their closed forms and the double-entry check are the exact
     protocol's.
     """

@@ -10,6 +10,7 @@ from conftest import (
     lowrank_plus_noise,
     rand_matrix,
     rand_orthonormal,
+    rank_exactly,
     selected_rank,
     sparse_columns_block,
     stage_four_words,
@@ -25,6 +26,7 @@ from sketchpca.column_select_sparse import (
     FastCssProtocolParams,
     FastParams,
     ResidualOperator,
+    _range_finder_top,
     _select_top_two_thirds,
     bss_sampling_sparse,
     dense_times_sparse,
@@ -267,6 +269,55 @@ class TestSparseSvd:
         ratios = np.array(ratios)
         assert float(np.median(ratios)) <= 1.5
         assert int(np.sum(ratios <= 1.5)) >= 90
+
+
+class TestRangeFinderTop:
+    """The top-k left factors of a sketch core, from a PRF-seeded range
+    finder with QR-stabilized power steps."""
+
+    def test_same_seed_same_bytes(self):
+        core = rand_matrix(21, 40, 40)
+        U1 = _range_finder_top(core, 3, 5)
+        U2 = _range_finder_top(core, 3, 5)
+        assert U1.shape == (40, 3)
+        assert U1.tobytes() == U2.tobytes()
+        assert U1.tobytes() != _range_finder_top(core, 3, 6).tobytes()
+
+    def test_draws_nothing_from_numpy_random(self, monkeypatch):
+        def refuse(*args, **kwargs):
+            raise AssertionError("np.random was called")
+
+        A = sparse_random(22, 30, 24)
+        want = sparse_svd(A, 3, 0.5, 9)
+        for name in ("default_rng", "Generator", "RandomState", "seed", "rand",
+                     "randn", "random", "random_sample", "standard_normal",
+                     "normal", "uniform", "randint", "choice", "permutation",
+                     "shuffle"):
+            monkeypatch.setattr(np.random, name, refuse)
+        assert sparse_svd(A, 3, 0.5, 9).tobytes() == want.tobytes()
+
+    def test_exact_on_rank_k_when_the_block_is_clamped(self):
+        # xi = 6 < k + 5, so the block takes all 6 columns of the core
+        core = rank_exactly(23, 6, 6, 3)
+        U = _range_finder_top(core, 3, 4)
+        assert U.shape == (6, 3)
+        assert np.allclose(U.T @ U, np.eye(3), atol=1e-12)
+        assert frob_sq(core - U @ (U.T @ core)) <= 1e-12 * frob_sq(core)
+
+    def test_zero_core_gives_orthonormal_columns(self):
+        U = _range_finder_top(np.zeros((20, 20)), 3, 7)
+        assert U.shape == (20, 3)
+        assert np.allclose(U.T @ U, np.eye(3), atol=1e-12)
+
+    def test_sparse_svd_touches_each_entry_once_with_a_clamped_block(self):
+        # xi = 2 < k + 5, and neither the start block nor the power steps
+        # touch an entry of A
+        A = sparse_random(24, 40, 35, density=0.3)
+        TOUCHES.reset()
+        Z = sparse_svd(A, 1, 1.0, 3)
+        assert TOUCHES.count == A.nnz
+        assert Z.shape == (35, 1)
+        assert np.allclose(Z.T @ Z, np.eye(1), atol=1e-12)
 
 
 class TestSparseSvdBoosting:
@@ -562,7 +613,23 @@ class TestAdaptiveColsSparse:
         for P in blocks:
             TOUCHES.reset()
             _FAST_KERNELS.residual_masses(params, cl, [P], C)
-            assert TOUCHES.count == 2 * P.nnz
+            assert TOUCHES.count == P.nnz
+
+
+class TestAdaptiveCancellationGuard:
+    def test_exactly_low_rank_input_draws_no_adaptive_column(self):
+        # columns in span(C) read ~1e-30 because the projection stays
+        # inside the sketched product; the identity
+        # ||a_j||^2 - ||Y^T a_j||^2 leaves ~1e-15 of rounding per column,
+        # which draws 100 adaptive columns here, for 19,250 words
+        A = np.zeros((30, 40))
+        A[:, :20] = rank_exactly(0, 30, 20, 3)
+        cl = Cluster([SparseColMatrix.from_dense(A[:, :20]),
+                      SparseColMatrix.from_dense(A[:, 20:])], kind="column")
+        res = distributed_css_pca_fast(cl, _params(k=2, eps=0.5, seed=3))
+        assert "no-adaptive" in res.flags
+        assert res.phase_words["adaptive"] == 0
+        assert res.total_words == 650
 
 
 class TestApproxSubspaceSvdSparse:
@@ -880,8 +947,9 @@ class TestBssCandidateFallback:
             cost.append(float(np.sum(S.apply_to(B) ** 2)))
         es = [float(np.sum((res.columns(S.indices) * S.weights[None, :]) ** 2))
               for S in cands]
-        assert len(set(es)) == len(es)          # every failure reads differently
         preferred = _select_top_two_thirds(np.array(sig_sq), np.array(cost))
+        # the preferred candidate's failure reads unlike every other one
+        assert all(e != es[preferred] for i, e in enumerate(es) if i != preferred)
         assert preferred != len(cands) - 1
         with pytest.raises(InternalError) as err:
             bss_sampling_sparse(Z, res, ell, eps, delta, seed)
@@ -909,9 +977,14 @@ class TestFastFinalizeTouches:
     @pytest.mark.parametrize("parallel", [False, True])
     def test_protocol_touches_are_pinned(self, xi, parallel):
         # the same count on both finalize branches: stage 4 touches every
-        # stored entry once, as the embedded sketch did
+        # stored entry once, as the embedded sketch did.  12172 =
+        # 20 * 554 + 6 * 182: each of the 554 stored entries is touched by 8
+        # boosting candidates, their score, 8 barrier sketches and one A Z
+        # pass (18), once by the residual masses and once by stage 4; the
+        # 182 entries of the local picks G, by the core selector's sparse
+        # SVD, its 4 barrier sketches and its A Z pass (6)
         cl = _sparse_cluster(1, parallel=parallel)
         TOUCHES.reset()
         res = distributed_css_pca_fast(cl, _params(k=2, seed=200, xi_subspace=xi))
         assert res.finalize == ("exact" if xi is None else "sketch")
-        assert TOUCHES.count == 12744
+        assert TOUCHES.count == 12172
