@@ -10,10 +10,12 @@ A cheap 2k x 2k probe decides between two branches:
   two-sided sketch pipeline with per-machine partial sketches summed at the
   server, an optional quantization of the small right factor bounding the
   downlink word size.  A tiny seeded perturbation breaks spectral-gap
-  degeneracies; it is public, so the server adds its sketched terms from
-  row blocks of the seeded grid, and no step allocates an m x n array.  Its
-  default scale comes from the gathered sketch, so no data moves off the
-  ledger.
+  degeneracies: the +-eta sign grid Z on the first p = min(n, xi) columns
+  of A, zero on the rest, so N' = [Z, 0] and ||N'||_F = eta sqrt(m p).  It
+  is public, so the server adds its image N' Tr = Z Tr[:p] itself, in row
+  blocks of Z: m p PRF cells, and no step allocates an m x n array.  An
+  input with n <= xi gets the full m x n grid.  Its default scale comes
+  from the gathered sketch, so no data moves off the ledger.
 
 Each machine multiplies only its nonzero row range: the smallest contiguous
 rows holding every nonzero of its summand, found once when the Cluster is
@@ -68,7 +70,9 @@ class ArbProtocolParams:
     """Knobs for the arbitrary-partition protocol.
 
     noise_scale is eta, the magnitude of every entry of the seeded sign
-    grid the smoothed branch adds to A.  None picks DEFAULT_NOISE_REL times
+    grid the smoothed branch adds to the first min(n, xi) columns of A (all
+    of A when n <= xi), so the perturbation has Frobenius norm
+    eta sqrt(m min(n, xi)).  None picks DEFAULT_NOISE_REL times
     the RMS entry of A, estimated from the gathered two-sided sketch; 0
     disables the perturbation exactly (no-op, bit for bit).  rounding 0
     likewise disables quantization of the downlinked factor.
@@ -229,13 +233,17 @@ def smoothed_protocol(cluster: Cluster, params: ArbProtocolParams) -> ArbResult:
     batch_low_rank trims A by the same rule and calls the same helpers, so
     the bits agree even when A has zero rows.
 
-    The perturbation is the seeded sign grid N = eta * (+-1), m x n.  It is
-    public (seed and eta), so the server adds its terms itself and no
-    machine ships or holds it: N @ Tr is formed in row blocks of N, and
-    S @ (N @ Tr) and (N @ Tr) @ V join the gathered sketch and lift.  The
-    default eta is DEFAULT_NOISE_REL times the RMS entry of A, with
-    ||A||_F estimated by the gathered sketch: S and Tr are 1/sqrt(xi)-scaled
-    sign sketches, so E ||S A Tr||_F^2 = ||A||_F^2.
+    The perturbation is N' = [Z, 0]: Z = eta * (+-1) is the m x p seeded
+    sign grid on the first p = min(n, xi) columns, every other column is
+    zero, and ||N'||_F = eta sqrt(m p).  An input with n <= xi gets the
+    full m x n grid, so its bits are those of a full-grid perturbation.  It
+    is public (seed and eta), so the server adds its terms itself and no
+    machine ships or holds it: the exact image N' @ Tr = Z @ Tr[:p] is
+    formed in row blocks of Z, and S @ (N' @ Tr) and (N' @ Tr) @ V join
+    the gathered sketch and lift.  The default eta is DEFAULT_NOISE_REL
+    times the RMS entry of A, with ||A||_F estimated by the gathered
+    sketch: S and Tr are 1/sqrt(xi)-scaled sign sketches, so
+    E ||S A Tr||_F^2 = ||A||_F^2.
     """
     k = params.k
     m, n = cluster.m, cluster.n
@@ -251,8 +259,8 @@ def smoothed_protocol(cluster: Cluster, params: ArbProtocolParams) -> ArbResult:
         eta = DEFAULT_NOISE_REL * float(np.linalg.norm(small, "fro")) / math.sqrt(max(m * n, 1))
     NTr = None
     if eta > 0.0:
-        N = sign_sketch(m, n, derive_seed(params.seed, TAG_NOISE), scale=eta)
-        NTr = N.apply_left(Tr)
+        p = min(n, xi)
+        NTr = sign_sketch(m, p, derive_seed(params.seed, TAG_NOISE), scale=eta).apply_left(Tr[:p])
         small = small + S @ NTr
         flags.add("perturbed")
 

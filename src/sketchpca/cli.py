@@ -402,9 +402,11 @@ def _const(name: str) -> tuple:
 _ROUNDING = ("--rounding", {"type": float, "default": 0.0})
 _NOISE_SCALE = ("--noise-scale", {
     "type": float, "default": None,
-    "help": "entry size of the seeded perturbation the server adds in the smoothed "
-            "branch; default 1e-6 times the RMS entry of A, estimated from the "
-            "gathered sketch; 0 disables it"})
+    "help": "entry size eta of the seeded sign grid Z the server adds in the smoothed "
+            "branch, on the first p = min(n, xi) columns of A (all of A when n <= xi; "
+            "xi the sketch width), through its image Z Tr[:p] under the right sketch; "
+            "its Frobenius norm is eta sqrt(m p); default 1e-6 times the RMS entry of "
+            "A, estimated from the gathered sketch; 0 disables it"})
 _ONE_PASS_FLAGS = (_const("xi-regression"), _const("xi-affine"))
 _XI_SUBSPACE = ("--const-xi-subspace", {
     "type": int, "default": None,

@@ -207,15 +207,24 @@ class TestSmoothedBranch:
 
     def test_explicit_noise_obeys_weyl(self):
         # singular values move by at most the spectral norm of the
-        # perturbation, which is at most eta * sqrt(m n)
-        A = rand_matrix(5, 15, 18)
-        eta = 1e-3
-        cl = Cluster([A])
-        ap.smoothed_protocol(cl, _params(k=2, seed=25, noise_scale=eta))
-        E = eta * np.sign(np.random.default_rng(0).standard_normal((15, 18)))
-        s0 = np.linalg.svd(A, compute_uv=False)
-        s1 = np.linalg.svd(A + E, compute_uv=False)
-        assert np.abs(s0 - s1).max() <= eta * np.sqrt(15 * 18) + 1e-12
+        # protocol's perturbation N', at most ||N'||_F = eta sqrt(m p) with
+        # p = min(n, xi): all 18 columns at xi = 32, and 32 of 60, below
+        # eta sqrt(m n)
+        m, eta, xi = 15, 1e-3, ap.dense_pca_dim(2, 0.5)
+        for n in (18, 60):
+            A = rand_matrix(5, m, n)
+            res = ap.smoothed_protocol(Cluster([A]), _params(k=2, seed=25, noise_scale=eta))
+            p = min(n, xi)
+            N = np.zeros_like(A)
+            N[:, :p] = ap.sign_sketch(m, p, ap.derive_seed(25, ap.TAG_NOISE),
+                                      scale=eta).materialize()
+            ref = ap.smoothed_protocol(Cluster([A + N]), _params(k=2, seed=25, noise_scale=0.0))
+            assert "perturbed" in res.flags
+            assert np.abs(res.U @ res.U.T - ref.U @ ref.U.T).max() <= 1e-9
+            assert np.linalg.norm(N, "fro") == pytest.approx(eta * np.sqrt(m * p))
+            s0 = np.linalg.svd(A, compute_uv=False)
+            s1 = np.linalg.svd(A + N, compute_uv=False)
+            assert np.abs(s0 - s1).max() <= eta * np.sqrt(m * p) + 1e-12
 
     def test_rounding_bounds_factor_entries(self):
         A = lowrank_plus_noise(6, 20, 30, 2, 0.05)
@@ -308,12 +317,15 @@ class TestServerSideNoise:
     """The perturbation is applied by the server from the seeded grid."""
 
     def test_same_perturbation_as_noised_part(self):
-        # the server's blocked terms equal adding the whole grid to one part
+        # the server's blocked terms equal adding N' = [Z, 0] to one part:
+        # the 40 x 48 grid on the first xi = 48 of the 70 columns
         A = lowrank_plus_noise(8, 40, 70, 3, 0.05)
         seed, eta = 28, 0.05
         res = ap.smoothed_protocol(_cluster_for(A, 3, seed=8),
                                    _params(k=3, seed=seed, noise_scale=eta))
-        N = ap.sign_sketch(40, 70, ap.derive_seed(seed, ap.TAG_NOISE), scale=eta).materialize()
+        N = np.zeros_like(A)
+        N[:, :48] = ap.sign_sketch(40, 48, ap.derive_seed(seed, ap.TAG_NOISE),
+                                   scale=eta).materialize()
         ref = ap.smoothed_protocol(Cluster([A + N, np.zeros_like(A), np.zeros_like(A)]),
                                    _params(k=3, seed=seed, noise_scale=0.0))
         clean = ap.smoothed_protocol(_cluster_for(A, 3, seed=8),
@@ -323,6 +335,43 @@ class TestServerSideNoise:
         assert np.abs(P - ref.U @ ref.U.T).max() <= 1e-9
         # the noise moves the subspace far more than the tolerance
         assert np.abs(P - clean.U @ clean.U.T).max() > 1e-6
+
+    @staticmethod
+    def _spy_noise(monkeypatch, seed):
+        """Record (rows, cols, scale) of each noise grid the protocol asks for."""
+        real, grids = ap.sign_sketch, []
+        noise_seed = ap.derive_seed(seed, ap.TAG_NOISE)
+
+        def spy(xi, cols, sd, scale=None):
+            if sd == noise_seed:
+                grids.append((xi, cols, scale))
+            return real(xi, cols, sd, scale)
+
+        monkeypatch.setattr(ap, "sign_sketch", spy)
+        return grids
+
+    def test_narrow_input_adds_the_full_grid(self, monkeypatch):
+        # n = 40 <= xi = 48: the default perturbation is the whole m x n
+        # grid, so such inputs keep the bits of a full-grid perturbation
+        A = lowrank_plus_noise(10, 30, 40, 3, 0.05)
+        seed = 31
+        grids = self._spy_noise(monkeypatch, seed)
+        res = ap.smoothed_protocol(_cluster_for(A, 3, seed=10), _params(k=3, seed=seed))
+        [(rows, cols, eta)] = grids
+        assert (rows, cols) == (30, 40)
+        N = ap.sign_sketch(30, 40, ap.derive_seed(seed, ap.TAG_NOISE), scale=eta).materialize()
+        ref = ap.smoothed_protocol(Cluster([A + N]), _params(k=3, seed=seed, noise_scale=0.0))
+        assert "perturbed" in res.flags
+        assert np.abs(res.U @ res.U.T - ref.U @ ref.U.T).max() <= 1e-9
+
+    def test_noise_costs_min_n_xi_columns(self, monkeypatch):
+        # a 30 x 400 input at k = 2 (xi = 32) asks for one 30 x 32 noise
+        # grid, not 30 x 400
+        A = lowrank_plus_noise(11, 30, 400, 2, 0.1)
+        grids = self._spy_noise(monkeypatch, 32)
+        res = ap.smoothed_protocol(_cluster_for(A, 3, seed=11), _params(k=2, seed=32))
+        assert "perturbed" in res.flags
+        assert [(rows, cols) for rows, cols, _ in grids] == [(30, ap.dense_pca_dim(2, 0.5))]
 
     def test_default_scale_tracks_the_input_norm(self, monkeypatch):
         # eta comes from the gathered sketch, within 2x of the exact RMS rule

@@ -47,9 +47,11 @@ def _path(flag, help):
 
 NOISE_SCALE = _float(
     "--noise-scale",
-    help="entry size of the seeded perturbation the server adds in the smoothed "
-         "branch; default 1e-6 times the RMS entry of A, estimated from the "
-         "gathered sketch; 0 disables it")
+    help="entry size eta of the seeded sign grid Z the server adds in the smoothed "
+         "branch, on the first p = min(n, xi) columns of A (all of A when n <= xi; "
+         "xi the sketch width), through its image Z Tr[:p] under the right sketch; "
+         "its Frobenius norm is eta sqrt(m p); default 1e-6 times the RMS entry of "
+         "A, estimated from the gathered sketch; 0 disables it")
 
 XI_SUBSPACE_HELP = (
     "width of the finalize sketch, which every machine then ships; default a "
