@@ -140,21 +140,29 @@ class Cluster:
         self._round += 1
         return self._round
 
-    def record_broadcast(self, phase: str, words_each: int) -> None:
+    def record_broadcast(self, phase: str, words) -> None:
+        """One round in which the server sends every machine words (one
+        count for all, or one per receiver)."""
+        per = self._per_machine(words, self.s, "receiving")
         r = self.next_round()
-        for i in range(self.s):
-            self.ledger.record(r, SERVER, i, words_each, phase)
+        for i, w in enumerate(per):
+            self.ledger.record(r, SERVER, i, w, phase)
 
     def record_gather(self, phase: str, words, machines=None) -> None:
         """One round in which every machine, or each listed machine, sends
         the server words (one count for all, or one per sender)."""
         ids = range(self.s) if machines is None else sorted(machines)
-        per = [words] * len(ids) if isinstance(words, int) else list(words)
-        if len(per) != len(ids):
-            raise InputError("need one word count per sending machine")
+        per = self._per_machine(words, len(ids), "sending")
         r = self.next_round()
         for i, w in zip(ids, per):
             self.ledger.record(r, i, SERVER, w, phase)
+
+    @staticmethod
+    def _per_machine(words, count: int, role: str) -> list:
+        per = [words] * count if isinstance(words, int) else list(words)
+        if len(per) != count:
+            raise InputError(f"need one word count per {role} machine")
+        return per
 
     def gather_sum(self, phase: str, arrays) -> np.ndarray:
         """Sum per-machine arrays in machine order, recording the gather of

@@ -3,19 +3,29 @@
 Machine i owns a contiguous block of columns.  The protocol ships actual
 columns, never dense sketches of them, so the uplink cost tracks the column
 sparsity: a column of height m with z nonzeros costs min(2z, m) + 1 words, a
-header and then its (row, value) pairs or its m values, whichever is fewer.
+header (its global index and z, in one word) and then its (row, value)
+pairs or its m values, whichever is fewer.  No machine is sent a column it
+already holds: such a column goes as one index word, or not at all.
 
 Four stages:
 
 1. local selection: each machine picks ell columns of its own block and
    uploads them verbatim;
 2. global selection: the server distills those to a core set C of c1
-   columns and broadcasts it;
+   columns and sends each machine the core columns it does not own, so
+   global-down = (s - 1) words(C) + |C|: an owner gets one index word per
+   core column of its own, since it cannot tell which of its uploads the
+   core kept; when the core keeps every upload ("core-all") it can, and
+   global-down = (s - 1) words(C);
 3. adaptive residual sampling: machines report one-word rounded residual
    magnitudes, the server splits a budget of c2 draws across machines
-   proportionally, and machines upload residual-sampled columns verbatim
-   (phase "adaptive" counts only these column words; the two quantized
-   scalars per machine ride in "adaptive-meta");
+   proportionally, and machines upload residual-sampled columns verbatim,
+   each distinct column once and each repeat as one index word (the
+   position of its first occurrence); the server relays each upload to
+   the other s - 1 machines, so span-down = (s - 1) adaptive, and every
+   machine rebuilds the same draws, repeats included, in draw order
+   (phase "adaptive" counts only these words; the two quantized scalars
+   per machine ride in "adaptive-meta");
 4. finalize: the server finds a rank-k basis inside the span of the
    collected columns C.  Every machine holds C, so each forms the same
    orthonormal basis Y of span(C), with r = rank C <= min(m, c) columns.
@@ -155,11 +165,16 @@ class CssPcaResult:
     params: CssProtocolParams
 
 
-def _cols_words(block) -> int:
-    """A header per column, then its z (row, value) pairs or m values."""
+def _col_words(block) -> np.ndarray:
+    """Each column's words: a header, then its z (row, value) pairs or its
+    m values."""
     nnz = (block.col_nnz() if isinstance(block, SparseColMatrix)
            else np.count_nonzero(block, axis=0))
-    return int(np.minimum(2 * nnz, block.shape[0]).sum()) + block.shape[1]
+    return np.minimum(2 * nnz, block.shape[0]) + 1
+
+
+def _cols_words(block) -> int:
+    return int(_col_words(block).sum())
 
 
 def _sketch_payload(YT: np.ndarray, block: np.ndarray):
@@ -331,8 +346,13 @@ def run_css_protocol(cluster: Cluster, params, kernels: CssKernels) -> CssPcaRes
     else:
         core_pos = kernels.core_select(params, G, c1)
     C = G[:, core_pos]
-    core_gids = [int(g) for g in gids[core_pos]]
-    cluster.record_broadcast("global-down", _cols_words(C))
+    core_gids = gids[core_pos].tolist()
+    # each machine gets the core columns it does not own, and one index word
+    # for each of its own (none when the core keeps every upload)
+    words = _col_words(C)
+    owners = np.searchsorted(cluster.col_offsets, core_gids, side="right") - 1
+    held = np.bincount(owners, words - ("core-all" not in flags), minlength=s)
+    cluster.record_broadcast("global-down", (words.sum() - held).astype(int).tolist())
 
     # stage 3: adaptive residual sampling
     col_masses = kernels.residual_masses(params, cluster, parts, C)
@@ -342,27 +362,30 @@ def run_css_protocol(cluster: Cluster, params, kernels: CssKernels) -> CssPcaRes
 
     adaptive_gids: list[int] = []
     adaptive_blocks: list[np.ndarray] = []
+    up_words = [0] * s
     if sum(betas) <= 0.0:
         flags.add("no-adaptive")
-        cluster.record_gather("adaptive", 0)
     else:
         picks = sample_proportional(
             np.asarray(betas), c2, derive_seed(params.seed, TAG_ADAPTIVE_MACHINES))
         draws = np.bincount(picks, minlength=s).tolist()
-        up_words = []
         for i in range(s):
             if draws[i] == 0:
-                up_words.append(0)
                 continue
             sub_seed = derive_seed(derive_seed(params.seed, TAG_ADAPTIVE_COLS), i)
             idx = sample_proportional(col_masses[i], draws[i], sub_seed)
             block = _columns(parts[i], idx)
             adaptive_blocks.append(block)
-            adaptive_gids.extend(int(cluster.col_offsets[i] + j) for j in idx)
-            up_words.append(_cols_words(block))
-        cluster.record_gather("adaptive", up_words)
+            adaptive_gids.extend((cluster.col_offsets[i] + idx).tolist())
+            # each distinct draw ships once; a repeat ships as one word, the
+            # position of its first occurrence
+            first = np.unique(idx, return_index=True)[1]
+            up_words[i] = int(_col_words(block)[first].sum()) + idx.size - first.size
+    cluster.record_gather("adaptive", up_words)
+    # each machine gets the other machines' uploads, relayed, and rebuilds
+    # the draws in machine order around its own
+    cluster.record_broadcast("span-down", [sum(up_words) - w for w in up_words])
     new_cols = np.hstack(adaptive_blocks) if adaptive_blocks else np.zeros((m, 0))
-    cluster.record_broadcast("span-down", _cols_words(new_cols))
     C_full = np.hstack([C, new_cols])
 
     # stage 4: the top-k left singular vectors of Y^T A, with Y the basis
@@ -495,12 +518,19 @@ def _expected_words(cluster: Cluster, result: CssPcaResult,
     widths = np.diff(cluster.col_offsets)
     raw_words = sum(words for words, _ in raw)
     raw_cols = sum(width for _, width in raw)
+    # a draw's first occurrence ships whole and a repeat as one word; a
+    # column goes whole to the s - 1 machines that do not own it, and its
+    # owner gets its index (global-down) or nothing (span-down, core-all)
+    draws = len(result.adaptive_indices)
+    first = np.unique(result.adaptive_indices, return_index=True)[1]
+    adaptive_words = int(_col_words(adaptive)[first].sum()) + draws - first.size
+    held = 0 if "core-all" in result.flags else core.shape[1]
     return {
         "local-up": sum(_cols_words(b) for b in local_blocks),
-        "global-down": s * _cols_words(core),
+        "global-down": (s - 1) * _cols_words(core) + held,
         "adaptive-meta": 2 * s,
-        "adaptive": _cols_words(adaptive),
-        "span-down": s * _cols_words(adaptive),
+        "adaptive": adaptive_words,
+        "span-down": (s - 1) * adaptive_words,
         "subspace-up": sum(_cols_words(p[1]) if isinstance(p, tuple)
                            else _r_words(int(widths[i]), r) for i, p in exact.items())
                        + raw_words + r * (sketchers * result.xi - raw_cols),

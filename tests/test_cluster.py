@@ -81,6 +81,34 @@ class TestClusterArbitrary:
         assert rounds == [1, 1, 2, 2]
         assert [m.words for m in cl.ledger.messages] == [1, 1, 2, 3]
 
+
+class TestRecordBroadcast:
+    def _cluster(self, s=3):
+        return Cluster([np.zeros((2, 1))] * s, kind="column")
+
+    def test_one_count_goes_to_every_machine(self):
+        cl = self._cluster()
+        cl.record_broadcast("down", 4)
+        assert [(m.sender, m.receiver, m.words) for m in cl.ledger.messages] == [
+            (SERVER, 0, 4), (SERVER, 1, 4), (SERVER, 2, 4)]
+
+    def test_each_receiver_gets_its_own_count_in_one_round(self):
+        cl = self._cluster()
+        cl.record_broadcast("down", [5, 0, 7])
+        assert [(m.round_no, m.sender, m.receiver, m.words, m.phase)
+                for m in cl.ledger.messages] == [
+            (1, SERVER, 0, 5, "down"), (1, SERVER, 1, 0, "down"), (1, SERVER, 2, 7, "down")]
+        assert cl.ledger.phase_totals() == {"down": 12}
+
+    @pytest.mark.parametrize("words", [[1, 2], [1, 2, 3, 4], []])
+    def test_wrong_length_rejected_before_recording(self, words):
+        cl = self._cluster()
+        with pytest.raises(InputError, match="one word count per receiving machine"):
+            cl.record_broadcast("down", words)
+        assert cl.ledger.messages == []
+        cl.record_gather("up", 1)
+        assert cl.ledger.messages[0].round_no == 1
+
     def test_shape_validation(self):
         with pytest.raises(InputError):
             Cluster([np.zeros((2, 2)), np.zeros((3, 2))])

@@ -18,6 +18,7 @@ from conftest import (
     frob_sq,
     lowrank_plus_noise,
     rand_matrix,
+    rank_exactly,
     selected_rank,
     sparse_columns_block,
     stage_four_words,
@@ -45,6 +46,7 @@ from sketchpca.errors import InputError
 from sketchpca.linalg import (
     best_rank_k_in_colspan,
     colspan_residual_sq,
+    orthonormal_basis,
     residual_ratio,
     span_residual_sq,
 )
@@ -156,12 +158,19 @@ class TestAccounting:
         A = cl.materialize()
         nnz = lambda j: int(np.count_nonzero(A[:, j]))
         assert res.phase_words["local-up"] <= cl.s * (4 * 2) * (2 * phi + 1)
-        assert res.phase_words["adaptive"] == sum(
-            2 * nnz(j) + 1 for j in res.adaptive_indices)
+        # each distinct draw ships whole, and each repeat as one word
+        distinct = set(res.adaptive_indices)
+        assert len(distinct) < len(res.adaptive_indices)
+        assert res.phase_words["adaptive"] == sum(2 * nnz(j) + 1 for j in distinct) + (
+            len(res.adaptive_indices) - len(distinct))
         assert res.phase_words["adaptive"] <= 100 * (2 * phi + 1)
         assert res.phase_words["adaptive-meta"] == 2 * cl.s
-        assert res.phase_words["global-down"] == cl.s * sum(
-            2 * nnz(j) + 1 for j in res.core_indices)
+        # every core column goes whole to the s - 1 machines that do not own
+        # it, and as its one-word index to its owner
+        assert "core-all" not in res.flags
+        assert res.phase_words["global-down"] == (cl.s - 1) * sum(
+            2 * nnz(j) + 1 for j in res.core_indices) + len(res.core_indices)
+        assert res.phase_words["span-down"] == (cl.s - 1) * res.phase_words["adaptive"]
         # 30-column machines, no wider than xi = 32: each ships exactly, its
         # raw columns or its R factor, whichever is shorter
         assert res.finalize == "exact"
@@ -403,8 +412,11 @@ class TestSpanCoordinates:
             assert res.phase_words["subspace-up"] == fast_sketch_uplink(cl, res, 210)
         else:
             assert res.phase_words["subspace-up"] == r * cl.s * res.xi
-        # every column of this input is dense, so each ships as m + 1 words
-        assert res.phase_words["adaptive"] == len(res.adaptive_indices) * (cl.m + 1)
+        # every column of this input is dense, so each distinct draw ships as
+        # m + 1 words, and each repeat as one
+        distinct = len(set(res.adaptive_indices))
+        assert res.phase_words["adaptive"] == distinct * (cl.m + 1) + (
+            len(res.adaptive_indices) - distinct)
 
     def test_basis_matches_the_mapped_coefficients(self, protocol, branch):
         cl, params, res = self._run(protocol, branch)
@@ -731,3 +743,194 @@ class TestStageFourPayloads:
                     assert bound >= actual
                     cancelled |= bound > actual
         assert cancelled
+
+
+# -- what each machine is sent: a column once, and never its own ----------
+#
+# The wire model the ledger prices.  A column ships as a header word, which
+# packs its global index and its nonzero count z, then its z (row, value)
+# pairs or its m values, whichever is fewer.  An index word is negative and
+# names a column the receiver already holds: its global index in stage 2's
+# downlink to the column's owner, or the position of the column's first
+# occurrence in the sender's draws in stage 3.
+
+
+def _column_words(col, gid):
+    m = col.size
+    rows = np.flatnonzero(col)
+    body = np.concatenate([rows, col[rows]]) if 2 * rows.size < m else col
+    return [float(gid * (m + 1) + rows.size), *body.tolist()]
+
+
+def _decode(words, m):
+    """Items ("col", gid, column) or ("ref", x), in payload order."""
+    items, p = [], 0
+    while p < len(words):
+        head, p = words[p], p + 1
+        if head < 0:
+            items.append(("ref", int(-head) - 1))
+            continue
+        gid, z = divmod(int(head), m + 1)
+        col = np.zeros(m)
+        if 2 * z < m:
+            col[np.asarray(words[p:p + z], dtype=np.int64)] = words[p + z:p + 2 * z]
+            p += 2 * z
+        else:
+            col[:] = words[p:p + m]
+            p += m
+        items.append(("col", gid, col))
+    return items
+
+
+def _owner(cl, gid):
+    return cl.machine_of_column(gid)[0]
+
+
+def _upload(A, draws):
+    """A machine's stage-3 upload of its draws (global indices, in order)."""
+    words, seen = [], {}
+    for t, g in enumerate(draws):
+        if g in seen:
+            words.append(-1.0 - seen[g])
+        else:
+            seen[g] = t
+            words.extend(_column_words(A[:, g], g))
+    return words
+
+
+def _machine_payloads(cl, res):
+    """Per machine: its global-down and span-down payloads, and its upload."""
+    A = cl.materialize()
+    core_all = "core-all" in res.flags
+    draws = [[g for g in res.adaptive_indices if _owner(cl, g) == i] for i in range(cl.s)]
+    ups = [_upload(A, d) for d in draws]
+    out = []
+    for j in range(cl.s):
+        down = []
+        for g in res.core_indices:
+            if _owner(cl, g) != j:
+                down.extend(_column_words(A[:, g], g))
+            elif not core_all:
+                down.append(-1.0 - g)
+        span = [w for i in range(cl.s) if i != j for w in ups[i]]
+        out.append((down, ups[j], span))
+    return out
+
+
+def _rebuild(cl, j, res, down, span):
+    """C_full as machine j rebuilds it from its own block, the columns it
+    chose itself (its stage-1 uploads when the core keeps them all, and its
+    stage-3 draws), and its two downlink payloads."""
+    block, lo, m = cl.part_dense(j), cl.col_offsets[j], cl.m
+    mine = [g for g in res.core_indices if _owner(cl, g) == j]
+    core, spliced = [], False
+    for item in _decode(down, m):
+        if item[0] == "ref":
+            core.append(block[:, item[1] - lo])
+            continue
+        if "core-all" in res.flags and not spliced and _owner(cl, item[1]) > j:
+            core.extend(block[:, g - lo] for g in mine)
+            spliced = True
+        core.append(item[2])
+    if "core-all" in res.flags and not spliced:
+        core.extend(block[:, g - lo] for g in mine)
+    # the relayed uploads arrive in machine order; a repeat names a
+    # position in its sender's draws, and the sender is the owner of the
+    # last whole column
+    sent = {i: [] for i in range(cl.s)}
+    sender = None
+    for item in _decode(span, m):
+        if item[0] == "col":
+            sender = _owner(cl, item[1])
+            sent[sender].append(item[2])
+        else:
+            sent[sender].append(sent[sender][item[1]])
+    sent[j] = [block[:, g - lo] for g in res.adaptive_indices if _owner(cl, g) == j]
+    cols = core + [c for i in range(cl.s) for c in sent[i]]
+    return np.column_stack(cols) if cols else np.zeros((m, 0))
+
+
+def _charged(cl, phase, receiver=None, sender=None):
+    return [msg.words for msg in cl.ledger.messages if msg.phase == phase
+            and (receiver is None or msg.receiver == receiver)
+            and (sender is None or msg.sender == sender)]
+
+
+def _zero_machine_cluster(seed):
+    blocks = [sparse_columns_block(seed * 97 + i, 30, 30, 8) for i in range(2)]
+    return Cluster(blocks + [SparseColMatrix.from_dense(np.zeros((30, 30)))], kind="column")
+
+
+def _low_rank_cluster(seed):
+    A = np.zeros((30, 40))
+    A[:, :20] = rank_exactly(seed, 30, 20, 3)
+    return Cluster([SparseColMatrix.from_dense(A[:, :20]),
+                    SparseColMatrix.from_dense(A[:, 20:])], kind="column")
+
+
+@pytest.mark.parametrize("protocol", sorted(_PROTOCOLS))
+class TestColumnsReachEachMachineOnce:
+    """Every machine rebuilds the protocol's C_full, byte for byte, from its
+    own block and exactly the words the ledger charges it."""
+
+    CASES = {
+        "repeats": lambda: _sparse_cluster(8, phi=6),
+        "core-all": lambda: _sparse_cluster(8, widths=(3, 4)),
+        "idle-machine": lambda: _zero_machine_cluster(5),
+        "no-adaptive": lambda: _low_rank_cluster(0),
+        "one-machine": lambda: _sparse_cluster(8, widths=(60,)),
+    }
+
+    @pytest.mark.parametrize("case", sorted(CASES))
+    def test_rebuild_from_the_charged_payloads(self, protocol, case, monkeypatch):
+        run, Params = _PROTOCOLS[protocol]
+        bases = []
+
+        def spy(C):
+            bases.append(C.copy())
+            return orthonormal_basis(C)
+        monkeypatch.setattr(column_partition, "orthonormal_basis", spy)
+        cl = self.CASES[case]()
+        res = run(cl, Params(k=2, eps=0.5, seed=3))
+        C_full = bases[-1]
+        assert C_full.shape[1] == res.c_actual
+        draws = np.bincount([_owner(cl, g) for g in res.adaptive_indices], minlength=cl.s)
+        if case == "repeats":
+            assert len(set(res.adaptive_indices)) < len(res.adaptive_indices)
+            assert "core-all" not in res.flags
+        if case == "idle-machine":
+            assert draws[2] == 0 and draws[:2].min() > 0
+        if case == "no-adaptive":
+            assert "no-adaptive" in res.flags and res.adaptive_indices == []
+        if case == "core-all":
+            # the core keeps every upload, so an owner is sent nothing for its own
+            assert "core-all" in res.flags
+            assert res.phase_words["global-down"] == _cols_words(C_full[:, :len(res.core_indices)])
+        if case == "one-machine":
+            assert res.phase_words["global-down"] == res.phase_words["span-down"] == 0
+        for j, (down, up, span) in enumerate(_machine_payloads(cl, res)):
+            assert _charged(cl, "global-down", receiver=j) == [len(down)]
+            assert _charged(cl, "adaptive", sender=j) == [len(up)]
+            assert _charged(cl, "span-down", receiver=j) == [len(span)]
+            assert _rebuild(cl, j, res, down, span).tobytes() == C_full.tobytes()
+
+
+@pytest.mark.parametrize("protocol", sorted(_PROTOCOLS))
+@pytest.mark.parametrize("m, s, phi", [(m, s, phi) for m in (40, 80)
+                                       for s in (2, 3, 4) for phi in (2, 8)])
+def test_relay_identities(protocol, m, s, phi):
+    run, Params = _PROTOCOLS[protocol]
+    parts = [sparse_columns_block(1000 * m + 10 * s + phi + i, m, 30, phi) for i in range(s)]
+    params = Params(k=2, eps=1.0, seed=m + s + phi)
+    cl = Cluster(parts, kind="column")
+    res = run(cl, params)
+    w = res.phase_words
+    A = cl.materialize()
+    words = lambda g: min(2 * int(np.count_nonzero(A[:, g])), m) + 1
+    distinct = set(res.adaptive_indices)
+    assert w["adaptive"] == sum(map(words, distinct)) + len(res.adaptive_indices) - len(distinct)
+    assert w["span-down"] == (s - 1) * w["adaptive"]
+    held = 0 if "core-all" in res.flags else len(res.core_indices)
+    assert w["global-down"] == (s - 1) * sum(map(words, res.core_indices)) + held
+    padded = [SparseColMatrix((2 * m, P.n_cols), P.indptr, P.indices, P.data) for P in parts]
+    assert run(Cluster(padded, kind="column"), params).total_words == res.total_words

@@ -621,7 +621,8 @@ class TestAdaptiveCancellationGuard:
         # columns in span(C) read ~1e-30 because the projection stays
         # inside the sketched product; the identity
         # ||a_j||^2 - ||Y^T a_j||^2 leaves ~1e-15 of rounding per column,
-        # which draws 100 adaptive columns here, for 19,250 words
+        # which (clipped at 0) draws all 200 adaptive columns here, 6 of
+        # them distinct, for 1,230 words in all
         A = np.zeros((30, 40))
         A[:, :20] = rank_exactly(0, 30, 20, 3)
         cl = Cluster([SparseColMatrix.from_dense(A[:, :20]),
@@ -629,7 +630,7 @@ class TestAdaptiveCancellationGuard:
         res = distributed_css_pca_fast(cl, _params(k=2, eps=0.5, seed=3))
         assert "no-adaptive" in res.flags
         assert res.phase_words["adaptive"] == 0
-        assert res.total_words == 650
+        assert res.total_words == 470
 
 
 class TestApproxSubspaceSvdSparse:
