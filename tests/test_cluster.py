@@ -81,6 +81,12 @@ class TestClusterArbitrary:
         assert rounds == [1, 1, 2, 2]
         assert [m.words for m in cl.ledger.messages] == [1, 1, 2, 3]
 
+    def test_shape_validation(self):
+        with pytest.raises(InputError):
+            Cluster([np.zeros((2, 2)), np.zeros((3, 2))])
+        with pytest.raises(InputError):
+            Cluster([])
+
 
 class TestRecordBroadcast:
     def _cluster(self, s=3):
@@ -108,12 +114,6 @@ class TestRecordBroadcast:
         assert cl.ledger.messages == []
         cl.record_gather("up", 1)
         assert cl.ledger.messages[0].round_no == 1
-
-    def test_shape_validation(self):
-        with pytest.raises(InputError):
-            Cluster([np.zeros((2, 2)), np.zeros((3, 2))])
-        with pytest.raises(InputError):
-            Cluster([])
 
 
 class TestClusterColumn:
