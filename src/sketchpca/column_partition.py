@@ -28,9 +28,10 @@ Four stages:
    per machine ride in "adaptive-meta");
 4. finalize: the server finds a rank-k basis inside the span of the
    collected columns C.  Every machine holds C, so each forms the same
-   orthonormal basis Y of span(C), with r = rank C <= min(m, c) columns.
-   The server needs only the top-k left singular vectors of Y^T A, and
-   each machine ships the shortest of three payloads that serve them:
+   orthonormal basis Y of span(C), with r = rank C <= min(m, c) columns,
+   from the first occurrence of each distinct column.  The server needs
+   only the top-k left singular vectors of Y^T A, and each machine ships
+   the shortest of four payloads that serve them:
    - its R factor: the q x r upper trapezoid of the QR factorization of
      (Y^T A_i)^T, q = min(n_i, r), so q * r - q (q - 1) / 2 words and at
      most r (r + 1) / 2 however wide the block is.  R^T R = Y^T A_i A_i^T Y,
@@ -38,31 +39,44 @@ Four stages:
      Demmel, Grigori, Hoemmen and Langou, arXiv:0808.2664);
    - its raw columns, in the column encoding above; the server forms their
      R factor itself, with the machine's own kernel;
+   - its summary P_i = U_t Sigma_t, the top t = ceil(k / (eps / 2)) left
+     singular vectors of Y^T A_i scaled by their singular values, in
+     r * t words, from a PRF-seeded range finder (linalg.range_finder_top).
+     P_i P_i^T is Y^T A_i A_i^T Y with its tail cut, so summaries stack
+     with R factors on one scale.  The top-t part of a matrix is a rank-k
+     projection-cost-preserving sketch of it, and such sketches of a
+     column partition add up (Cohen, Elder, Musco, Musco and Persu,
+     "Dimensionality reduction for k-means clustering and low rank
+     approximation", STOC 2015; local truncated SVDs serve the same way in
+     Liang, Balcan, Kanchanapally and Woodruff, arXiv:1408.5823).  It is
+     offered only when t < min(r, n_i), where it cuts something;
    - its sketch Y^T A_i T_i, for a shared seeded rank-k
-     projection-cost-preserving sketch T (Cohen, Elder, Musco, Musco and
-     Persu, "Dimensionality reduction for k-means clustering and low rank
-     approximation", STOC 2015) of width xi, set by k and eps alone, and
-     scaled so that E[T T^T] = I: sketched columns then weigh in the
-     finalize what exact ones do.  It goes in blocks of w sketch columns,
-     each as its r x w projection or, when strictly shorter, raw: A_i T_i
-     itself, column-encoded.  A CountSketch of sparse columns stays sparse
-     (Clarkson and Woodruff, "Low rank approximation and regression in
-     input sparsity time", STOC 2013), so on sparse data most blocks go
-     raw, and the server projects their sum once (_gather_sketches).
-   A machine sizes its sketch before forming it, from its sparsity pattern
-   alone: a block costs at most min(r * w, w + sum_j min(2 z_j, m)) words,
-   where z_j bounds the nonzeros of sketch column j.  It sketches only when
-   that bound is strictly below both exact payloads and its block is wider
-   than xi; a sketch no narrower than the block merges only entries that
-   share a row and a bucket, and gives up exactness.  Ties go to an exact
-   payload, and between those to R.  An explicit xi_subspace sketches on
-   every machine.  The exact payloads go in one round, the sketches in the
-   next, and lengths tell the encodings within each apart.  The server
-   stacks the R factors (reduced to one r x r factor when they hold more
-   than r rows) with the transpose of the summed sketch, and the top-k
-   right singular vectors of that stack give the basis: exact in span(C)
-   when no machine sketched, and projection-cost preserving on the
-   sketched columns otherwise.
+     projection-cost-preserving sketch T (the same paper) of width xi, set
+     by k and eps alone, and scaled so that E[T T^T] = I: sketched columns
+     then weigh in the finalize what exact ones do.  It goes in blocks of
+     w sketch columns, each as its r x w projection or, when strictly
+     shorter, raw: A_i T_i itself, column-encoded.  A CountSketch of
+     sparse columns stays sparse (Clarkson and Woodruff, "Low rank
+     approximation and regression in input sparsity time", STOC 2013), so
+     on sparse data most blocks go raw, and the server projects their sum
+     once (_gather_sketches).  It is offered only when the block is wider
+     than xi; a sketch no narrower than the block merges only entries that
+     share a row and a bucket, and gives up exactness.
+   A machine sizes every payload before it forms one, the sketch from its
+   sparsity pattern alone: a block costs at most min(r * w, w + sum_j
+   min(2 z_j, m)) words, where z_j bounds the nonzeros of sketch column j.
+   It ships its summary when that is strictly shorter than both exact
+   payloads and no longer than the sketch bound, else its sketch when that
+   bound is strictly the shortest, else the shorter exact payload.  Ties go
+   to an exact payload, and between those to R.  An explicit xi_subspace
+   sketches on every machine.  The exact payloads go in one round, the
+   summaries in the next and the sketches in the last, and lengths tell
+   the encodings within each apart.  The server sets the transposed R
+   factors (reduced to one r x r factor when they hold more than r rows),
+   the summaries and the summed sketch side by side, and the top-k left
+   singular vectors of that r-row stack give the basis: exact in span(C)
+   when every machine shipped exactly, and projection-cost preserving on
+   the summarized and sketched blocks otherwise.
 
 run_css_protocol is the one driver of these stages.  What differs between
 variants is a CssKernels bundle: this module's exact kernels (dense SVD,
@@ -95,13 +109,14 @@ from .column_select import (
     sample_proportional,
 )
 from .errors import InputError, InternalError, ProtocolError
-from .linalg import orthonormal_basis, truncated_svd
+from .linalg import orthonormal_basis, range_finder_top, truncated_svd
 from .sketches import dense_pca_dim, derive_seed, sign_sketch
 from .sparse import SparseColMatrix, scatter_add
 
 TAG_ADAPTIVE_MACHINES = "css-adaptive-machines"
 TAG_ADAPTIVE_COLS = "css-adaptive-cols"
 TAG_CSS_SUBSPACE = "css-subspace"
+TAG_CSS_SUMMARY = "css-summary"
 # Sketch columns per stage-4 block.  One block's sign-grid piece and
 # products take about 3 MB, and no machine's whole m x xi product is built.
 _FINALIZE_BLOCK = 512
@@ -151,6 +166,12 @@ class CssProtocolParams:
 
 @dataclass
 class CssPcaResult:
+    """A column-partition run.  payloads[i] is machine i's stage-4 payload:
+    "raw" (its columns), "R" (its R factor), "summary" (its top-t U_t
+    Sigma_t) or "sketch".  finalize is "exact" when every machine shipped
+    raw columns or its R factor, so that U is the optimum in span(C);
+    "sketch" when none did; and "mixed" otherwise."""
+
     U: np.ndarray
     rank: int
     flags: set[str]
@@ -158,7 +179,8 @@ class CssPcaResult:
     adaptive_indices: list[int]
     c_actual: int
     xi: int
-    finalize: str       # "exact" (no machine sketched), "sketch" (all did) or "mixed"
+    finalize: str
+    payloads: list[str]
     betas: list[float]
     phase_words: dict[str, int]
     total_words: int
@@ -243,15 +265,29 @@ def _r_words(n_i: int, r: int) -> int:
     return q * r - q * (q - 1) // 2
 
 
-def _payload_kind(raw_words: int, r_words: int, sketch_words: int | None) -> str:
-    """The stage-4 payload a machine ships: "sketch" when its words (None:
-    no sketch offered) are strictly the fewest, else "raw" when its columns
-    are strictly shorter than its R factor, else "R".  Ties go to an exact
-    payload, and between those to R, so a raw payload is always shorter
-    than R and its length alone marks it."""
-    if sketch_words is not None and sketch_words < min(raw_words, r_words):
+def _payload_kind(raw_words: int, r_words: int, summary_words: int | None,
+                  sketch_words: int | None) -> str:
+    """The stage-4 payload a machine ships, from the words of each (None:
+    not offered): "summary" when strictly fewer than both exact payloads
+    and no more than the sketch, else "sketch" when strictly the fewest,
+    else "raw" when its columns are strictly shorter than its R factor,
+    else "R".  Ties go to an exact payload, and between those to R, so a
+    raw payload is always shorter than R and its length alone marks it."""
+    exact = min(raw_words, r_words)
+    if summary_words is not None and summary_words < exact and (
+            sketch_words is None or summary_words <= sketch_words):
+        return "summary"
+    if sketch_words is not None and sketch_words < exact:
         return "sketch"
     return "raw" if raw_words < r_words else "R"
+
+
+def _span_basis(C_full: np.ndarray, gids: list[int]) -> np.ndarray:
+    """The orthonormal basis Y of span(C_full), from the first occurrence
+    of each distinct column (gids names C_full's columns, repeats and all):
+    a repeated draw adds nothing to the span, only to the factorization."""
+    first = np.sort(np.unique(gids, return_index=True)[1])
+    return orthonormal_basis(C_full[:, first])
 
 
 def _r_factor(coeffs: np.ndarray) -> np.ndarray:
@@ -291,7 +327,7 @@ class CssKernels:
     core_select(params, G, c1) -> c1 positions in G;
     residual_masses(params, cluster, parts, C) -> each block's per-column
     residual mass off span(C); coefficients(YT, P) -> YT @ P for a block P,
-    whose R factor an exact payload carries; finalize(cluster, parts, xi,
+    whose R factor or summary a payload carries; finalize(cluster, parts, xi,
     seed) -> (support, block), both over one shared xi-column sketch T with
     E[T T^T] = I (a 1 / sqrt(xi)-scaled sign sketch here, a
     one-nonzero-per-column embedding in column_select_sparse), so sketched
@@ -390,49 +426,62 @@ def run_css_protocol(cluster: Cluster, params, kernels: CssKernels) -> CssPcaRes
 
     # stage 4: the top-k left singular vectors of Y^T A, with Y the basis
     # of span(C) every machine forms from C_full.  Each machine ships the
-    # shortest payload that serves them: its raw columns or its R factor
-    # (exact), or its sketch, sized from its sparsity pattern alone
+    # shortest payload that serves them, sized before it is formed: its raw
+    # columns or its R factor (exact), its top-t summary, or its sketch
     c_actual = C_full.shape[1]
-    Y = orthonormal_basis(C_full)
+    Y = _span_basis(C_full, core_gids + adaptive_gids)
     r = Y.shape[1]
+    # the top-t part of Y^T A_i is a rank-k projection-cost-preserving
+    # sketch of it at eps / 2: like the default sketch's, its error adds to
+    # the selection's
+    t = math.ceil(k / (params.eps / 2))
     support, sketch = kernels.finalize(cluster, parts, xi,
                                        derive_seed(params.seed, TAG_CSS_SUBSPACE))
+    summary_seed = derive_seed(params.seed, TAG_CSS_SUMMARY)
 
-    def exact_payload(i, _):
-        # (words, columns) raw, the packed R factor, or None to sketch.  A
-        # sketch no narrower than the block merges only entries that share
-        # a bucket and a row, and loses exactness, so such a block ships
-        # exactly
+    def payload(i, _):
+        # (kind, payload); a sketcher forms its sketch in the last round.  A
+        # summary of at least min(r, n_i) columns is no cut, and a sketch no
+        # narrower than the block merges only entries that share a bucket
+        # and a row, so neither is offered then
         n_i = parts[i].shape[1]
-        raw_words = _cols_words(parts[i])
         kind = "sketch" if params.xi_subspace is not None else _payload_kind(
-            raw_words, _r_words(n_i, r),
+            _cols_words(parts[i]), _r_words(n_i, r),
+            r * t if t < min(r, n_i) else None,
             _sketch_bound(support(i), r, m) if xi < n_i else None)
         if kind == "sketch":
-            return None
+            return kind, None
         if kind == "raw":
-            return raw_words, parts[i]
-        return _packed_r(kernels.coefficients(Y.T, parts[i]))
+            return kind, parts[i]
+        B = kernels.coefficients(Y.T, parts[i])
+        if kind == "R":
+            return kind, _packed_r(B)
+        return kind, range_finder_top(B, t, derive_seed(summary_seed, i), scaled=True)
 
-    sent = cluster.map_machines(exact_payload)
-    sketchers = [i for i, p in enumerate(sent) if p is None]
-    exact = {i: p for i, p in enumerate(sent) if p is not None}
+    sent = cluster.map_machines(payload)
+    kinds = [kind for kind, _ in sent]
+    exact = {i: p for i, (kind, p) in enumerate(sent) if kind in ("raw", "R")}
+    summaries = {i: p for i, (kind, p) in enumerate(sent) if kind == "summary"}
+    sketchers = [i for i, kind in enumerate(kinds) if kind == "sketch"]
     factors = []
     if exact:
-        cluster.record_gather("subspace-up", [p[0] if isinstance(p, tuple) else p.size
-                                              for p in exact.values()], exact)
+        cluster.record_gather("subspace-up", [_cols_words(p) if kinds[i] == "raw" else p.size
+                                              for i, p in exact.items()], exact)
         for i, p in exact.items():
             # the server forms a raw machine's R factor with the same kernel
-            factors.append((_r_factor(kernels.coefficients(Y.T, p[1])) if isinstance(p, tuple)
+            factors.append((_r_factor(kernels.coefficients(Y.T, p)) if kinds[i] == "raw"
                             else _unpack_r(p, parts[i].shape[1], r)).T)
         if sum(R.shape[1] for R in factors) > r:
             # the last level of the TSQR tree: one r x r factor of the stack
             factors = [_r_factor(np.hstack(factors)).T]
+    if summaries:
+        cluster.record_gather("subspace-up", [p.size for p in summaries.values()], summaries)
+        factors.extend(summaries.values())
     raw: list[tuple[int, int]] = []
     if sketchers:
         total, raw = _gather_sketches(cluster, Y.T, sketch, sketchers, xi)
         factors.append(total)
-    finalize = "sketch" if not exact else "mixed" if sketchers else "exact"
+    finalize = "sketch" if not exact else "exact" if len(exact) == s else "mixed"
     Xi = np.hstack(factors)
     kk = min(k, min(Xi.shape))
     Delta = truncated_svd(Xi, kk).U
@@ -444,16 +493,17 @@ def run_css_protocol(cluster: Cluster, params, kernels: CssKernels) -> CssPcaRes
     # Y and the server's r x kk Delta give it U
     cluster.record_broadcast("delta-down", Delta.size)
     if params.per_machine_finalize:
-        replicas = cluster.map_machines(lambda i, p: orthonormal_basis(C_full) @ Delta)
+        replicas = cluster.map_machines(
+            lambda i, p: _span_basis(C_full, core_gids + adaptive_gids) @ Delta)
         for R in replicas:
             if R.tobytes() != U.tobytes():
                 raise InternalError("per-machine finalize diverged from the server")
 
     result = CssPcaResult(
-        U, kk, flags, core_gids, adaptive_gids, c_actual, xi, finalize, betas,
+        U, kk, flags, core_gids, adaptive_gids, c_actual, xi, finalize, kinds, betas,
         cluster.ledger.phase_totals(), cluster.ledger.total(), params)
-    cluster.ledger.check(_expected_words(cluster, result, local_blocks, C, new_cols, r,
-                                         exact, len(sketchers), raw))
+    cluster.ledger.check(_expected_words(cluster, result, local_blocks, C, new_cols, r, t,
+                                         exact, raw))
     return result
 
 
@@ -507,14 +557,15 @@ def distributed_css_pca(cluster: Cluster, params: CssProtocolParams) -> CssPcaRe
 
 def _expected_words(cluster: Cluster, result: CssPcaResult,
                     local_blocks: list[np.ndarray], core: np.ndarray,
-                    adaptive: np.ndarray, r: int, exact: dict, sketchers: int,
+                    adaptive: np.ndarray, r: int, t: int, exact: dict,
                     raw: list[tuple[int, int]]) -> dict[str, int]:
     """Every phase recomputed from the shipped payloads (r = rank C): exact
     maps each machine that shipped exactly to its payload, raw columns or
-    an R factor; raw holds the (words, width) of each sketch block the
-    server decoded raw, and every other sketch block ships r words per
-    column."""
+    an R factor; a summary ships r * t words; raw holds the (words, width)
+    of each sketch block the server decoded raw, and every other sketch
+    block ships r words per column."""
     s = cluster.s
+    kinds = result.payloads
     widths = np.diff(cluster.col_offsets)
     raw_words = sum(words for words, _ in raw)
     raw_cols = sum(width for _, width in raw)
@@ -531,8 +582,9 @@ def _expected_words(cluster: Cluster, result: CssPcaResult,
         "adaptive-meta": 2 * s,
         "adaptive": adaptive_words,
         "span-down": (s - 1) * adaptive_words,
-        "subspace-up": sum(_cols_words(p[1]) if isinstance(p, tuple)
+        "subspace-up": sum(_cols_words(p) if kinds[i] == "raw"
                            else _r_words(int(widths[i]), r) for i, p in exact.items())
-                       + raw_words + r * (sketchers * result.xi - raw_cols),
+                       + r * t * kinds.count("summary") + raw_words
+                       + r * (kinds.count("sketch") * result.xi - raw_cols),
         "delta-down": s * r * result.rank,
     }

@@ -36,13 +36,13 @@ from .cluster import Cluster
 from .column_partition import CssKernels, CssPcaResult, run_css_protocol
 from .column_select import _POST_SLACK, CssResult, SamplingMatrix, bss_sampling
 from .errors import InputError, InternalError
-from .linalg import as_matrix, orthonormal_basis, qr, truncated_svd
+from .linalg import as_matrix, orthonormal_basis, qr
+from .linalg import range_finder_top as _range_finder_top
 from .sketches import (
     SparseEmbedding,
     derive_seed,
     embedding_dim,
     jlt_sketch,
-    sign_sketch,
     sparse_embedding,
 )
 from .sparse import SparseColMatrix, scatter_add
@@ -230,22 +230,6 @@ class ResidualOperator:
 
 
 # -- approximate SVD ----------------------------------------------------
-
-
-def _range_finder_top(core: np.ndarray, k: int, seed: int) -> np.ndarray:
-    """k orthonormal columns spanning nearly the top-k left factors of core.
-
-    A range finder on p = k + 5 columns (fewer when core is smaller): a PRF
-    sign start block, two power steps with a QR after every product, and
-    the exact SVD of the p-row projection.  No Gram matrix is formed, so
-    the condition number is never squared.
-    """
-    p = min(k + 5, min(core.shape))
-    Q, _ = qr(core @ sign_sketch(p, core.shape[1], seed, 1.0).materialize().T)
-    for _ in range(2):
-        Q, _ = qr(core.T @ Q)
-        Q, _ = qr(core @ Q)
-    return Q @ truncated_svd(Q.T @ core, k).U
 
 
 def sparse_svd(A, k: int, eps: float, seed: int) -> np.ndarray:

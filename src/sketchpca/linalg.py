@@ -2,9 +2,10 @@
 
 Thin wrappers around ``numpy.linalg`` that pin down everything the protocols
 rely on for reproducibility: a fixed sign convention for singular vectors, QR
-with a nonnegative R diagonal, one numeric-rank rule, restricted rank-k
-projections onto a given column span, and the rank-constrained affine solver
-used by every "sketch then solve small" step.
+with a nonnegative R diagonal, one numeric-rank rule, a range finder seeded
+from the sketch PRF, restricted rank-k projections onto a given column span,
+and the rank-constrained affine solver used by every "sketch then solve
+small" step.
 
 The numeric rank of an m x n matrix counts its singular values above
 DEFAULT_RANK_TOL * max(m, n) * sigma_1.  _rank alone applies that rule, and
@@ -21,6 +22,7 @@ from typing import NamedTuple
 import numpy as np
 
 from .errors import InputError
+from .sketches import sign_sketch
 
 # Relative spectral cutoff for numeric rank, scaled by max(shape).
 DEFAULT_RANK_TOL = 1e-10
@@ -125,6 +127,25 @@ def qr(A) -> tuple[np.ndarray, np.ndarray]:
         Q = Q * d
         R = R * d[:, None]
     return Q, R
+
+
+def range_finder_top(A, k: int, seed: int, scaled: bool = False) -> np.ndarray:
+    """k orthonormal columns spanning nearly the top-k left factors of A,
+    or with scaled, those columns times their singular values (U_k Sigma_k,
+    whose outer product is A A^T with its tail cut).
+
+    A range finder on p = k + 5 columns (fewer when A is smaller): a PRF
+    sign start block, two power steps with a QR after every product, and
+    the exact SVD of the p-row projection.  No Gram matrix is formed, so
+    the condition number is never squared.
+    """
+    p = min(k + 5, min(A.shape))
+    Q, _ = qr(A @ sign_sketch(p, A.shape[1], seed, 1.0).materialize().T)
+    for _ in range(2):
+        Q, _ = qr(A.T @ Q)
+        Q, _ = qr(A @ Q)
+    F = truncated_svd(Q.T @ A, k)
+    return Q @ (F.U * F.sigma if scaled else F.U)
 
 
 def orthonormal_basis(A) -> np.ndarray:

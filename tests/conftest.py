@@ -6,6 +6,8 @@ same constructions.  All randomness flows through explicit integer seeds.
 
 from __future__ import annotations
 
+import math
+
 import numpy as np
 
 
@@ -82,18 +84,21 @@ def split_rows(A: np.ndarray, s: int, seed: int) -> list[np.ndarray]:
 def stage_four_words(cluster, res, seed: int, sketch: str) -> list[int]:
     """Each machine's stage-4 uplink words, recomputed from the data.
 
-    Machine i's raw columns cost sum_j min(2 nnz_j, m) + 1 words, and its
+    Machine i's raw columns cost sum_j min(2 nnz_j, m) + 1 words, its
     packed R factor q * r - q * (q - 1) / 2, with q = min(n_i, r) and
-    r = rank C.  Its sketch A_i T_i, for the seeded xi-column T ("sign" for
-    distributed_css_pca, "count" for distributed_css_pca_fast), ships each
-    block of w columns in min(r * w, its column encoding) words.  An
-    explicit xi_subspace sketches on every machine.  Otherwise a machine
-    wider than xi ships the least of the three, ties going to the exact
-    payloads, and a machine no wider ships the lesser exact payload."""
+    r = rank C, and its top-t summary r * t, t = ceil(k / (eps / 2)),
+    offered when t < min(r, n_i).  Its sketch A_i T_i, for the seeded
+    xi-column T ("sign" for distributed_css_pca, "count" for
+    distributed_css_pca_fast), ships each block of w columns in
+    min(r * w, its column encoding) words.  An explicit xi_subspace
+    sketches on every machine.  Otherwise a machine ships the fewest words
+    of its exact payloads, its summary and, when it is wider than xi, its
+    sketch; the tie rules pick among payloads of equal words."""
     from sketchpca.column_partition import _FINALIZE_BLOCK, TAG_CSS_SUBSPACE, _cols_words
     from sketchpca.sketches import derive_seed, sign_sketch, sparse_embedding
 
     r, xi = selected_rank(cluster, res), res.xi
+    t = math.ceil(res.params.k / (res.params.eps / 2))
     seed = derive_seed(seed, TAG_CSS_SUBSPACE)
     T = (sign_sketch(xi, cluster.n, seed) if sketch == "sign"
          else sparse_embedding(xi, cluster.n, seed)).materialize()
@@ -106,11 +111,12 @@ def stage_four_words(cluster, res, seed: int, sketch: str) -> list[int]:
                        for B in (AT[:, lo:lo + _FINALIZE_BLOCK]
                                  for lo in range(0, xi, _FINALIZE_BLOCK)))
         q = min(b - a, r)
-        exact = min(_cols_words(A_i), q * r - q * (q - 1) // 2)
-        if res.params.xi_subspace is not None:
-            words.append(sketched)
-        else:
-            words.append(min(sketched, exact) if b - a > xi else exact)
+        offered = [_cols_words(A_i), q * r - q * (q - 1) // 2]
+        if t < q:
+            offered.append(r * t)
+        if b - a > xi:
+            offered.append(sketched)
+        words.append(sketched if res.params.xi_subspace is not None else min(offered))
     return words
 
 

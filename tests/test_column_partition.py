@@ -46,7 +46,6 @@ from sketchpca.errors import InputError
 from sketchpca.linalg import (
     best_rank_k_in_colspan,
     colspan_residual_sq,
-    orthonormal_basis,
     residual_ratio,
     span_residual_sq,
 )
@@ -171,10 +170,12 @@ class TestAccounting:
         assert res.phase_words["global-down"] == (cl.s - 1) * sum(
             2 * nnz(j) + 1 for j in res.core_indices) + len(res.core_indices)
         assert res.phase_words["span-down"] == (cl.s - 1) * res.phase_words["adaptive"]
-        # 30-column machines, no wider than xi = 32: each ships exactly, its
-        # raw columns or its R factor, whichever is shorter
-        assert res.finalize == "exact"
-        assert res.phase_words["subspace-up"] == sum(stage_four_words(cl, res, 88, "sign"))
+        # 30-column machines, no wider than xi = 32, at r = 30: the r x 4
+        # summary (120 words) undercuts the R factor (465) and the raw columns
+        r = selected_rank(cl, res)
+        assert r == 30 and res.payloads == ["summary"] * cl.s and res.finalize == "sketch"
+        assert res.phase_words["subspace-up"] == sum(stage_four_words(cl, res, 88, "sign")) == (
+            cl.s * r * 4)
         assert res.phase_words["delta-down"] == cl.s * selected_rank(cl, res) * res.rank
         assert "u-down" not in res.phase_words
         assert res.total_words == sum(res.phase_words.values())
@@ -241,9 +242,10 @@ def _dense_cluster(seed, m=30, widths=(30, 30, 30, 30), parallel=False):
 
 @pytest.mark.parametrize("protocol", sorted(_PROTOCOLS))
 class TestFinalizeBranches:
-    """With xi resolved by default, a machine no wider than xi ships
-    exactly, its raw columns or the R factor of (Y^T A_i)^T, whichever is
-    shorter; a wider one ships the least of those and its sketch.  An
+    """With xi resolved by default, a machine no wider than xi ships the
+    least of its raw columns, the R factor of (Y^T A_i)^T and its top-t
+    summary; a wider one may also ship its sketch.  Exact payloads win when
+    r <= 2t - 1, for the R factor is then no longer than the summary.  An
     explicit xi_subspace sketches on every machine.  The rule is the same
     with a per-machine finalize, whose downlink is the r x k coefficient
     matrix at any width."""
@@ -254,8 +256,10 @@ class TestFinalizeBranches:
         build = _dense_cluster if data == "dense" else _sparse_cluster
         cl = build(16)
         k = 2
-        res = run(cl, Params(k=k, eps=1.0, seed=160, c2=6))
+        # t = 8 at eps = 1/2, and r <= c1 + c2 = 14 <= 2t - 1
+        res = run(cl, Params(k=k, eps=0.5, seed=160, c2=6))
         assert res.finalize == "exact"
+        assert selected_rank(cl, res) <= 15
         A = cl.materialize()
         C = A[:, res.core_indices + res.adaptive_indices]
         assert np.linalg.matrix_rank(C) < cl.m     # a proper subspace
@@ -274,8 +278,9 @@ class TestFinalizeBranches:
             cl = _sparse_cluster(17, widths=widths)
             res = run(cl, Params(seed=170, **budgets))
             # r = rank C <= c1 + c2 <= 8, so an R factor of at most 36
-            # words undercuts the sketch of the machine wider than xi too
-            assert (res.finalize, res.xi) == ("exact", xi)
+            # words, or an r x 4 summary of at most 32, undercuts the sketch
+            # of the machine wider than xi too
+            assert "sketch" not in res.payloads and res.xi == xi
             r = selected_rank(cl, res)
             assert r <= 8
             assert res.phase_words["subspace-up"] == sum(
@@ -297,12 +302,12 @@ class TestFinalizeBranches:
             assert res.phase_words["subspace-up"] == words
 
     def test_exact_branch_is_bitwise_across_modes(self, protocol):
+        # r <= c1 + c2 = 14 <= 2t - 1 at t = 8
         run, Params = _PROTOCOLS[protocol]
-        params = Params(k=2, eps=1.0, seed=180)
+        params = Params(k=2, eps=0.5, seed=180, c2=6)
         serial = run(_sparse_cluster(18), params)
         parallel = run(_sparse_cluster(18, parallel=True), params)
-        replicas = run(_sparse_cluster(18), Params(k=2, eps=1.0, seed=180,
-                                                   per_machine_finalize=True))
+        replicas = run(_sparse_cluster(18), dataclasses.replace(params, per_machine_finalize=True))
         assert serial.finalize == parallel.finalize == replicas.finalize == "exact"
         assert serial.U.tobytes() == parallel.U.tobytes() == replicas.U.tobytes()
         assert serial.phase_words == parallel.phase_words == replicas.phase_words
@@ -310,31 +315,32 @@ class TestFinalizeBranches:
 
 @pytest.mark.parametrize("protocol", sorted(_PROTOCOLS))
 class TestDefaultSketchBranch:
-    """The default finalize ships the rank-k projection-cost-preserving
-    sketch, whose width is set by k and eps, from every machine for which
-    it is the shortest payload."""
+    """The default finalize ships a rank-k projection-cost-preserving
+    sketch, whose size is set by k and eps, from every machine for which it
+    is the shortest payload: the top-t summary, or the xi-column sketch."""
 
     def test_stage_four_words_do_not_grow_with_n(self, protocol):
         # a dense machine's R factor is r (r + 1) / 2 words once it holds r
-        # columns, and its sketch r * xi, so the sketch is shorter when
-        # r > 2 * xi - 1: here r = m = 40, with xi = 16 (sign) or 8 (count)
+        # columns, its summary r * t and its sketch r * xi, so the summary
+        # is shorter when r > 2t - 1: here r = m = 40, with t = 2 and
+        # xi = 16 (sign) or 8 (count)
         run, Params = _PROTOCOLS[protocol]
-        s, k, m = 4, 1, 40
+        s, k, m, t = 4, 1, 40, 2
         xi = Params(k=k, eps=1.0, seed=0).resolve()[3]
-        assert m > 2 * xi - 1
+        assert m > 2 * t - 1 and xi > t
         up, down = {}, {}
         for width in (40, 80):      # n = 160 and 320
             cl = _dense_cluster(19, m=m, widths=(width,) * s)
             res = run(cl, Params(k=k, eps=1.0, seed=190))
             assert (res.finalize, res.xi) == ("sketch", xi)
+            assert res.payloads == ["summary"] * s
             assert selected_rank(cl, res) == cl.m
-            cap = s * cl.m * xi
+            cap = s * cl.m * t
             assert res.phase_words["subspace-up"] == cap
             assert cap == sum(stage_four_words(cl, res, 190, _SKETCH[protocol]))
             up[width] = res.phase_words["subspace-up"]
             down[width] = res.phase_words["delta-down"]
-        if protocol == "exact":
-            assert up[40] == up[80]
+        assert up[40] == up[80]
         assert down[40] == down[80] == s * cl.m * k
 
     def test_no_phase_grows_with_m(self, protocol):
@@ -387,13 +393,15 @@ class TestColumnPrice:
 class TestSpanCoordinates:
     """Stage 4 works in span(C) coordinates, r = rank C, where C holds more
     columns than A has rows: the R factor of (Y^T A_i)^T, r (r + 1) / 2
-    words once a machine holds r columns, or Y^T A_i T_i, r rows."""
+    words once a machine holds r columns, or Y^T A_i T_i, r rows.  The
+    exact branch runs at eps = 1/4, where the r x 16 summary is longer than
+    the R factor at r = 30."""
 
     def _run(self, protocol, branch, **kw):
         run, Params = _PROTOCOLS[protocol]
         cl = _dense_cluster(21)
-        xi = None if branch == "exact" else 48
-        params = Params(k=2, eps=1.0, seed=210, xi_subspace=xi, **kw)
+        xi, eps = (None, 0.25) if branch == "exact" else (48, 1.0)
+        params = Params(k=2, eps=eps, seed=210, xi_subspace=xi, **kw)
         return cl, params, run(cl, params)
 
     def test_uplink_is_rank_c_rows(self, protocol, branch):
@@ -403,9 +411,10 @@ class TestSpanCoordinates:
         assert r <= cl.m < res.c_actual
         if branch == "exact":
             # every machine holds 30 >= r columns, each dense: its R factor
-            # undercuts its 30 * (m + 1) raw words
+            # undercuts its 30 * (m + 1) raw words and its r x 16 summary
+            assert res.payloads == ["R"] * cl.s
             assert res.phase_words["subspace-up"] == cl.s * r * (r + 1) // 2
-            assert r * (r + 1) // 2 < 30 * (cl.m + 1)
+            assert r * (r + 1) // 2 < min(30 * (cl.m + 1), r * 16)
         elif protocol == "fast":
             # the CountSketch blocks ship raw when that is shorter
             assert res.phase_words["subspace-up"] <= r * cl.s * res.xi
@@ -583,7 +592,8 @@ class TestSketchPayloads:
 class TestStageFourPayloads:
     """Each machine ships the shortest stage-4 payload that serves the
     finalize: its raw columns or the R factor of (Y^T A_i)^T, both exact,
-    or its sketch, sized from its sparsity pattern before it is formed."""
+    its top-t summary U_t Sigma_t of Y^T A_i, or its sketch, each sized
+    before it is formed."""
 
     @staticmethod
     def _uplinks(cl):
@@ -592,28 +602,33 @@ class TestStageFourPayloads:
 
     @staticmethod
     def _exact_cluster(parallel=False):
-        # no machine is wider than xi = 32; the sparse ones ship raw, the
-        # dense one its R factor
+        # no machine is wider than xi; at r = 30 and t = 16 (eps = 1/4) the
+        # sparse machines ship raw and the dense one its R factor
         dense = lowrank_plus_noise(26, 30, 30, 2, 0.3)
         blocks = [sparse_columns_block(260 + i, 30, 30, 3) for i in range(2)]
         return Cluster([blocks[0], dense, blocks[1]], kind="column", parallel=parallel)
 
     @staticmethod
     def _mixed_cluster(parallel=False):
-        # at k = 1, eps = 1 and r = m = 40 > 2 * xi - 1, the 60-column dense
-        # machine sketches; the 8-column sparse one is no wider than xi and
-        # ships raw; the 20-column dense one ships its R factor (610 words)
-        # against a 640-word sign sketch, or sketches at 320 words
+        # at k = 1, eps = 1 (t = 2) and r = m = 40, each machine ships
+        # another payload: the 60-column dense one its r x 2 summary (80
+        # words); the 8-column sparse one its raw columns; the 2-column one
+        # its R factor (79 words, against 82 raw, and no summary, as t is
+        # not below 2); and the 60 columns with nonzeros in row 5 alone
+        # their sketch, at 3 words a column, wider than xi = 16 (sign) or
+        # 8 (count)
         m = 40
-        dense = lowrank_plus_noise(25, m, 80, 1, 0.3)
-        return Cluster([dense[:, :60], sparse_columns_block(250, m, 8, 3), dense[:, 60:]],
+        dense = lowrank_plus_noise(25, m, 62, 1, 0.3)
+        row = np.zeros((m, 60))
+        row[5] = rand_matrix(252, 1, 60)
+        return Cluster([dense[:, :60], sparse_columns_block(250, m, 8, 3), dense[:, 60:], row],
                        kind="column", parallel=parallel)
 
     def test_all_exact_is_the_span_optimum(self, protocol):
         run, Params = _PROTOCOLS[protocol]
         cl = self._exact_cluster()
-        res = run(cl, Params(k=2, eps=1.0, seed=260))
-        assert res.finalize == "exact"
+        res = run(cl, Params(k=2, eps=0.25, seed=260))
+        assert res.finalize == "exact" and res.payloads == ["raw", "R", "raw"]
         r = selected_rank(cl, res)
         up = self._uplinks(cl)
         assert up == {0: _cols_words(cl.part_dense(0)), 1: _r_words(30, r),
@@ -647,10 +662,12 @@ class TestStageFourPayloads:
         cl = self._mixed_cluster()
         serial = run(cl, params)
         assert serial.finalize == "mixed"
+        assert serial.payloads == ["summary", "raw", "R", "sketch"]
         up = self._uplinks(cl)
-        assert [up[i] for i in range(3)] == stage_four_words(cl, serial, 250,
+        assert [up[i] for i in range(4)] == stage_four_words(cl, serial, 250,
                                                              _SKETCH[protocol])
-        assert up[1] == _cols_words(cl.part_dense(1))
+        r = selected_rank(cl, serial)
+        assert [up[i] for i in range(3)] == [r * 2, _cols_words(cl.part_dense(1)), _r_words(2, r)]
         cp = self._mixed_cluster(parallel=True)
         parallel = run(cp, params)
         assert parallel.U.tobytes() == serial.U.tobytes()
@@ -661,22 +678,24 @@ class TestStageFourPayloads:
         assert err <= (1 + params.eps) * colspan_residual_sq(A, C, 1)
 
     def test_mixed_run_weighs_sketched_and_exact_columns_alike(self, protocol):
-        # the sketched machine's 160 columns lie along u, Frobenius norm 1;
-        # the exact machine's 8 lie along e_0, norm 3.  A sketch that
-        # counted its columns xi times over would pick u, at about six
-        # times the optimum
+        # the sketched machine's 160 columns lie along e_1, Frobenius norm
+        # 1, and sketch at 3 words a sketch column; the exact machine's 8
+        # lie along e_0, norm 3; the third machine holds noise, which makes
+        # r > 24, so that the sketch undercuts every r x 2 summary, and
+        # ships its own summary.  A sketch that counted its columns
+        # xi = 16 times over would pick e_1, at about nine times the optimum
         run, Params = _PROTOCOLS[protocol]
         m = 40
         rng = np.random.default_rng(31)
-        u = rng.standard_normal(m)
-        u[0] = 0.0
         v = rng.standard_normal(160)
-        sketched = np.outer(u / np.linalg.norm(u), v / np.linalg.norm(v))
+        sketched = np.zeros((m, 160))
+        sketched[1] = v / np.linalg.norm(v)
         exact = np.zeros((m, 8))
         exact[0] = 3.0 * rng.choice([-1.0, 1.0], 8) / np.sqrt(8)
-        cl = Cluster([sketched + 0.01 * rng.standard_normal((m, 160)), exact], kind="column")
+        cl = Cluster([sketched, exact, 0.01 * rng.standard_normal((m, 80))], kind="column")
         res = run(cl, Params(k=1, eps=1.0, seed=251, c2=100))
-        assert res.finalize == "mixed"
+        assert res.finalize == "mixed" and res.payloads == ["sketch", "raw", "summary"]
+        assert selected_rank(cl, res) > 24
         up = self._uplinks(cl)
         assert up[1] == _cols_words(exact)
         assert up[0] <= selected_rank(cl, res) * res.xi
@@ -701,14 +720,67 @@ class TestStageFourPayloads:
         res = run_css_protocol(cl, Params(k=1, eps=1.0, seed=250),
                                dataclasses.replace(kernels, finalize=finalize))
         assert res.finalize == "mixed"
-        # the exact payloads go in one round, the sketch blocks in the next
+        # the exact payloads go in one round, the summaries in the next and
+        # the sketch blocks in the last
         rounds: dict[int, set[int]] = {}
         for msg in cl.ledger.messages:
             if msg.phase == "subspace-up":
                 rounds.setdefault(msg.round_no, set()).add(msg.sender)
-        exact_round, sketch_round = sorted(rounds)
-        assert asked == rounds[sketch_round] and not asked & rounds[exact_round]
-        assert 1 in rounds[exact_round]
+        assert [rounds[n] for n in sorted(rounds)] == [{1, 2}, {0}, {3}]
+        assert asked == {3}
+
+    def test_stack_preserves_projection_costs(self, protocol, monkeypatch):
+        # The server factors one stack S: the R factors, the summaries and
+        # the summed sketch.  For a rank-k projection X in span(C)
+        # coordinates, ||S - X S||_F^2 plus the tails the summaries cut
+        # must be within 1 +- eps / 2 of ||B - X B||_F^2, B = Y^T A.  At
+        # k = 1, eps = 1/2 (t = 4, xi = 64 sign or 32 count buckets), each
+        # machine ships another payload, as in _mixed_cluster
+        run, Params = _PROTOCOLS[protocol]
+        k, eps, t, m = 1, 0.5, 4, 80
+        stacks, bases = [], []
+        svd, span_basis = column_partition.truncated_svd, column_partition._span_basis
+
+        def stack(X, kk):
+            stacks.append(X)
+            return svd(X, kk)
+
+        def basis(C, gids):
+            bases.append(span_basis(C, gids))
+            return bases[-1]
+        monkeypatch.setattr(column_partition, "truncated_svd", stack)
+        monkeypatch.setattr(column_partition, "_span_basis", basis)
+        dense = lowrank_plus_noise(29, m, 102, 1, 0.3)
+        row = np.zeros((m, 160))
+        row[5] = rand_matrix(290, 1, 160)
+        cl = Cluster([dense[:, :100], sparse_columns_block(291, m, 8, 3), dense[:, 100:], row],
+                     kind="column")
+        res = run(cl, Params(k=k, eps=eps, seed=29))
+        assert res.payloads == ["summary", "raw", "R", "sketch"]
+        S, Y = stacks[-1], bases[-1]
+        r = Y.shape[1]
+        B = Y.T @ cl.materialize()
+        tails = sum(float(np.sum(np.linalg.svd(Y.T @ cl.part_dense(i), compute_uv=False)[t:] ** 2))
+                    for i, kind in enumerate(res.payloads) if kind == "summary")
+        assert tails > 0.0
+        rng = np.random.default_rng(292)
+        tops = [np.linalg.svd(M, full_matrices=False)[0][:, :k] for M in (B, S)]
+        for Q in tops + [np.linalg.qr(rng.standard_normal((r, k)))[0] for _ in range(30)]:
+            cost = lambda M: float(np.sum((M - Q @ (Q.T @ M)) ** 2))
+            assert abs(cost(S) + tails - cost(B)) <= eps / 2 * cost(B)
+
+    def test_all_summary_is_near_the_span_optimum(self, protocol):
+        # r = m = 30 > 2t - 1 at t = 8 (k = 2, eps = 1/2): every machine
+        # ships its summary, and U is within 1 + eps of the span optimum
+        run, Params = _PROTOCOLS[protocol]
+        k, eps = 2, 0.5
+        for seed in range(5):
+            cl = _dense_cluster(270 + seed)
+            res = run(cl, Params(k=k, eps=eps, seed=2700 + seed))
+            assert res.payloads == ["summary"] * cl.s and res.finalize == "sketch"
+            A = cl.materialize()
+            C = A[:, res.core_indices + res.adaptive_indices]
+            assert span_residual_sq(A, res.U) <= (1 + eps) * colspan_residual_sq(A, C, k)
 
     def test_bound_covers_the_sketch_words(self, protocol):
         kernels = _KERNELS[protocol]
@@ -885,11 +957,12 @@ class TestColumnsReachEachMachineOnce:
     def test_rebuild_from_the_charged_payloads(self, protocol, case, monkeypatch):
         run, Params = _PROTOCOLS[protocol]
         bases = []
+        span_basis = column_partition._span_basis
 
-        def spy(C):
+        def spy(C, gids):
             bases.append(C.copy())
-            return orthonormal_basis(C)
-        monkeypatch.setattr(column_partition, "orthonormal_basis", spy)
+            return span_basis(C, gids)
+        monkeypatch.setattr(column_partition, "_span_basis", spy)
         cl = self.CASES[case]()
         res = run(cl, Params(k=2, eps=0.5, seed=3))
         C_full = bases[-1]

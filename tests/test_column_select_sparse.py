@@ -304,6 +304,14 @@ class TestRangeFinderTop:
         assert np.allclose(U.T @ U, np.eye(3), atol=1e-12)
         assert frob_sq(core - U @ (U.T @ core)) <= 1e-12 * frob_sq(core)
 
+    def test_scaled_factor_carries_the_singular_values(self):
+        # U_k Sigma_k of a rank-k core: its outer product is core core^T
+        core = rank_exactly(23, 12, 9, 3)
+        P = _range_finder_top(core, 3, 4, scaled=True)
+        assert P.shape == (12, 3)
+        assert np.allclose(P @ P.T, core @ core.T, atol=1e-12)
+        assert np.allclose(np.linalg.norm(P, axis=0), np.linalg.svd(core, compute_uv=False)[:3])
+
     def test_zero_core_gives_orthonormal_columns(self):
         U = _range_finder_top(np.zeros((20, 20)), 3, 7)
         assert U.shape == (20, 3)
@@ -752,10 +760,12 @@ class TestFastProtocol:
         res = distributed_css_pca_fast(cl, _params(k=2, seed=200))
         s = 4
         assert res.phase_words["adaptive-meta"] == 2 * s
-        # 30-column machines, no wider than xi = 32: each ships exactly, its
-        # raw columns or its R factor, whichever is shorter
-        assert res.finalize == "exact"
-        assert res.phase_words["subspace-up"] == sum(stage_four_words(cl, res, 200, "count"))
+        # 30-column machines, no wider than xi = 32, at r = 30: the r x 4
+        # summary (120 words) undercuts the R factor (465) and the raw columns
+        r = selected_rank(cl, res)
+        assert r == 30 and res.payloads == ["summary"] * s and res.finalize == "sketch"
+        assert res.phase_words["subspace-up"] == sum(stage_four_words(cl, res, 200, "count")) == (
+            s * r * 4)
         assert res.phase_words["delta-down"] == s * selected_rank(cl, res) * res.rank
         assert "u-down" not in res.phase_words
         assert res.total_words == sum(res.phase_words.values())
@@ -977,8 +987,9 @@ class TestFastFinalizeTouches:
     @pytest.mark.parametrize("xi", [None, 60, 1100])
     @pytest.mark.parametrize("parallel", [False, True])
     def test_protocol_touches_are_pinned(self, xi, parallel):
-        # the same count on both finalize branches: stage 4 touches every
-        # stored entry once, as the embedded sketch did.  12172 =
+        # the same count whether every machine ships its summary (xi None)
+        # or its sketch: stage 4 touches every stored entry once, in
+        # Y^T A_i or in the embedding.  12172 =
         # 20 * 554 + 6 * 182: each of the 554 stored entries is touched by 8
         # boosting candidates, their score, 8 barrier sketches and one A Z
         # pass (18), once by the residual masses and once by stage 4; the
@@ -987,5 +998,5 @@ class TestFastFinalizeTouches:
         cl = _sparse_cluster(1, parallel=parallel)
         TOUCHES.reset()
         res = distributed_css_pca_fast(cl, _params(k=2, seed=200, xi_subspace=xi))
-        assert res.finalize == ("exact" if xi is None else "sketch")
+        assert res.payloads == ["summary" if xi is None else "sketch"] * cl.s
         assert TOUCHES.count == 12172
