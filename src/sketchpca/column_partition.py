@@ -65,16 +65,15 @@ Four stages:
    A machine sizes every payload before it forms one, the sketch from its
    sparsity pattern alone: a block costs at most min(r * w, w + sum_j
    min(2 z_j, m)) words, where z_j bounds the nonzeros of sketch column j.
-   It ships its summary when that is strictly shorter than both exact
-   payloads and no longer than the sketch bound, else its sketch when that
-   bound is strictly the shortest, else the shorter exact payload.  Ties go
-   to an exact payload, and between those to R.  An explicit xi_subspace
-   sketches on every machine.  The exact payloads go in one round, the
-   summaries in the next and the sketches in the last, and lengths tell
-   the encodings within each apart.  The server sets the transposed R
-   factors (reduced to one r x r factor when they hold more than r rows),
-   the summaries and the summed sketch side by side, and the top-k left
-   singular vectors of that r-row stack give the basis: exact in span(C)
+   It ships the one of fewest words among those it offers, a tie going to
+   the first in the order R, raw, summary, sketch.  An explicit
+   xi_subspace sketches on every machine.  The exact payloads go in one
+   round, the summaries in the next and the sketches in the last, and
+   lengths tell the encodings within each apart.  The server sets the
+   transposed R factors, as shipped or as it forms them from raw columns,
+   the summaries and the summed sketch side by side.  Any F with F F^T =
+   B B^T has the top-k left singular vectors of B, so that r-row stack is
+   factored once, by the top-k SVD that gives the basis: exact in span(C)
    when every machine shipped exactly, and projection-cost preserving on
    the summarized and sketched blocks otherwise.
 
@@ -123,8 +122,8 @@ _FINALIZE_BLOCK = 512
 
 
 @dataclass(frozen=True)
-class CssProtocolParams:
-    """Budgets for the column-partition protocol; None picks defaults
+class _CssParams:
+    """Budgets both column-partition protocols share; None picks defaults
     derivable from (k, eps) alone, so machines can resolve them without
     communication.  per_machine_finalize has every machine form its own
     U = Y Delta from the C it holds, and checks each against the server's U
@@ -134,7 +133,6 @@ class CssProtocolParams:
     eps: float
     seed: int
     ell: int | None = None
-    c1: int | None = None
     c2: int | None = None
     xi_subspace: int | None = None
     per_machine_finalize: bool = False
@@ -145,23 +143,33 @@ class CssProtocolParams:
         if not 0.0 < self.eps:
             raise InputError("eps must be positive")
 
-    def resolve(self) -> tuple[int, int, int, int]:
+    def _budgets(self, c1: int, xi_dim: Callable[[int, float], int]) -> tuple[int, int, int, int]:
         """(ell, c1, c2, xi).  The default finalize width xi is a rank-k
-        projection-cost-preserving sign sketch, dense_pca_dim(k, eps / 2)
-        columns.  It is sized at eps / 2 because the sketch's error adds to
-        the selection's: at eps itself (4k / eps^2 columns), a noisy rank-3
+        projection-cost-preserving sketch, xi_dim(k, eps / 2) columns.  It
+        is sized at eps / 2 because the sketch's error adds to the
+        selection's: at eps itself (4k / eps^2 sign columns), a noisy rank-3
         100 x 1000 input lost 6-7% at k = 3, eps = 1/2, against under 0.1%
         for the exact finalize."""
         k, eps = self.k, self.eps
         ell = self.ell if self.ell is not None else 4 * k
-        c1 = self.c1 if self.c1 is not None else 4 * k
         c2 = self.c2 if self.c2 is not None else math.ceil(50.0 * k / eps)
-        xi = self.xi_subspace if self.xi_subspace is not None else dense_pca_dim(k, eps / 2)
+        xi = self.xi_subspace if self.xi_subspace is not None else xi_dim(k, eps / 2)
         if ell <= k or c1 <= k:
             raise InputError("budgets ell and c1 must exceed k")
         if c2 < 0 or xi < 1:
             raise InputError("c2 must be nonnegative and xi positive")
         return ell, c1, c2, xi
+
+
+@dataclass(frozen=True)
+class CssProtocolParams(_CssParams):
+    """Budgets for the column-partition protocol, with a free core budget
+    c1 (default 4k) and a sign-sketch finalize width."""
+
+    c1: int | None = None
+
+    def resolve(self) -> tuple[int, int, int, int]:
+        return self._budgets(self.c1 if self.c1 is not None else 4 * self.k, dense_pca_dim)
 
 
 @dataclass
@@ -170,7 +178,8 @@ class CssPcaResult:
     "raw" (its columns), "R" (its R factor), "summary" (its top-t U_t
     Sigma_t) or "sketch".  finalize is "exact" when every machine shipped
     raw columns or its R factor, so that U is the optimum in span(C);
-    "sketch" when none did; and "mixed" otherwise."""
+    "sketch" when none did, also when every machine shipped its summary and
+    no sketch was sent; and "mixed" otherwise."""
 
     U: np.ndarray
     rank: int
@@ -184,7 +193,7 @@ class CssPcaResult:
     betas: list[float]
     phase_words: dict[str, int]
     total_words: int
-    params: CssProtocolParams
+    params: _CssParams
 
 
 def _col_words(block) -> np.ndarray:
@@ -265,21 +274,16 @@ def _r_words(n_i: int, r: int) -> int:
     return q * r - q * (q - 1) // 2
 
 
-def _payload_kind(raw_words: int, r_words: int, summary_words: int | None,
-                  sketch_words: int | None) -> str:
-    """The stage-4 payload a machine ships, from the words of each (None:
-    not offered): "summary" when strictly fewer than both exact payloads
-    and no more than the sketch, else "sketch" when strictly the fewest,
-    else "raw" when its columns are strictly shorter than its R factor,
-    else "R".  Ties go to an exact payload, and between those to R, so a
-    raw payload is always shorter than R and its length alone marks it."""
-    exact = min(raw_words, r_words)
-    if summary_words is not None and summary_words < exact and (
-            sketch_words is None or summary_words <= sketch_words):
-        return "summary"
-    if sketch_words is not None and sketch_words < exact:
-        return "sketch"
-    return "raw" if raw_words < r_words else "R"
+# the order in which payloads of equal words win: an exact payload first,
+# and between those R, so a raw payload is always shorter than R and its
+# length alone marks it
+_PAYLOAD_ORDER = ("R", "raw", "summary", "sketch")
+
+
+def _payload_kind(offers: dict[str, int]) -> str:
+    """The stage-4 payload a machine ships, from the words of each payload
+    it offers: the fewest, ties going to the first in _PAYLOAD_ORDER."""
+    return min((kind for kind in _PAYLOAD_ORDER if kind in offers), key=offers.__getitem__)
 
 
 def _span_basis(C_full: np.ndarray, gids: list[int]) -> np.ndarray:
@@ -440,15 +444,20 @@ def run_css_protocol(cluster: Cluster, params, kernels: CssKernels) -> CssPcaRes
     summary_seed = derive_seed(params.seed, TAG_CSS_SUMMARY)
 
     def payload(i, _):
-        # (kind, payload); a sketcher forms its sketch in the last round.  A
-        # summary of at least min(r, n_i) columns is no cut, and a sketch no
-        # narrower than the block merges only entries that share a bucket
-        # and a row, so neither is offered then
+        # (kind, payload); a sketcher forms its sketch in the last round, and
+        # an explicit xi_subspace sketches on every machine.  A summary of at
+        # least min(r, n_i) columns is no cut, and a sketch no narrower than
+        # the block merges only entries that share a bucket and a row, so
+        # neither is offered then
+        if params.xi_subspace is not None:
+            return "sketch", None
         n_i = parts[i].shape[1]
-        kind = "sketch" if params.xi_subspace is not None else _payload_kind(
-            _cols_words(parts[i]), _r_words(n_i, r),
-            r * t if t < min(r, n_i) else None,
-            _sketch_bound(support(i), r, m) if xi < n_i else None)
+        offers = {"raw": _cols_words(parts[i]), "R": _r_words(n_i, r)}
+        if t < min(r, n_i):
+            offers["summary"] = r * t
+        if xi < n_i:
+            offers["sketch"] = _sketch_bound(support(i), r, m)
+        kind = _payload_kind(offers)
         if kind == "sketch":
             return kind, None
         if kind == "raw":
@@ -471,9 +480,6 @@ def run_css_protocol(cluster: Cluster, params, kernels: CssKernels) -> CssPcaRes
             # the server forms a raw machine's R factor with the same kernel
             factors.append((_r_factor(kernels.coefficients(Y.T, p)) if kinds[i] == "raw"
                             else _unpack_r(p, parts[i].shape[1], r)).T)
-        if sum(R.shape[1] for R in factors) > r:
-            # the last level of the TSQR tree: one r x r factor of the stack
-            factors = [_r_factor(np.hstack(factors)).T]
     if summaries:
         cluster.record_gather("subspace-up", [p.size for p in summaries.values()], summaries)
         factors.extend(summaries.values())
@@ -543,7 +549,9 @@ _EXACT_KERNELS = CssKernels(
     resolve=lambda params, cluster: params.resolve(),
     part=lambda cluster, i: cluster.part_dense(i),
     local_select=_exact_local_select,
-    core_select=lambda params, G, c1: deterministic_css(G, params.k, c1).indices,
+    # k clamped to the rank bound, as in local selection: a core of c1 > k
+    # columns still carries G's span, and the finalize flags rank-deficient
+    core_select=lambda params, G, c1: deterministic_css(G, min(params.k, *G.shape), c1).indices,
     residual_masses=_exact_residual_masses,
     coefficients=lambda YT, P: YT @ P,
     finalize=_exact_finalize,

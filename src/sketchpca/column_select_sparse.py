@@ -1,14 +1,15 @@
 """Entry-touch kernels for the column-partition protocol.
 
-The exact kernels in column_select form dense residual matrices; here every
-pass over the data goes through a one-nonzero-per-column embedding, a sign
-JL map or a product with a thin dense factor, so the work per operation is
-proportional to the number of stored entries plus sketch-sized dense
-algebra.  The top-k factors of a sketch core come from a PRF-seeded range
-finder, not a full SVD.  The price is randomness: each kernel fails with
-some probability, and the repeated-candidate wrappers (boosted SVD,
-repeated barrier sampling) drive that probability down by scoring
-candidates against sketched costs and keeping a certified winner.
+The exact kernels (column_partition's _EXACT_KERNELS, built on
+column_select) form dense residual matrices; here every pass over the data
+goes through a one-nonzero-per-column embedding, a sign JL map or a product
+with a thin dense factor, so the work per operation is proportional to the
+number of stored entries plus sketch-sized dense algebra.  The top-k
+factors of a sketch core come from a PRF-seeded range finder, not a full
+SVD.  The price is randomness: each kernel fails with some probability, and
+the repeated-candidate wrappers (boosted SVD, repeated barrier sampling)
+drive that probability down by scoring candidates against sketched costs
+and keeping a certified winner.
 
 The barrier sampler reads its residual through one type, ResidualOperator
 (A - A Z Z^T held implicitly); a plain matrix is that operator with an
@@ -33,11 +34,10 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .cluster import Cluster
-from .column_partition import CssKernels, CssPcaResult, run_css_protocol
+from .column_partition import CssKernels, CssPcaResult, _CssParams, run_css_protocol
 from .column_select import _POST_SLACK, CssResult, SamplingMatrix, bss_sampling
 from .errors import InputError, InternalError
-from .linalg import as_matrix, orthonormal_basis, qr
-from .linalg import range_finder_top as _range_finder_top
+from .linalg import as_matrix, orthonormal_basis, qr, range_finder_top
 from .sketches import (
     SparseEmbedding,
     derive_seed,
@@ -249,7 +249,7 @@ def sparse_svd(A, k: int, eps: float, seed: int) -> np.ndarray:
     right = sparse_embedding(xi, n, derive_seed(seed, TAG_SVD_RIGHT))
     Y = embed_rows(left, A)
     core = right.apply_right(Y)
-    top = _range_finder_top(core, k, derive_seed(seed, TAG_SVD_START))
+    top = range_finder_top(core, k, derive_seed(seed, TAG_SVD_START))
     Q, _ = qr(Y.T @ top)
     return Q
 
@@ -389,46 +389,25 @@ def deterministic_css_sparse(G, k: int, seed: int) -> CssResult:
 
 
 @dataclass(frozen=True)
-class FastCssProtocolParams:
+class FastCssProtocolParams(_CssParams):
     """Budgets for the sketched column-partition protocol.
 
     c1 is pinned at 4k because the global selector's constant-factor
-    guarantee is tuned to exactly that budget; everything else mirrors the
-    exact protocol, per_machine_finalize's replica check included.  delta is
-    the total failure budget split across the per-machine kernels.
+    guarantee is tuned to exactly that budget, and the default finalize
+    width is a CountSketch of embedding_dim(k, eps / 2) buckets; everything
+    else is the exact protocol's.  delta is the total failure budget split
+    across the per-machine kernels.
     """
 
-    k: int
-    eps: float
-    seed: int
     delta: float = 0.05
-    ell: int | None = None
-    c2: int | None = None
-    xi_subspace: int | None = None
-    per_machine_finalize: bool = False
 
     def __post_init__(self):
-        if self.k < 1:
-            raise InputError("k must be at least 1")
-        if not 0.0 < self.eps:
-            raise InputError("eps must be positive")
+        super().__post_init__()
         if not 0.0 < self.delta < 1.0:
             raise InputError("delta must be in (0, 1)")
 
     def resolve(self) -> tuple[int, int, int, int]:
-        """(ell, c1, c2, xi).  The default finalize width xi is a rank-k
-        projection-cost-preserving CountSketch, embedding_dim(k, eps / 2)
-        buckets, at eps / 2 for the reason CssProtocolParams.resolve gives."""
-        k, eps = self.k, self.eps
-        ell = self.ell if self.ell is not None else 4 * k
-        c1 = 4 * k
-        c2 = self.c2 if self.c2 is not None else math.ceil(50.0 * k / eps)
-        xi = self.xi_subspace if self.xi_subspace is not None else embedding_dim(k, eps / 2)
-        if ell <= k:
-            raise InputError("budget ell must exceed k")
-        if c2 < 0 or xi < 1:
-            raise InputError("c2 must be nonnegative and xi positive")
-        return ell, c1, c2, xi
+        return self._budgets(4 * self.k, embedding_dim)
 
 
 # -- entry-touch kernels for the column-partition driver ----------------

@@ -62,6 +62,16 @@ def sparse_columns_block(seed: int, m: int, n: int, phi: int):
     return SparseColMatrix.from_columns((m, n), cols)
 
 
+def sparse_random(seed: int, m: int, n: int, density: float = 0.4, scale: float = 1.0):
+    """Gaussian entries, each kept with probability density, stored sparse."""
+    from sketchpca.sparse import SparseColMatrix
+
+    rng = np.random.default_rng(seed)
+    A = rng.standard_normal((m, n)) * scale
+    A[rng.random((m, n)) >= density] = 0.0
+    return SparseColMatrix.from_dense(A)
+
+
 def selected_rank(cluster, res) -> int:
     """rank C for the columns a column-partition run collected, the row
     count of its stage-4 coefficients Y^T A."""

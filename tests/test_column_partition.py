@@ -28,9 +28,11 @@ from sketchpca.cluster import Cluster
 from sketchpca.column_partition import (
     _EXACT_KERNELS,
     _FINALIZE_BLOCK,
+    _PAYLOAD_ORDER,
     TAG_CSS_SUBSPACE,
     CssProtocolParams,
     _cols_words,
+    _payload_kind,
     _r_words,
     _sketch_bound,
     _sketch_payload,
@@ -216,6 +218,38 @@ class TestVariantsAndDeterminism:
         cl = Cluster([np.zeros((4, 6))], kind="arbitrary")
         with pytest.raises(InputError):
             distributed_css_pca(cl, _params())
+
+    @pytest.mark.parametrize("n", [40, 16])
+    def test_k_above_the_row_count_is_rank_deficient(self, n):
+        # k = 5 > m = 4: the core selection clamps k to min(G.shape) as local
+        # selection does, so the run flags the deficiency whether or not
+        # the core keeps every upload, as batch and dist-arb do
+        A = rand_matrix(40 + n, 4, n)
+        cl = Cluster([A[:, :n // 2], A[:, n // 2:]], kind="column")
+        res = distributed_css_pca(cl, _params(k=5, eps=0.5, seed=7))
+        assert ("core-all" in res.flags) == (n == 16)
+        assert "rank-deficient" in res.flags and res.rank == 4
+        assert res.U.shape == (4, 4)
+        assert np.allclose(res.U.T @ res.U, np.eye(4), atol=1e-12)
+
+    def test_params_share_one_base(self):
+        exact = CssProtocolParams(3, 0.5, 1)
+        fast = FastCssProtocolParams(3, 0.5, 1)
+        shared = {"k", "eps", "seed", "ell", "c2", "xi_subspace", "per_machine_finalize"}
+        assert {f.name for f in dataclasses.fields(exact)} == shared | {"c1"}
+        assert {f.name for f in dataclasses.fields(fast)} == shared | {"delta"}
+        # the same budgets but c1, which the fast protocol pins at 4k, and
+        # the default xi, a sign sketch or a CountSketch at eps / 2
+        assert exact.resolve()[:3] == fast.resolve()[:3] == (12, 12, 300)
+        assert dataclasses.replace(exact, c1=20).resolve()[1] == 20
+        assert dataclasses.replace(fast, ell=5).resolve()[0] == 5
+        for Params in (CssProtocolParams, FastCssProtocolParams):
+            with pytest.raises(InputError):
+                Params(k=3, eps=0.0, seed=1)
+            with pytest.raises(InputError):
+                Params(k=3, eps=0.5, seed=1, ell=3).resolve()
+        with pytest.raises(InputError):
+            FastCssProtocolParams(k=3, eps=0.5, seed=1, delta=1.0)
 
     def test_budget_guards(self):
         with pytest.raises(InputError):
@@ -815,6 +849,65 @@ class TestStageFourPayloads:
                     assert bound >= actual
                     cancelled |= bound > actual
         assert cancelled
+
+    def test_stack_holds_each_r_factor_as_shipped(self, protocol, monkeypatch):
+        # three exact machines of 30 columns at r = 30 stack 90 R-factor rows,
+        # more than r: the finalize SVD takes them as shipped, with no QR of
+        # the stack, since any F with F F^T = B B^T has B's top-k
+        run, Params = _PROTOCOLS[protocol]
+        stacks = []
+        svd = column_partition.truncated_svd
+
+        def stack(X, kk):
+            stacks.append(X)
+            return svd(X, kk)
+        monkeypatch.setattr(column_partition, "truncated_svd", stack)
+        cl = self._exact_cluster()
+        res = run(cl, Params(k=2, eps=0.25, seed=260))
+        assert res.payloads == ["raw", "R", "raw"]
+        r = selected_rank(cl, res)
+        assert stacks[-1].shape == (r, 3 * min(30, r)) and 3 * min(30, r) > r
+
+
+class TestPayloadRule:
+    """A machine ships the payload of fewest words among those it offers,
+    a tie going to the first in the order R, raw, summary, sketch."""
+
+    @staticmethod
+    def _hand_rule(raw, r, summary, sketch):
+        # the rule spelled out case by case: the summary when strictly
+        # shorter than both exact payloads and no longer than the sketch,
+        # else the sketch when strictly the shortest, else the shorter exact
+        # payload, R on a tie
+        exact = min(raw, r)
+        if summary is not None and summary < exact and (sketch is None or summary <= sketch):
+            return "summary"
+        if sketch is not None and sketch < exact:
+            return "sketch"
+        return "raw" if raw < r else "R"
+
+    def test_ordered_minimum_over_a_word_grid(self):
+        assert _PAYLOAD_ORDER == ("R", "raw", "summary", "sketch")
+        words = range(7)
+        cases = 0
+        for raw in words:
+            for r in words:
+                for summary in (None, *words):
+                    for sketch in (None, *words):
+                        offers = {"raw": raw, "R": r}
+                        if summary is not None:
+                            offers["summary"] = summary
+                        if sketch is not None:
+                            offers["sketch"] = sketch
+                        kind = _payload_kind(offers)
+                        assert kind in offers and offers[kind] == min(offers.values())
+                        earlier = _PAYLOAD_ORDER[:_PAYLOAD_ORDER.index(kind)]
+                        assert all(offers[e] > offers[kind] for e in earlier if e in offers)
+                        assert kind == self._hand_rule(raw, r, summary, sketch)
+                        # the order in which a machine lists its offers is moot
+                        assert _payload_kind(dict(reversed(offers.items()))) == kind
+                        cases += 1
+        assert cases == 3136
 
 
 # -- what each machine is sent: a column once, and never its own ----------

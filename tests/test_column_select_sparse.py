@@ -13,6 +13,7 @@ from conftest import (
     rank_exactly,
     selected_rank,
     sparse_columns_block,
+    sparse_random,
     stage_four_words,
 )
 from sketchpca.cluster import Cluster
@@ -26,7 +27,6 @@ from sketchpca.column_select_sparse import (
     FastCssProtocolParams,
     FastParams,
     ResidualOperator,
-    _range_finder_top,
     _select_top_two_thirds,
     bss_sampling_sparse,
     dense_times_sparse,
@@ -43,13 +43,6 @@ from sketchpca.errors import InputError, InternalError
 from sketchpca.linalg import orthonormal_basis, residual_ratio, span_residual_sq
 from sketchpca.sketches import derive_seed, embedding_dim, jlt_sketch, sparse_embedding
 from sketchpca.sparse import SparseColMatrix
-
-
-def sparse_random(seed, m, n, density=0.4, scale=1.0):
-    rng = np.random.default_rng(seed)
-    A = rng.standard_normal((m, n)) * scale
-    A[rng.random((m, n)) >= density] = 0.0
-    return SparseColMatrix.from_dense(A)
 
 
 class TestFastParams:
@@ -272,50 +265,8 @@ class TestSparseSvd:
 
 
 class TestRangeFinderTop:
-    """The top-k left factors of a sketch core, from a PRF-seeded range
-    finder with QR-stabilized power steps."""
-
-    def test_same_seed_same_bytes(self):
-        core = rand_matrix(21, 40, 40)
-        U1 = _range_finder_top(core, 3, 5)
-        U2 = _range_finder_top(core, 3, 5)
-        assert U1.shape == (40, 3)
-        assert U1.tobytes() == U2.tobytes()
-        assert U1.tobytes() != _range_finder_top(core, 3, 6).tobytes()
-
-    def test_draws_nothing_from_numpy_random(self, monkeypatch):
-        def refuse(*args, **kwargs):
-            raise AssertionError("np.random was called")
-
-        A = sparse_random(22, 30, 24)
-        want = sparse_svd(A, 3, 0.5, 9)
-        for name in ("default_rng", "Generator", "RandomState", "seed", "rand",
-                     "randn", "random", "random_sample", "standard_normal",
-                     "normal", "uniform", "randint", "choice", "permutation",
-                     "shuffle"):
-            monkeypatch.setattr(np.random, name, refuse)
-        assert sparse_svd(A, 3, 0.5, 9).tobytes() == want.tobytes()
-
-    def test_exact_on_rank_k_when_the_block_is_clamped(self):
-        # xi = 6 < k + 5, so the block takes all 6 columns of the core
-        core = rank_exactly(23, 6, 6, 3)
-        U = _range_finder_top(core, 3, 4)
-        assert U.shape == (6, 3)
-        assert np.allclose(U.T @ U, np.eye(3), atol=1e-12)
-        assert frob_sq(core - U @ (U.T @ core)) <= 1e-12 * frob_sq(core)
-
-    def test_scaled_factor_carries_the_singular_values(self):
-        # U_k Sigma_k of a rank-k core: its outer product is core core^T
-        core = rank_exactly(23, 12, 9, 3)
-        P = _range_finder_top(core, 3, 4, scaled=True)
-        assert P.shape == (12, 3)
-        assert np.allclose(P @ P.T, core @ core.T, atol=1e-12)
-        assert np.allclose(np.linalg.norm(P, axis=0), np.linalg.svd(core, compute_uv=False)[:3])
-
-    def test_zero_core_gives_orthonormal_columns(self):
-        U = _range_finder_top(np.zeros((20, 20)), 3, 7)
-        assert U.shape == (20, 3)
-        assert np.allclose(U.T @ U, np.eye(3), atol=1e-12)
+    """sparse_svd's range finder reads no entry of A: the start block and
+    the power steps work on the sketch core alone."""
 
     def test_sparse_svd_touches_each_entry_once_with_a_clamped_block(self):
         # xi = 2 < k + 5, and neither the start block nor the power steps

@@ -12,9 +12,17 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from conftest import best_tail_sq, frob_sq, rand_matrix, rand_orthonormal, rank_exactly
+from conftest import (
+    best_tail_sq,
+    frob_sq,
+    rand_matrix,
+    rand_orthonormal,
+    rank_exactly,
+    sparse_random,
+)
 from sketchpca.errors import InputError
 from sketchpca import linalg
+from sketchpca.column_select_sparse import sparse_svd
 
 
 class TestSvd:
@@ -193,6 +201,53 @@ class TestSpanProjections:
         A = rank_exactly(7, 10, 10, 3)
         U = linalg.truncated_svd(A, 3).U
         assert linalg.residual_ratio(A, U, 3) == 1.0
+
+
+class TestRangeFinderTop:
+    """The top-k left factors of a sketch core, from a PRF-seeded range
+    finder with QR-stabilized power steps."""
+
+    def test_same_seed_same_bytes(self):
+        core = rand_matrix(21, 40, 40)
+        U1 = linalg.range_finder_top(core, 3, 5)
+        U2 = linalg.range_finder_top(core, 3, 5)
+        assert U1.shape == (40, 3)
+        assert U1.tobytes() == U2.tobytes()
+        assert U1.tobytes() != linalg.range_finder_top(core, 3, 6).tobytes()
+
+    def test_draws_nothing_from_numpy_random(self, monkeypatch):
+        def refuse(*args, **kwargs):
+            raise AssertionError("np.random was called")
+
+        A = sparse_random(22, 30, 24)
+        want = sparse_svd(A, 3, 0.5, 9)
+        for name in ("default_rng", "Generator", "RandomState", "seed", "rand",
+                     "randn", "random", "random_sample", "standard_normal",
+                     "normal", "uniform", "randint", "choice", "permutation",
+                     "shuffle"):
+            monkeypatch.setattr(np.random, name, refuse)
+        assert sparse_svd(A, 3, 0.5, 9).tobytes() == want.tobytes()
+
+    def test_exact_on_rank_k_when_the_block_is_clamped(self):
+        # xi = 6 < k + 5, so the block takes all 6 columns of the core
+        core = rank_exactly(23, 6, 6, 3)
+        U = linalg.range_finder_top(core, 3, 4)
+        assert U.shape == (6, 3)
+        assert np.allclose(U.T @ U, np.eye(3), atol=1e-12)
+        assert frob_sq(core - U @ (U.T @ core)) <= 1e-12 * frob_sq(core)
+
+    def test_scaled_factor_carries_the_singular_values(self):
+        # U_k Sigma_k of a rank-k core: its outer product is core core^T
+        core = rank_exactly(23, 12, 9, 3)
+        P = linalg.range_finder_top(core, 3, 4, scaled=True)
+        assert P.shape == (12, 3)
+        assert np.allclose(P @ P.T, core @ core.T, atol=1e-12)
+        assert np.allclose(np.linalg.norm(P, axis=0), np.linalg.svd(core, compute_uv=False)[:3])
+
+    def test_zero_core_gives_orthonormal_columns(self):
+        U = linalg.range_finder_top(np.zeros((20, 20)), 3, 7)
+        assert U.shape == (20, 3)
+        assert np.allclose(U.T @ U, np.eye(3), atol=1e-12)
 
 
 def _random_candidate_best(M, N, L, k, trials, seed):
