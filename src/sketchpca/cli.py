@@ -6,7 +6,8 @@ Report schema (single run; stable, scripts may rely on these fields):
     parameters       resolved inputs: shapes, k, eps, machines, constants
     ratio            squared projection error over the exact rank-k tail,
                      null when the tail is roundoff (at most 1e-22 times
-                     max(1, ||A||_F^2)) or the matrix is too big
+                     max(1, ||A||_F^2)), as it is when k >= min(m, n), or
+                     the matrix is too big
     ratio_estimated  true when the ratio came from a JL sketch instead of
                      the materialized matrix
     ledger           words by phase (protocols), null otherwise
@@ -97,7 +98,8 @@ class _Parser(argparse.ArgumentParser):
 
 
 def _exact_ratio(A: np.ndarray, err_sq: float, k: int) -> float | None:
-    tail = tail_sq(A, k)
+    # past min(m, n) the rank-k tail is the zero tail at min(m, n)
+    tail = tail_sq(A, min(k, *A.shape))
     if _zero_tail(A, tail):
         return None
     ratio = float(err_sq / tail)
@@ -207,7 +209,8 @@ def _load_dense(args) -> np.ndarray:
     if isinstance(A, SparseColMatrix):
         if A.n_rows * A.n_cols > MATERIALIZE_LIMIT:
             raise InputError("matrix too large to materialize for this algorithm")
-        return A.to_dense()
+        # column-major, as an array file reads, so both formats give the same bits
+        return np.asfortranarray(A.to_dense())
     return A
 
 
@@ -235,7 +238,7 @@ def _load_stream(args) -> tuple:
 
 def _report(algorithm: str, parameters: dict, *, ratio=None, estimated=False,
             ledger=None, total=None, space=None, branch=None, flags=(),
-            seed=None, wall=None, extra=None) -> dict:
+            seed=None, extra=None) -> dict:
     if ledger is not None:
         ledger = {str(k): int(v) for k, v in sorted(ledger.items())}
         if total is None or sum(ledger.values()) != int(total):
@@ -251,7 +254,7 @@ def _report(algorithm: str, parameters: dict, *, ratio=None, estimated=False,
         "branch": branch,
         "flags": sorted(str(f) for f in flags),
         "seed": None if seed is None else int(seed),
-        "wall_time_s": wall,
+        "wall_time_s": None,
     }
     if extra:
         rep.update(extra)
@@ -298,6 +301,8 @@ def _with_trials(args, one_trial) -> dict:
 
 
 def _solve_batch(A, args, seed) -> dict:
+    if args.k > min(A.shape):
+        raise InputError(f"rank target k={args.k} out of range for shape {A.shape}")
     res = batch_low_rank(A, args.k, args.eps, seed, xi_left=args.const_xi_left,
                          xi_right=args.const_xi_right, rounding=args.rounding)
     return {"parameters": {"shape": list(A.shape), "k": args.k, "eps": args.eps,

@@ -77,12 +77,13 @@ Four stages:
    when every machine shipped exactly, and projection-cost preserving on
    the summarized and sketched blocks otherwise.
 
-run_css_protocol is the one driver of these stages.  What differs between
-variants is a CssKernels bundle: this module's exact kernels (dense SVD,
-the barrier sampler, deterministic CSS, exact residuals, a sign sketch)
-back distributed_css_pca, and column_select_sparse supplies entry-touch
-kernels for distributed_css_pca_fast.  Flags, draws, ledger records and
-the finalize are shared.
+run_css_protocol is the one driver of these stages.  A variant is its
+params class, which carries the kernels in which the variants differ:
+CssProtocolParams here holds the exact ones (dense SVD, the barrier
+sampler, deterministic CSS, exact residuals, a sign sketch) for
+distributed_css_pca, and column_select_sparse's FastCssProtocolParams
+holds entry-touch ones for distributed_css_pca_fast.  Flags, draws, ledger
+records and the finalize are shared.
 
 The server does the finalize once and broadcasts the r x k coefficients
 Delta of U in the basis Y of span(C) (r = rank C): every machine already
@@ -127,7 +128,26 @@ class _CssParams:
     derivable from (k, eps) alone, so machines can resolve them without
     communication.  per_machine_finalize has every machine form its own
     U = Y Delta from the C it holds, and checks each against the server's U
-    byte for byte; it changes no word and no bit of U."""
+    byte for byte; it changes no word and no bit of U.
+
+    Each subclass is one variant, and carries the steps in which the
+    variants differ as the methods run_css_protocol calls:
+    resolve() -> (ell, c1, c2, xi), with xi the width of a rank-k
+    projection-cost-preserving sketch unless xi_subspace is given;
+    part(cluster, i) -> block i, dense or sparse; local_select(s, i, P,
+    ell) -> ell column indices of a block wider than ell; core_select(G,
+    c1) -> c1 positions in G; residual_masses(cluster, parts, C) -> each
+    block's per-column residual mass off span(C); coefficients(YT, P) ->
+    YT @ P for a block P, whose R factor or summary a payload carries;
+    finalize(cluster, parts, xi, seed) -> (support, block), both over one
+    shared xi-column sketch T with E[T T^T] = I (a 1 / sqrt(xi)-scaled sign
+    sketch for the exact variant, a one-nonzero-per-column embedding for
+    the fast one), so sketched columns weigh what exact ones do in the
+    stacked finalize: support(i) bounds the nonzeros of each column of
+    A_i T_i from block i's sparsity pattern alone, and block(i, lo, hi)
+    forms sketch columns lo..hi-1 of A_i T_i.  _gather_sketches ships each
+    block projected, or raw when that is shorter, so at most r * xi words
+    per sketching machine."""
 
     k: int
     eps: float
@@ -159,17 +179,6 @@ class _CssParams:
         if c2 < 0 or xi < 1:
             raise InputError("c2 must be nonnegative and xi positive")
         return ell, c1, c2, xi
-
-
-@dataclass(frozen=True)
-class CssProtocolParams(_CssParams):
-    """Budgets for the column-partition protocol, with a free core budget
-    c1 (default 4k) and a sign-sketch finalize width."""
-
-    c1: int | None = None
-
-    def resolve(self) -> tuple[int, int, int, int]:
-        return self._budgets(self.c1 if self.c1 is not None else 4 * self.k, dense_pca_dim)
 
 
 @dataclass
@@ -320,48 +329,17 @@ def _columns(P, idx) -> np.ndarray:
     return P[:, idx]
 
 
-@dataclass(frozen=True)
-class CssKernels:
-    """The steps in which the column-partition protocols differ.
-
-    resolve(params, cluster) -> (ell, c1, c2, xi), with xi the width of a
-    rank-k projection-cost-preserving sketch unless xi_subspace is given;
-    part(cluster, i) -> block i, dense or sparse; local_select(params, s,
-    i, P, ell) -> ell column indices of a block wider than ell;
-    core_select(params, G, c1) -> c1 positions in G;
-    residual_masses(params, cluster, parts, C) -> each block's per-column
-    residual mass off span(C); coefficients(YT, P) -> YT @ P for a block P,
-    whose R factor or summary a payload carries; finalize(cluster, parts, xi,
-    seed) -> (support, block), both over one shared xi-column sketch T with
-    E[T T^T] = I (a 1 / sqrt(xi)-scaled sign sketch here, a
-    one-nonzero-per-column embedding in column_select_sparse), so sketched
-    columns weigh what exact ones do in the stacked finalize: support(i)
-    bounds the nonzeros of each column of A_i T_i from block i's sparsity
-    pattern alone, and block(i, lo, hi) forms sketch columns lo..hi-1 of
-    A_i T_i.  _gather_sketches ships each block projected, or raw when
-    that is shorter, so at most r * xi words per sketching machine.
-    """
-
-    resolve: Callable
-    part: Callable
-    local_select: Callable
-    core_select: Callable
-    residual_masses: Callable
-    coefficients: Callable
-    finalize: Callable
-
-
-def run_css_protocol(cluster: Cluster, params, kernels: CssKernels) -> CssPcaResult:
-    """The four stages on a column partition, with the given kernels."""
+def run_css_protocol(cluster: Cluster, params) -> CssPcaResult:
+    """The four stages on a column partition, with the kernels of params."""
     if cluster.kind != "column":
         raise InputError("this protocol needs a column partition")
     if cluster.ledger.messages:
         raise InputError("cluster has already run a protocol; use a new Cluster per run")
     k = params.k
-    ell, c1, c2, xi = kernels.resolve(params, cluster)
+    ell, c1, c2, xi = params.resolve()
     s, m = cluster.s, cluster.m
     flags: set[str] = set()
-    parts = [kernels.part(cluster, i) for i in range(s)]
+    parts = [params.part(cluster, i) for i in range(s)]
 
     # stage 1: local selection, verbatim uploads
     def pick_local(i, _):
@@ -370,7 +348,7 @@ def run_css_protocol(cluster: Cluster, params, kernels: CssKernels) -> CssPcaRes
             if n_i <= k:
                 flags.add("local-tiny")
             return np.arange(n_i, dtype=np.int64)
-        return kernels.local_select(params, s, i, parts[i], ell)
+        return params.local_select(s, i, parts[i], ell)
 
     local_idx = cluster.map_machines(pick_local)
     local_blocks = [_columns(P, idx) for P, idx in zip(parts, local_idx)]
@@ -384,7 +362,7 @@ def run_css_protocol(cluster: Cluster, params, kernels: CssKernels) -> CssPcaRes
         flags.add("core-all")
         core_pos = np.arange(G.shape[1], dtype=np.int64)
     else:
-        core_pos = kernels.core_select(params, G, c1)
+        core_pos = params.core_select(G, c1)
     C = G[:, core_pos]
     core_gids = gids[core_pos].tolist()
     # each machine gets the core columns it does not own, and one index word
@@ -395,7 +373,7 @@ def run_css_protocol(cluster: Cluster, params, kernels: CssKernels) -> CssPcaRes
     cluster.record_broadcast("global-down", (words.sum() - held).astype(int).tolist())
 
     # stage 3: adaptive residual sampling
-    col_masses = kernels.residual_masses(params, cluster, parts, C)
+    col_masses = params.residual_masses(cluster, parts, C)
     betas = [residual_beta(float(mass.sum())) for mass in col_masses]
     cluster.record_gather("adaptive-meta", 1)
     cluster.record_broadcast("adaptive-meta", 1)
@@ -439,7 +417,7 @@ def run_css_protocol(cluster: Cluster, params, kernels: CssKernels) -> CssPcaRes
     # sketch of it at eps / 2: like the default sketch's, its error adds to
     # the selection's
     t = math.ceil(k / (params.eps / 2))
-    support, sketch = kernels.finalize(cluster, parts, xi,
+    support, sketch = params.finalize(cluster, parts, xi,
                                        derive_seed(params.seed, TAG_CSS_SUBSPACE))
     summary_seed = derive_seed(params.seed, TAG_CSS_SUMMARY)
 
@@ -462,7 +440,7 @@ def run_css_protocol(cluster: Cluster, params, kernels: CssKernels) -> CssPcaRes
             return kind, None
         if kind == "raw":
             return kind, parts[i]
-        B = kernels.coefficients(Y.T, parts[i])
+        B = params.coefficients(Y.T, parts[i])
         if kind == "R":
             return kind, _packed_r(B)
         return kind, range_finder_top(B, t, derive_seed(summary_seed, i), scaled=True)
@@ -478,7 +456,7 @@ def run_css_protocol(cluster: Cluster, params, kernels: CssKernels) -> CssPcaRes
                                               for i, p in exact.items()], exact)
         for i, p in exact.items():
             # the server forms a raw machine's R factor with the same kernel
-            factors.append((_r_factor(kernels.coefficients(Y.T, p)) if kinds[i] == "raw"
+            factors.append((_r_factor(params.coefficients(Y.T, p)) if kinds[i] == "raw"
                             else _unpack_r(p, parts[i].shape[1], r)).T)
     if summaries:
         cluster.record_gather("subspace-up", [p.size for p in summaries.values()], summaries)
@@ -513,54 +491,61 @@ def run_css_protocol(cluster: Cluster, params, kernels: CssKernels) -> CssPcaRes
     return result
 
 
-# -- the exact kernels: dense SVDs, barrier walks and sign sketches -------
+# -- the exact variant: dense SVDs, barrier walks and sign sketches ------
 
 
-def _exact_local_select(params, s, i, Ai, ell):
-    ki = min(params.k, Ai.shape[0], Ai.shape[1])
-    F = truncated_svd(Ai, ki)
-    E = Ai - (Ai @ F.V) @ F.V.T
-    return bss_sampling(F.V, E, ell).indices
+@dataclass(frozen=True)
+class CssProtocolParams(_CssParams):
+    """Budgets for the column-partition protocol, with a free core budget
+    c1 (default 4k) and a sign-sketch finalize width, and its exact
+    params."""
 
+    c1: int | None = None
 
-def _exact_residual_masses(params, cluster, parts, C):
-    Yc = orthonormal_basis(C)
-    masses = []
-    for Ai in parts:
-        Psi = Ai - Yc @ (Yc.T @ Ai)
-        masses.append(np.sum(Psi * Psi, axis=0))
-    return masses
+    def resolve(self) -> tuple[int, int, int, int]:
+        return self._budgets(self.c1 if self.c1 is not None else 4 * self.k, dense_pca_dim)
 
+    def part(self, cluster, i):
+        return cluster.part_dense(i)
 
-def _exact_finalize(cluster, parts, xi, seed):
-    W = sign_sketch(xi, cluster.n, seed)
+    def local_select(self, s, i, Ai, ell):
+        ki = min(self.k, Ai.shape[0], Ai.shape[1])
+        F = truncated_svd(Ai, ki)
+        E = Ai - (Ai @ F.V) @ F.V.T
+        return bss_sampling(F.V, E, ell).indices
 
-    def support(i):
-        # a sign-sketch column of A_i is nonzero at most on A_i's nonzero rows
-        return np.full(xi, np.count_nonzero(parts[i].any(axis=1)))
+    def core_select(self, G, c1):
+        # k clamped to the rank bound, as in local selection: a core of c1 > k
+        # columns still carries G's span, and the finalize flags rank-deficient
+        return deterministic_css(G, min(self.k, *G.shape), c1).indices
 
-    def block(i, lo, hi):
-        a, b = cluster.col_offsets[i], cluster.col_offsets[i + 1]
-        return parts[i] @ W.materialize_cols(np.arange(a, b), lo, hi).T
-    return support, block
+    def residual_masses(self, cluster, parts, C):
+        Yc = orthonormal_basis(C)
+        masses = []
+        for Ai in parts:
+            Psi = Ai - Yc @ (Yc.T @ Ai)
+            masses.append(np.sum(Psi * Psi, axis=0))
+        return masses
 
+    def coefficients(self, YT, P):
+        return YT @ P
 
-_EXACT_KERNELS = CssKernels(
-    resolve=lambda params, cluster: params.resolve(),
-    part=lambda cluster, i: cluster.part_dense(i),
-    local_select=_exact_local_select,
-    # k clamped to the rank bound, as in local selection: a core of c1 > k
-    # columns still carries G's span, and the finalize flags rank-deficient
-    core_select=lambda params, G, c1: deterministic_css(G, min(params.k, *G.shape), c1).indices,
-    residual_masses=_exact_residual_masses,
-    coefficients=lambda YT, P: YT @ P,
-    finalize=_exact_finalize,
-)
+    def finalize(self, cluster, parts, xi, seed):
+        W = sign_sketch(xi, cluster.n, seed)
+
+        def support(i):
+            # a sign-sketch column of A_i is nonzero at most on A_i's nonzero rows
+            return np.full(xi, np.count_nonzero(parts[i].any(axis=1)))
+
+        def block(i, lo, hi):
+            a, b = cluster.col_offsets[i], cluster.col_offsets[i + 1]
+            return parts[i] @ W.materialize_cols(np.arange(a, b), lo, hi).T
+        return support, block
 
 
 def distributed_css_pca(cluster: Cluster, params: CssProtocolParams) -> CssPcaResult:
     """Run the four-stage column-selection protocol on a column partition."""
-    return run_css_protocol(cluster, params, _EXACT_KERNELS)
+    return run_css_protocol(cluster, params)
 
 
 def _expected_words(cluster: Cluster, result: CssPcaResult,

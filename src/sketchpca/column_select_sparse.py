@@ -1,6 +1,6 @@
 """Entry-touch kernels for the column-partition protocol.
 
-The exact kernels (column_partition's _EXACT_KERNELS, built on
+The exact kernels (column_partition's CssProtocolParams, built on
 column_select) form dense residual matrices; here every pass over the data
 goes through a one-nonzero-per-column embedding, a sign JL map or a product
 with a thin dense factor, so the work per operation is proportional to the
@@ -16,8 +16,8 @@ The barrier sampler reads its residual through one type, ResidualOperator
 empty basis Z, for which the A Z pass is skipped.
 
 distributed_css_pca_fast is column_partition's four-stage driver run with
-these kernels in its CssKernels bundle; the stages, ledger and checks are
-the exact protocol's.
+FastCssProtocolParams, whose methods are these kernels; the stages, ledger
+and checks are the exact protocol's.
 
 A module-level touch counter records how many times kernels pass over the
 stored entries.  Tests pin exact per-operation counts, which is the teeth
@@ -34,7 +34,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .cluster import Cluster
-from .column_partition import CssKernels, CssPcaResult, _CssParams, run_css_protocol
+from .column_partition import CssPcaResult, _CssParams, run_css_protocol
 from .column_select import _POST_SLACK, CssResult, SamplingMatrix, bss_sampling
 from .errors import InputError, InternalError
 from .linalg import as_matrix, orthonormal_basis, qr, range_finder_top
@@ -396,7 +396,7 @@ class FastCssProtocolParams(_CssParams):
     guarantee is tuned to exactly that budget, and the default finalize
     width is a CountSketch of embedding_dim(k, eps / 2) buckets; everything
     else is the exact protocol's.  delta is the total failure budget split
-    across the per-machine kernels.
+    across the per-machine kernels, which are its methods.
     """
 
     delta: float = 0.05
@@ -409,67 +409,54 @@ class FastCssProtocolParams(_CssParams):
     def resolve(self) -> tuple[int, int, int, int]:
         return self._budgets(4 * self.k, embedding_dim)
 
+    def part(self, cluster, i):
+        return _as_sparse(cluster.parts[i])
 
-# -- entry-touch kernels for the column-partition driver ----------------
+    def local_select(self, s, i, Ai, ell):
+        # boosted sparse SVD, then sketched barrier sampling on its residual
+        Z = sparse_svd_boosting(
+            Ai, self.k, 1.0 / 3.0, self.delta / s,
+            derive_seed(derive_seed(self.seed, TAG_FAST_LOCAL_SVD), i))
+        S = bss_sampling_sparse(
+            Z, ResidualOperator(Ai, Z), ell, 0.5, self.delta / s,
+            derive_seed(derive_seed(self.seed, TAG_FAST_LOCAL_BSS), i))
+        return S.indices
 
+    def core_select(self, G, c1):
+        return deterministic_css_sparse(G, self.k, derive_seed(self.seed, TAG_FAST_CORE)).indices
 
-def _fast_resolve(params, cluster):
-    if params.k >= cluster.m:
-        raise InputError("target rank must be below the row count")
-    return params.resolve()
+    def residual_masses(self, cluster, parts, C):
+        # residual magnitudes ||J (I - Yc Yc^T) a_j||^2 read off a JL sketch
+        # J every machine builds from the shared seed.  The projection is
+        # folded into J once, so each machine makes one product.  It stays
+        # inside the product: a column in span(C) maps to ~1e-15 entries and
+        # reads ~1e-30, where the identity ||a_j||^2 - ||Yc^T a_j||^2 leaves
+        # ~1e-15 of rounding in the mass itself, enough to draw the column
+        Jmat = jlt_sketch(cluster.n, cluster.m,
+                          derive_seed(self.seed, TAG_FAST_JLT)).materialize()
+        Yc = orthonormal_basis(C)
+        Jmat -= (Jmat @ Yc) @ Yc.T
+        masses = []
+        for Ai in parts:
+            sketched = dense_times_sparse(Jmat, Ai)
+            masses.append(np.sum(sketched * sketched, axis=0))
+        return masses
 
+    def coefficients(self, YT, P):
+        return dense_times_sparse(YT, P)
 
-def _fast_local_select(params, s, i, Ai, ell):
-    # boosted sparse SVD, then sketched barrier sampling on its residual
-    Z = sparse_svd_boosting(
-        Ai, params.k, 1.0 / 3.0, params.delta / s,
-        derive_seed(derive_seed(params.seed, TAG_FAST_LOCAL_SVD), i))
-    S = bss_sampling_sparse(
-        Z, ResidualOperator(Ai, Z), ell, 0.5, params.delta / s,
-        derive_seed(derive_seed(params.seed, TAG_FAST_LOCAL_BSS), i))
-    return S.indices
+    def finalize(self, cluster, parts, xi, seed):
+        emb = sparse_embedding(xi, cluster.n, seed)
 
-
-def _fast_residual_masses(params, cluster, parts, C):
-    # residual magnitudes ||J (I - Yc Yc^T) a_j||^2 read off a JL sketch J
-    # every machine builds from the shared seed.  The projection is folded
-    # into J once, so each machine makes one product.  It stays inside the
-    # product: a column in span(C) maps to ~1e-15 entries and reads ~1e-30,
-    # where the identity ||a_j||^2 - ||Yc^T a_j||^2 leaves ~1e-15 of
-    # rounding in the mass itself, enough to draw the column
-    Jmat = jlt_sketch(cluster.n, cluster.m, derive_seed(params.seed, TAG_FAST_JLT)).materialize()
-    Yc = orthonormal_basis(C)
-    Jmat -= (Jmat @ Yc) @ Yc.T
-    masses = []
-    for Ai in parts:
-        sketched = dense_times_sparse(Jmat, Ai)
-        masses.append(np.sum(sketched * sketched, axis=0))
-    return masses
-
-
-def _fast_finalize(cluster, parts, xi, seed):
-    emb = sparse_embedding(xi, cluster.n, seed)
-
-    def support(i):
-        # a CountSketch column of A_i is nonzero at most on the rows of the
-        # entries hashed into its bucket: count the distinct (bucket, row) pairs
-        P = parts[i]
-        cols = cluster.col_offsets[i] + P.entry_cols()
-        pairs = np.unique(emb.buckets[cols] * P.n_rows + P.indices)
-        return np.bincount(pairs // P.n_rows, minlength=xi)
-    return support, lambda i, lo, hi: embed_cols(emb, parts[i], cluster.col_offsets[i], lo, hi)
-
-
-_FAST_KERNELS = CssKernels(
-    resolve=_fast_resolve,
-    part=lambda cluster, i: _as_sparse(cluster.parts[i]),
-    local_select=_fast_local_select,
-    core_select=lambda params, G, c1: deterministic_css_sparse(
-        G, params.k, derive_seed(params.seed, TAG_FAST_CORE)).indices,
-    residual_masses=_fast_residual_masses,
-    coefficients=dense_times_sparse,
-    finalize=_fast_finalize,
-)
+        def support(i):
+            # a CountSketch column of A_i is nonzero at most on the rows of the
+            # entries hashed into its bucket: count the distinct (bucket, row) pairs
+            P = parts[i]
+            cols = cluster.col_offsets[i] + P.entry_cols()
+            pairs = np.unique(emb.buckets[cols] * P.n_rows + P.indices)
+            return np.bincount(pairs // P.n_rows, minlength=xi)
+        return support, lambda i, lo, hi: embed_cols(emb, parts[i], cluster.col_offsets[i],
+                                                     lo, hi)
 
 
 def distributed_css_pca_fast(cluster: Cluster, params: FastCssProtocolParams) -> CssPcaResult:
@@ -481,6 +468,9 @@ def distributed_css_pca_fast(cluster: Cluster, params: FastCssProtocolParams) ->
     sketch work in entry-touch time, and the adaptive stage reads residual
     magnitudes off a JL sketch with one product per machine.  Ledger
     phases, their closed forms and the double-entry check are the exact
-    protocol's.
+    protocol's.  It needs k below the row count, and refuses before any
+    word moves.
     """
-    return run_css_protocol(cluster, params, _FAST_KERNELS)
+    if params.k >= cluster.m:
+        raise InputError("target rank must be below the row count")
+    return run_css_protocol(cluster, params)

@@ -184,10 +184,6 @@ class SignSketch:
         if self.n_rows < 0 or self.n_cols < 0:
             raise InputError("sketch dimensions must be nonnegative")
 
-    @property
-    def shape(self) -> tuple[int, int]:
-        return (self.n_rows, self.n_cols)
-
     def materialize(self) -> np.ndarray:
         return _sign_grid(self.seed, 0, self.n_rows,
                           np.arange(self.n_cols, dtype=np.uint64), self.scale)
@@ -246,10 +242,6 @@ class SrhtSketch:
     rows: np.ndarray = field(repr=False)
     signs: np.ndarray = field(repr=False)
 
-    @property
-    def shape(self) -> tuple[int, int]:
-        return (self.n_rows, self.n_cols)
-
     def materialize(self) -> np.ndarray:
         """Entry (i, c) = H[rows[i], c] * signs[c] / sqrt(n_rows), where the
         Sylvester entry H[r, c] is -1 exactly when r & c has odd parity.
@@ -306,10 +298,6 @@ class SparseEmbedding:
     seed: int
     buckets: np.ndarray = field(repr=False)
     signs: np.ndarray = field(repr=False)
-
-    @property
-    def shape(self) -> tuple[int, int]:
-        return (self.n_rows, self.n_cols)
 
     def apply_left(self, A: np.ndarray) -> np.ndarray:
         A = np.asarray(A, dtype=np.float64)

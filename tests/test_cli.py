@@ -89,6 +89,34 @@ class TestDistArbCommand:
         assert rep["ratio"] >= 1.0 - 1e-9
 
 
+class TestCoordinateInputToDenseAlgorithms:
+    """batch and dist-arb materialize a coordinate file before they run."""
+
+    @pytest.mark.parametrize("command", ["batch", "dist-arb"])
+    def test_coordinate_and_array_files_report_alike(self, capsys, tmp_path, dense_mtx,
+                                                     command):
+        coo = str(tmp_path / "A-coo.mtx")
+        write_matrix_market(coo, SparseColMatrix.from_dense(read_matrix_market(dense_mtx)))
+        assert isinstance(read_matrix_market(coo), SparseColMatrix)
+        argv = ["-k", "3", "--eps", "0.5", "--seed", "7"]
+        if command == "dist-arb":
+            argv += ["--machines", "3"]
+        code, from_array, err = run_cli(capsys, [command, "--input", dense_mtx] + argv)
+        assert code == 0, err
+        assert run_cli(capsys, [command, "--input", coo] + argv)[1] == from_array
+
+    def test_coordinate_file_too_large_to_materialize(self, capsys, tmp_path):
+        # 4000 x 3000 cells declared, three entries stored
+        p = tmp_path / "big.mtx"
+        p.write_text("%%MatrixMarket matrix coordinate real general\n"
+                     "4000 3000 3\n1 1 1.0\n2 2 2.0\n3 3 3.0\n")
+        for command in ("batch", "dist-arb"):
+            code, _, err = run_cli(capsys, [command, "--input", str(p), "-k", "1",
+                                            "--eps", "0.5"])
+            assert code == 2
+            assert "too large to materialize" in err
+
+
 class TestDistCssCommands:
     def test_css_hard_pipeline_has_a_ratio(self, capsys, tmp_path):
         h = str(tmp_path / "h.mtx")
@@ -282,6 +310,41 @@ class TestExitCodes:
 
     def test_help_exits_zero(self, capsys):
         assert run_cli(capsys, ["--help"])[0] == 0
+
+
+class TestRankPastTheShape:
+    """k above the row count: a protocol runs, flags its rank deficiency and
+    reports a null ratio, for the rank-k tail of a matrix is zero once k
+    reaches min(m, n).  batch and dist-css-fast refuse such a k up front."""
+
+    @pytest.fixture
+    def inputs(self, tmp_path, capsys):
+        paths = {"matrix": str(tmp_path / "A.mtx"), "stream": str(tmp_path / "A.stream")}
+        for kind, path in paths.items():
+            argv = ["gen", "lowrank", "--m", "4", "--n", "16", "-k", "2", "--seed", "1",
+                    "--output", path]
+            assert run_cli(capsys, argv + (["--stream"] if kind == "stream" else []))[0] == 0
+        return paths
+
+    @pytest.mark.parametrize("command", ["dist-arb", "dist-css", "stream-1p",
+                                         "stream-1p-fact", "stream-2p"])
+    def test_ratio_is_null(self, capsys, inputs, command):
+        path = inputs["stream" if command.startswith("stream") else "matrix"]
+        rep = run_json(capsys, [command, "--input", path, "-k", "5", "--eps", "0.5",
+                                "--seed", "7"])
+        assert rep["ratio"] is None
+        if command not in ("stream-1p", "stream-1p-fact"):
+            assert "rank-deficient" in rep["flags"]
+
+    @pytest.mark.parametrize("command, message", [
+        ("batch", "rank target k=5 out of range for shape (4, 16)"),
+        ("dist-css-fast", "target rank must be below the row count"),
+    ])
+    def test_refused_before_the_run(self, capsys, inputs, command, message):
+        code, _, err = run_cli(capsys, [command, "--input", inputs["matrix"], "-k", "5",
+                                        "--eps", "0.5", "--seed", "7"])
+        assert code == 2
+        assert message in err
 
 
 class TestCheck:

@@ -26,7 +26,6 @@ from conftest import (
 from sketchpca import column_partition
 from sketchpca.cluster import Cluster
 from sketchpca.column_partition import (
-    _EXACT_KERNELS,
     _FINALIZE_BLOCK,
     _PAYLOAD_ORDER,
     TAG_CSS_SUBSPACE,
@@ -40,7 +39,6 @@ from sketchpca.column_partition import (
     run_css_protocol,
 )
 from sketchpca.column_select_sparse import (
-    _FAST_KERNELS,
     FastCssProtocolParams,
     distributed_css_pca_fast,
 )
@@ -263,7 +261,6 @@ _PROTOCOLS = {
     "exact": (distributed_css_pca, CssProtocolParams),
     "fast": (distributed_css_pca_fast, FastCssProtocolParams),
 }
-_KERNELS = {"exact": _EXACT_KERNELS, "fast": _FAST_KERNELS}
 _SKETCH = {"exact": "sign", "fast": "count"}
 
 
@@ -466,10 +463,9 @@ class TestSpanCoordinates:
         A = cl.materialize()
         C = A[:, res.core_indices + res.adaptive_indices]
         if branch == "sketch":
-            kernels = _KERNELS[protocol]
-            parts = [kernels.part(cl, i) for i in range(cl.s)]
-            _, sketch = kernels.finalize(cl, parts, res.xi,
-                                         derive_seed(params.seed, TAG_CSS_SUBSPACE))
+            parts = [params.part(cl, i) for i in range(cl.s)]
+            _, sketch = params.finalize(cl, parts, res.xi,
+                                        derive_seed(params.seed, TAG_CSS_SUBSPACE))
             A = sum(sketch(i, 0, res.xi) for i in range(cl.s))
         # C^T A mapped into span(C) coordinates through W = S_r^-1 V_r^T
         Uc, sigma, Vt = np.linalg.svd(C, full_matrices=False)
@@ -739,20 +735,19 @@ class TestStageFourPayloads:
 
     def test_exact_machines_never_form_their_sketch(self, protocol):
         _, Params = _PROTOCOLS[protocol]
-        kernels = _KERNELS[protocol]
         asked = set()
 
-        def finalize(cluster, parts, xi, seed):
-            support, block = kernels.finalize(cluster, parts, xi, seed)
+        class Counted(Params):
+            def finalize(self, cluster, parts, xi, seed):
+                support, block = super().finalize(cluster, parts, xi, seed)
 
-            def counted(i, lo, hi):
-                asked.add(i)
-                return block(i, lo, hi)
-            return support, counted
+                def counted(i, lo, hi):
+                    asked.add(i)
+                    return block(i, lo, hi)
+                return support, counted
 
         cl = self._mixed_cluster()
-        res = run_css_protocol(cl, Params(k=1, eps=1.0, seed=250),
-                               dataclasses.replace(kernels, finalize=finalize))
+        res = run_css_protocol(cl, Counted(k=1, eps=1.0, seed=250))
         assert res.finalize == "mixed"
         # the exact payloads go in one round, the summaries in the next and
         # the sketch blocks in the last
@@ -817,8 +812,8 @@ class TestStageFourPayloads:
             assert span_residual_sq(A, res.U) <= (1 + eps) * colspan_residual_sq(A, C, k)
 
     def test_bound_covers_the_sketch_words(self, protocol):
-        kernels = _KERNELS[protocol]
         m, xi, seed = 20, 600, 7
+        params = _PROTOCOLS[protocol][1](k=1, eps=1.0, seed=seed)
         assert _FINALIZE_BLOCK < xi      # two blocks
         # cancelling columns: two entries in row 3 whose sketched terms sum
         # to zero in some sketch column, so the block holds fewer nonzeros
@@ -838,8 +833,8 @@ class TestStageFourPayloads:
                     Cluster([cancel], kind="column")]
         cancelled = False
         for cl in clusters:
-            parts = [kernels.part(cl, i) for i in range(cl.s)]
-            support, sketch = kernels.finalize(cl, parts, xi, seed)
+            parts = [params.part(cl, i) for i in range(cl.s)]
+            support, sketch = params.finalize(cl, parts, xi, seed)
             for r in (1, 5, m):
                 for i in range(cl.s):
                     blocks = [sketch(i, lo, min(lo + _FINALIZE_BLOCK, xi))

@@ -19,7 +19,6 @@ from conftest import (
 from sketchpca.cluster import Cluster
 from sketchpca.column_select import bss_sampling, sample_proportional
 from sketchpca.column_select_sparse import (
-    _FAST_KERNELS,
     TOUCHES,
     TAG_BOOST,
     TAG_BSS_EMBED,
@@ -493,7 +492,7 @@ class TestAdaptiveColsSparse:
     def _masses(blocks, C, seed):
         cl = Cluster(blocks, kind="column")
         params = FastCssProtocolParams(k=1, eps=0.5, seed=seed)
-        return _FAST_KERNELS.residual_masses(params, cl, cl.parts, C)
+        return params.residual_masses(cl, cl.parts, C)
 
     def test_lone_residual_column_is_always_sampled(self):
         m = 12
@@ -571,7 +570,7 @@ class TestAdaptiveColsSparse:
         C = rand_orthonormal(9, 14, 2)
         for P in blocks:
             TOUCHES.reset()
-            _FAST_KERNELS.residual_masses(params, cl, [P], C)
+            params.residual_masses(cl, [P], C)
             assert TOUCHES.count == P.nnz
 
 
@@ -645,12 +644,13 @@ class TestApproxSubspaceSvdSparse:
     def test_touch_count(self):
         cl = _sparse_cluster(9, m=10, widths=(12, 12))
         CT = np.random.default_rng(3).standard_normal((4, 10))
+        params = _params()
         for P in cl.parts:
             TOUCHES.reset()
-            _FAST_KERNELS.coefficients(CT, P)
+            params.coefficients(CT, P)
             assert TOUCHES.count == P.nnz
         TOUCHES.reset()
-        _, block = _FAST_KERNELS.finalize(cl, cl.parts, 7, 3)
+        _, block = params.finalize(cl, cl.parts, 7, 3)
         for i in range(cl.s):
             for lo in range(0, 7, 3):
                 block(i, lo, min(lo + 3, 7))
@@ -661,7 +661,7 @@ class TestApproxSubspaceSvdSparse:
         with pytest.raises(InputError):
             distributed_css_pca_fast(cl, _params(k=2, xi_subspace=0))
         with pytest.raises(InputError):
-            _FAST_KERNELS.coefficients(np.zeros((2, 9)), cl.parts[0])
+            _params().coefficients(np.zeros((2, 9)), cl.parts[0])
         with pytest.raises(InputError):
             _params(k=0)
 
