@@ -14,26 +14,31 @@ Accumulation is canonical: updates apply in arrival order with plain
 summation, except that consecutive updates to the same entry coalesce
 before their rank-1 contribution forms, each run summed left to right,
 and coalesced increments are folded in chunks of a fixed count
-(_FOLD_CHUNK).  consume() reads its input in small validated record
-blocks (views of a _RECORD array, or blocks read from any other iterable,
-a generator included); the open run and the partial chunk carry from one
-block to the next, so any block boundaries give the same increments, the
-same chunks and the same bits, and no array grows with the stream.  A
-fold sorts its chunk stably by column, so each cell's increments keep
-their arrival order, and cuts it into product blocks: groups of at most
-_BLOCK_COLS distinct columns uc, on the chunk's distinct rows ur when there
-are at most _BLOCK_ROWS of them, else on each group's own rows in slices of
-_BLOCK_ROWS.  Each block is scattered into a
-dense dA, every cell summed in arrival order, and every sketch updates
-through plain products with it: W = T_left[:, ur] dA and V = S[:, ur] dA,
-then M += W T_right[uc], L += V T_right[uc], N += W R[uc],
-C[:, uc] += V and D[ur] += dA R[uc].  A chunk on r <= _BLOCK_ROWS
-distinct rows and c distinct columns thus folds each column once, for
-about xi*r*c + xi*c*xi4 multiply-adds instead of xi*b*xi4 for its b
-increments; on any shape, no fold temporary grows with m, n or the
-stream length.  Chunk boundaries depend on the coalesced increment
-sequence alone, and the blocks are a fixed function of each chunk, so
-equal sequences give equal bits.
+(_FOLD_CHUNK), collected in one buffer that consume() fills in place and
+drops when it returns.  consume() reads its input in small validated
+record blocks (views of a _RECORD array, or blocks read from any other
+iterable, a generator included); the open run and the partial chunk carry
+from one block to the next, so any block boundaries give the same
+increments, the same chunks and the same bits, and no array grows with
+the stream.  A fold cuts its chunk into product blocks: groups of distinct
+columns uc, as many as keep a block's dense dA and each image the left
+sketches make of it within a cell budget (_FOLD_CELLS), on the chunk's
+distinct rows ur when there are at most _BLOCK_ROWS of them, else on each
+group's own rows in slices of _BLOCK_ROWS.  A chunk that needs more than
+one group is first sorted stably by column, so each cell's increments
+keep their arrival order.  Each block is scattered into dA, every cell
+summed in arrival order, and every sketch updates through plain products
+with it, right side first: dR = dA R[uc] and dT = dA T_right[uc], then
+D[ur] += dR, N += T_left[:, ur] dR, M += T_left[:, ur] dT,
+L += S[:, ur] dT and C[:, uc] += S[:, ur] dA.  A chunk on r rows and c
+columns that fits one block thus folds each column once, for about
+r*c*(xi2 + xi4) + r*(xi3*xi2 + (xi3 + xi1)*xi4) multiply-adds, instead of
+xi*b*xi4 for its b increments one at a time (xi the widest left sketch).
+The right sketches go through dA in column slices, and the sketch rows of
+a column range a block mostly fills are read in place, so on any shape no
+fold temporary grows with m, n or the stream length.  Chunk boundaries
+depend on the coalesced increment sequence alone, and the blocks are a
+fixed function of each chunk, so equal sequences give equal bits.
 Coalescing is what makes the linearity contract exact: splitting an
 update in place into parts whose floating-point sum is exact (halves, or
 a cancellation pair like (2x, -x)) collapses to the identical increment
@@ -76,11 +81,18 @@ TAG_AFFINE_RIGHT = "stream-affine-right"
 
 # coalesced increments per fold chunk; boundaries are a function of the
 # increment sequence alone, so identical sequences give identical bits
-_FOLD_CHUNK = 4096
-# the most distinct columns and rows of one product block, so the gathered
-# sketch rows and the products stay small whatever the shape of a chunk
-_BLOCK_COLS = 32
+_FOLD_CHUNK = 8192
+# float64 cells (512 KiB) of a product block's dense dA, and so of each
+# image of it that the left sketches make; the right sketches pass through
+# dA in column slices whose gathered rows and images take at most a quarter
+# of this, so the fold's temporaries stay small whatever the shape
+_FOLD_CELLS = 2 ** 16
+# the most distinct rows of one product block, so that its gathered columns
+# of the left sketches stay small
 _BLOCK_ROWS = 256
+# a block width of 32 columns that the tall-stream fold peak test states
+# its bound with; no fold reads it
+_BLOCK_COLS = 32
 # raw updates read per ingest block; small, so no array grows with the stream
 _INGEST_BLOCK = 1024
 # one update (i, j, x), the format of a stream from the file to the fold;
@@ -90,8 +102,6 @@ _FIELDS = itemgetter("i", "j", "x")
 # an update read with float indices, to tell an integral index from one
 # that reading it into an int64 field truncates
 _REAL = np.dtype([("i", "<f8"), ("j", "<f8"), ("x", "<f8")])
-# an empty chunk of coalesced increments
-_EMPTY = np.empty(0, _RECORD)
 
 
 def _index(v) -> int | None:
@@ -221,11 +231,6 @@ class TurnstileSketchState:
         self.D = np.zeros((m, self.xi2))
         self.C = np.zeros((self.xi1, n)) if track_columns else None
         self.updates_applied = 0
-        # while consume() reads: the open coalescing run as one (row, col,
-        # running sum) record, or None, and the coalesced increments not yet
-        # folded, fewer than _FOLD_CHUNK records
-        self._run: np.ndarray | None = None
-        self._chunk = _EMPTY
 
     def space_words(self) -> int:
         """Exact scalar count of the maintained accumulators."""
@@ -235,34 +240,44 @@ class TurnstileSketchState:
             words += self.xi1 * self.n
         return words
 
-    def _ingest(self, block) -> None:
-        """Coalesce a validated block after the open run and fold every
-        full chunk of the increments."""
-        closed, self._run = _coalesce(self._run, block)
-        inc = np.concatenate((self._chunk, closed))
-        full = len(inc) - len(inc) % _FOLD_CHUNK
-        for s in range(0, full, _FOLD_CHUNK):
-            self._fold(*_FIELDS(inc[s:s + _FOLD_CHUNK]))
-        # a copy, so the partial chunk does not keep this block alive
-        self._chunk = inc[full:].copy()
+    def _collect(self, chunk, fill: int, inc) -> int:
+        """Copy coalesced increments into the chunk buffer after its first
+        fill records, folding the buffer each time it fills; returns the
+        records it then holds."""
+        while len(inc):
+            take = min(len(inc), len(chunk) - fill)
+            chunk[fill:fill + take] = inc[:take]
+            fill, inc = fill + take, inc[take:]
+            if fill == len(chunk):
+                self._fold(*_FIELDS(chunk))
+                fill = 0
+        return fill
+
+    def _block_width(self, rows: int) -> int:
+        """The most columns of a product block on that many rows: as many as
+        keep its dense dA, and each image the left sketches make of it,
+        within _FOLD_CELLS."""
+        return max(1, _FOLD_CELLS // max(rows, self.xi1, self.xi3))
 
     def _fold(self, rows, cols, vals) -> None:
-        """Add one chunk of increments to every sketch.  The chunk is sorted
-        stably by column, so each cell's increments keep their arrival
-        order, and folded in groups of _BLOCK_COLS distinct columns.  A chunk
-        on at most _BLOCK_ROWS distinct rows folds every group on those
-        rows; otherwise each group takes its own rows, in slices of
-        _BLOCK_ROWS, so no product block is larger than
-        _BLOCK_ROWS x _BLOCK_COLS."""
-        order = np.argsort(cols, kind="stable")
-        rows, cols, vals = rows[order], cols[order], vals[order]
-        # each column's first increment, and each increment's column as a rank
-        cs, heads, rank = np.unique(cols, return_index=True, return_inverse=True)
+        """Add one chunk of increments to every sketch, in product blocks of
+        at most _block_width distinct columns.  A chunk on at most
+        _BLOCK_ROWS distinct rows folds every block on those rows; otherwise
+        each group of columns takes its own rows, in slices of _BLOCK_ROWS.
+        A chunk that needs more than one group is first sorted stably by
+        column, so each cell's increments keep their arrival order."""
+        cs, rank = np.unique(cols, return_inverse=True)
         ur, ri = np.unique(rows, return_inverse=True)
-        ends = np.append(heads[_BLOCK_COLS::_BLOCK_COLS], len(cols))
-        for g, e in zip(range(0, len(cs), _BLOCK_COLS), ends):
-            s = heads[g]
-            uc, ci, v = cs[g:g + _BLOCK_COLS], rank[s:e] - g, vals[s:e]
+        width = self._block_width(min(len(ur), _BLOCK_ROWS))
+        if len(cs) > width:
+            order = np.argsort(rank, kind="stable")
+            rows, rank, ri, vals = rows[order], rank[order], ri[order], vals[order]
+            del order
+        cuts = [0, *np.searchsorted(rank, range(width, len(cs), width)), len(rank)]
+        for g, (s, e) in enumerate(zip(cuts, cuts[1:])):
+            uc, ci, v = cs[g * width:(g + 1) * width], rank[s:e], vals[s:e]
+            if g:
+                ci = ci - g * width
             if len(ur) <= _BLOCK_ROWS:
                 # one row set for the whole chunk spares a unique per group
                 self._fold_block(ur, uc, ri[s:e], ci, v)
@@ -274,34 +289,70 @@ class TurnstileSketchState:
 
     def _fold_block(self, ur, uc, ri, ci, vals) -> None:
         """Add increments vals at cells (ur[ri], uc[ci]) to every sketch:
-        they become a dense block dA on rows ur and columns uc, each cell
-        summed in the order given, and each sketch updates through plain
-        products with it."""
-        dA = np.bincount(ri * len(uc) + ci, weights=vals,
-                         minlength=len(ur) * len(uc)).reshape(len(ur), len(uc))
-        W = self.T_left[:, ur] @ dA
-        V = self.S[:, ur] @ dA
-        r = self.R[uc]
-        self.D[ur] += dA @ r
-        self.N += W @ r
+        they become a dense block dA on rows ur, each cell summed in the
+        order given, and each sketch updates through plain products with
+        it, right sketches first: dR = dA R and dT = dA T_right, then
+        D[ur] += dR, N += T_left[:, ur] dR, M += T_left[:, ur] dT,
+        L += S[:, ur] dT and C += S[:, ur] dA.
+
+        When uc fills more than half of its range uc[0]..uc[-1] and the
+        range fits the block width, dA spans the range, its untouched
+        columns zero, and the right sketches' rows are read in place, for
+        less than twice the products of the columns alone; otherwise dA
+        holds the columns uc, whose sketch rows are gathered slice by
+        slice.  Rows ur that fill their range are read in place too."""
+        r, c = len(ur), len(uc)
+        lo, span = int(uc[0]), int(uc[-1]) + 1 - int(uc[0])
+        view = span < 2 * c and span <= self._block_width(r)
+        if view:
+            ci = uc[ci] - lo
+            c, cols = span, slice(lo, lo + span)
+        else:
+            cols = uc
+        # a slice's gathered rows and its images, each at most step columns
+        # wide, together take at most a quarter of the budget
+        step = max(1, _FOLD_CELLS // (4 * (r + max(self.xi1, self.xi3) + (0 if view else c))))
+        dA = np.bincount(ri * c + ci, weights=vals, minlength=r * c).reshape(r, c)
+        if ur[-1] + 1 - ur[0] == r:
+            # rows that fill their range are read in place in T_left, S and
+            # D: gathering them would be the fold's largest temporaries
+            ur = slice(int(ur[0]), int(ur[-1]) + 1)
+        tl, sl = self.T_left[:, ur], self.S[:, ur]
         if self.C is not None:
-            self.C[:, uc] += V
-        # the widest products last, with the fewest temporaries alive
-        tr = self.T_right[uc]
-        self.M += W @ tr
-        self.L += V @ tr
+            for a in range(0, c, step):
+                at = slice(lo + a, lo + min(a + step, c)) if view else uc[a:a + step]
+                self.C[:, at] += sl @ dA[:, a:a + step]
+        for a in range(0, self.xi2, step):
+            part = slice(a, a + step)
+            dR = dA @ self.R[cols, part]
+            self.D[ur, part] += dR
+            self.N[:, part] += tl @ dR
+        for a in range(0, self.xi4, step):
+            part = slice(a, a + step)
+            dT = dA @ self.T_right[cols, part]
+            self.M[:, part] += tl @ dT
+            self.L[:, part] += sl @ dT
 
     def consume(self, updates) -> "TurnstileSketchState":
         """Apply an update sequence, any iterable of (i, j, x) or a _RECORD
         array, read in validated blocks; then fold the last run and the
-        partial chunk."""
-        for block in _blocks(updates, self.m, self.n):
-            self.updates_applied += len(block)
-            self._ingest(block)
-        chunk = self._chunk if self._run is None else np.concatenate((self._chunk, self._run))
-        self._run, self._chunk = None, _EMPTY
-        if len(chunk):
-            self._fold(*_FIELDS(chunk))
+        partial chunk.  The chunk buffer lives only while consume() runs, so
+        the state holds nothing but its sketches between calls.  When
+        reading the input raises (an invalid update, or a failing
+        iterable), the updates read before it are folded first, so the
+        sketches hold exactly the updates_applied updates counted."""
+        chunk = np.empty(_FOLD_CHUNK, _RECORD)
+        fill, run = 0, None
+        try:
+            for block in _blocks(updates, self.m, self.n):
+                self.updates_applied += len(block)
+                closed, run = _coalesce(run, block)
+                fill = self._collect(chunk, fill, closed)
+        finally:
+            if run is not None:
+                fill = self._collect(chunk, fill, run)
+            if fill:
+                self._fold(*_FIELDS(chunk[:fill]))
         return self
 
 

@@ -24,6 +24,7 @@ from sketchpca.sketches import affine_dim, derive_seed, regression_dim, sign_ske
 from sketchpca.streaming import (
     _BLOCK_COLS,
     _BLOCK_ROWS,
+    _FOLD_CELLS,
     _FOLD_CHUNK,
     _INGEST_BLOCK,
     _RECORD,
@@ -224,6 +225,34 @@ class TestStateOracle:
         b = TurnstileSketchState(16, 20, 2, 0.5, 77, track_columns=True).consume(ups)
         assert sketch_bytes(a) == sketch_bytes(b)
 
+    def test_two_consumes_add_up_and_keep_no_buffer(self):
+        # the first call ends inside a chunk and inside a run that the
+        # second call's first update extends
+        m, n = 24, 30
+        first = random_stream(3, m, n, _FOLD_CHUNK + 500)
+        second = [first[-1]] + random_stream(4, m, n, _FOLD_CHUNK // 2)
+        st_ = TurnstileSketchState(m, n, 3, 0.5, 11, track_columns=True).consume(first)
+        arrays = {name for name, v in vars(st_).items() if isinstance(v, np.ndarray)}
+        assert arrays == {"S", "R", "T_left", "T_right", *SKETCH_NAMES}
+        st_.consume(second)
+        assert {name for name, v in vars(st_).items() if isinstance(v, np.ndarray)} == arrays
+        assert st_.updates_applied == len(first) + len(second)
+        assert_sketches_match(st_, replay_dense(m, n, first + second))
+
+    def test_a_failed_consume_folds_what_it_read(self):
+        # the second ingest block is out of range, so consume() raises
+        # after one block that ends inside the first chunk and in a run
+        m, n = 24, 30
+        good = random_stream(5, m, n, _INGEST_BLOCK)[:_INGEST_BLOCK]
+        st_ = TurnstileSketchState(m, n, 3, 0.5, 11, track_columns=True)
+        with pytest.raises(InputError):
+            st_.consume(good + [(m, 0, 1.0)])
+        assert st_.updates_applied == len(good)
+        assert_sketches_match(st_, replay_dense(m, n, good))
+        more = random_stream(6, m, n, 300)
+        st_.consume(more)
+        assert_sketches_match(st_, replay_dense(m, n, good + more))
+
     def test_update_counter_counts_raw_updates(self):
         ups = random_stream(4, 8, 8, 100, delete_prob=0.5)
         st_ = TurnstileSketchState(8, 8, 2, 0.5, 1).consume(ups)
@@ -338,9 +367,10 @@ INGEST_RUNS = 4 * _FOLD_CHUNK
 
 
 class TestProductBlocks:
-    """A fold sorts its chunk stably by column and folds it in product
-    blocks of at most _BLOCK_ROWS distinct rows and _BLOCK_COLS distinct
-    columns, whatever the shape of the matrix."""
+    """A fold cuts its chunk into product blocks of at most _BLOCK_ROWS
+    distinct rows, and of as many distinct columns as keep the block and
+    the images the left sketches make of it within _FOLD_CELLS cells,
+    whatever the shape of the matrix."""
 
     @staticmethod
     def _consume(monkeypatch, m, n, ups):
@@ -357,8 +387,15 @@ class TestProductBlocks:
         monkeypatch.setattr(TurnstileSketchState, "_fold_block", recorded)
         st_ = TurnstileSketchState(m, n, 1, 1.0, 11, track_columns=True).consume(ups)
         assert_sketches_match(st_, replay_dense(m, n, ups))
-        assert all(r <= _BLOCK_ROWS and c <= _BLOCK_COLS for r, c in shapes)
+        assert all(r <= _BLOCK_ROWS and c * max(r, st_.xi1, st_.xi3) <= _FOLD_CELLS
+                   for r, c in shapes)
         return shapes
+
+    @staticmethod
+    def _width(m, n, rows):
+        """The most distinct columns of a block on that many rows of an
+        m x n stream."""
+        return TurnstileSketchState(m, n, 1, 1.0, 11)._block_width(rows)
 
     def test_tall_stream_splits_blocks_by_rows(self, monkeypatch):
         ups = shuffled_cells(1, 4000, 4)
@@ -366,20 +403,28 @@ class TestProductBlocks:
         assert max(r for r, _ in shapes) == _BLOCK_ROWS
 
     def test_wide_stream_splits_blocks_by_columns(self, monkeypatch):
-        ups = shuffled_cells(2, 4, 4000)
-        shapes = self._consume(monkeypatch, 4, 4000, ups)
-        assert max(c for _, c in shapes) == _BLOCK_COLS
+        # a chunk touches about 3,500 of the 4,000 columns, and a block on
+        # its 32 rows holds 2,048 of them
+        m, n = 32, 4000
+        ups = shuffled_cells(2, m, n)[:3 * _FOLD_CHUNK]
+        width = self._width(m, n, m)
+        assert column_folds(ups[:_FOLD_CHUNK]) > width
+        shapes = self._consume(monkeypatch, m, n, ups)
+        assert max(c for _, c in shapes) == width
         assert sum(c for _, c in shapes) == column_folds(ups)
 
     def test_revisits_inside_a_chunk_sum_in_arrival_order(self, monkeypatch):
-        m, n = 40, 60
+        m, n = 40, 3000
         ups = random_stream(7, m, n, 2 * _FOLD_CHUNK)
         chunk = coalesced(ups)[:_FOLD_CHUNK]
         cells = [(i, j) for i, j, _ in chunk]
         # a repeated cell among coalesced increments is a non-adjacent revisit
         assert len(set(cells)) < len(cells)
+        # and the chunk's columns need more than one block
+        width = self._width(m, n, m)
+        assert len({j for _, j in cells}) > width
         shapes = self._consume(monkeypatch, m, n, ups)
-        assert max(c for _, c in shapes) == _BLOCK_COLS
+        assert max(c for _, c in shapes) == width
         assert sum(c for _, c in shapes) == column_folds(ups)
         # folding the chunk equals folding each cell's arrival-order sum once
         sums = {}
@@ -422,6 +467,36 @@ class TestProductBlocks:
         words = ((xi1 + xi3) * (br + bc + xi4) + (br + bc) * (bc + xi2)
                  + xi3 * xi2 + bc * xi4)
         assert long <= 8 * words + 128 * (_FOLD_CHUNK + _INGEST_BLOCK)
+
+    def test_wide_fold_peak_is_bounded_and_flat(self):
+        # a chunk touches about 3,500 of the 4,000 columns, whose gathered
+        # rows of the 4,000 x 80 affine sketch alone would take 2.2 MB
+        m, n = 4, 4000
+        st_ = TurnstileSketchState(m, n, 1, 1.0, 3, track_columns=True)
+        xi1, xi3 = st_.xi1, st_.xi3
+        rng = np.random.default_rng(0)
+
+        def peak(q):
+            ups = np.empty(q, _RECORD)
+            ups["i"], ups["j"] = rng.integers(m, size=q), rng.integers(n, size=q)
+            ups["x"] = rng.standard_normal(q)
+            st_ = TurnstileSketchState(m, n, 1, 1.0, 3, track_columns=True)
+            tracemalloc.start()
+            try:
+                st_.consume(ups)
+                return tracemalloc.get_traced_memory()[1]
+            finally:
+                tracemalloc.stop()
+
+        peak(_FOLD_CHUNK)   # lazy imports inside numpy land outside the comparison
+        short, long = peak(3 * _FOLD_CHUNK), peak(12 * _FOLD_CHUNK)
+        assert long <= short + 64 * 1024
+        # dA, and one slice's gathered rows and images: a budget and a
+        # quarter; the gathered left-sketch columns of one block; and 8
+        # words for each update of one chunk and one ingest block (records,
+        # row and column ranks, the block's cell indices and weights)
+        words = 5 * _FOLD_CELLS // 4 + (xi1 + xi3) * _BLOCK_ROWS
+        assert long <= 8 * words + 64 * (_FOLD_CHUNK + _INGEST_BLOCK)
 
 
 def run_stream(seed, m, n, runs):
